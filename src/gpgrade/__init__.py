@@ -1,13 +1,9 @@
 """Gaussian-process grade regression with uncertainty-aware referral decisions."""
 
 from .data import (
-    DatasetManifest,
-    FeatureRecord,
     NormStats,
     apply_normalizer,
-    feature_matrix,
     fit_normalizer,
-    grades_vector,
     load_feature_csv,
     load_model,
     save_model,
@@ -17,10 +13,8 @@ from .data import (
 from .diagnosis import (
     GRADE_THRESHOLD_DEFAULT,
     STD_THRESHOLD_DEFAULT,
-    Decision,
     apply_uncertainty_flip,
     binarize,
-    grade_to_referable,
 )
 from .errors import (
     GPGradeError,
@@ -32,7 +26,6 @@ from .errors import (
 from .gp import (
     FitConfig,
     GPModel,
-    Prediction,
     build_model,
     cholesky_with_jitter,
     fit,
@@ -43,9 +36,7 @@ from .kernel import (
     NOISE_VARIANCE_FLOOR,
     Hyperparams,
     kernel_matrix,
-    kernel_matrix_gradients,
     pairwise_sq_dists,
-    rbf_eval,
 )
 from .metrics import (
     BoxStats,
@@ -62,10 +53,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoxStats",
-    "DatasetManifest",
-    "Decision",
     "EvalReport",
-    "FeatureRecord",
     "FitConfig",
     "GPGradeError",
     "GPModel",
@@ -77,7 +65,6 @@ __all__ = [
     "NormStats",
     "NumericalError",
     "ParseError",
-    "Prediction",
     "STD_THRESHOLD_DEFAULT",
     "apply_normalizer",
     "apply_uncertainty_flip",
@@ -87,20 +74,15 @@ __all__ = [
     "cholesky_with_jitter",
     "confusion",
     "evaluate",
-    "feature_matrix",
     "fit",
     "fit_normalizer",
-    "grade_to_referable",
-    "grades_vector",
     "group_uncertainty_stats",
     "kernel_matrix",
-    "kernel_matrix_gradients",
     "load_feature_csv",
     "load_model",
     "log_marginal_likelihood",
     "pairwise_sq_dists",
     "predict",
-    "rbf_eval",
     "roc_auc",
     "save_model",
     "sens_spec",

@@ -84,22 +84,14 @@ def _add_threshold_flags(sub: argparse.ArgumentParser) -> None:
     )
 
 
-def _decide(preds, grade_threshold, std_threshold):
-    return [
-        diagnosis.apply_uncertainty_flip(
-            diagnosis.binarize(p, grade_threshold), std_threshold
-        )
-        for p in preds
-    ]
-
-
 def _load_and_predict(model_path: Path, csv_path: Path):
+    """Ids, true referable labels (grades 2..4), posterior means and stds."""
     model = data.load_model(model_path)
     if model.normalizer is None:
         raise InputError("model archive has no normalization statistics")
-    records, _ = data.load_feature_csv(csv_path)
-    X = data.apply_normalizer(model.normalizer, records)
-    return model, records, gp.predict(model, X)
+    ids, X, grades = data.load_feature_csv(csv_path)
+    mean, std = gp.predict(model, data.apply_normalizer(model.normalizer, X))
+    return ids, grades >= 2, mean, std
 
 
 def _format_bool(flag: bool) -> str:
@@ -107,17 +99,16 @@ def _format_bool(flag: bool) -> str:
 
 
 def cmd_train(args) -> int:
-    records, manifest = data.load_feature_csv(args.train_csv)
-    stats = data.fit_normalizer(records)
-    X = data.apply_normalizer(stats, records)
-    y = data.grades_vector(records)
+    ids, X_raw, grades = data.load_feature_csv(args.train_csv)
+    stats = data.fit_normalizer(X_raw)
+    X = data.apply_normalizer(stats, X_raw)
     config = gp.FitConfig(
         max_train=args.max_train, restarts=args.restarts, seed=args.seed
     )
-    model = gp.fit(X, y, config, normalizer=stats)
+    model = gp.fit(X, grades.astype(float), config, normalizer=stats)
     data.save_model(model, args.model)
     lml, _ = gp.log_marginal_likelihood(model.X_train, model.y_train, model.hp)
-    print(f"trained on {model.X_train.shape[0]} of {manifest.n_records} records")
+    print(f"trained on {model.X_train.shape[0]} of {len(ids)} records")
     print(f"log_marginal_likelihood {lml!r}")
     print(f"length_scale {model.hp.length_scale!r}")
     print(f"signal_variance {model.hp.signal_variance!r}")
@@ -127,40 +118,35 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    _, records, preds = _load_and_predict(args.model, args.test_csv)
-    decisions = _decide(preds, args.grade_threshold, args.std_threshold)
-
-    def emit(fh):
-        fh.write("id,mean,std,referable,flipped\n")
-        for record, d in zip(records, decisions):
-            fh.write(
-                f"{record.id},{d.mean!r},{d.std!r},"
-                f"{_format_bool(d.referable)},{_format_bool(d.flipped)}\n"
-            )
-
-    data._atomic_write_text(args.out, emit)
-    print(f"wrote {len(decisions)} predictions to {args.out}")
+    ids, _, mean, std = _load_and_predict(args.model, args.test_csv)
+    referable, flipped = diagnosis.apply_uncertainty_flip(
+        diagnosis.binarize(mean, args.grade_threshold), std, args.std_threshold
+    )
+    lines = ["id,mean,std,referable,flipped\n"]
+    for id_, m, s, r, f in zip(
+        ids, mean.tolist(), std.tolist(), referable.tolist(), flipped.tolist()
+    ):
+        lines.append(f"{id_},{m!r},{s!r},{_format_bool(r)},{_format_bool(f)}\n")
+    data._atomic_write(args.out, "".join(lines))
+    print(f"wrote {len(ids)} predictions to {args.out}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    _, records, preds = _load_and_predict(args.model, args.test_csv)
-    decisions = _decide(preds, args.grade_threshold, args.std_threshold)
-    labels = [diagnosis.grade_to_referable(r.grade) for r in records]
-    report = metrics.evaluate(decisions, labels)
+    _, labels, mean, std = _load_and_predict(args.model, args.test_csv)
+    referable, flipped = diagnosis.apply_uncertainty_flip(
+        diagnosis.binarize(mean, args.grade_threshold), std, args.std_threshold
+    )
+    report = metrics.evaluate(referable, labels, mean, std)
     document = {
         "grade_threshold": args.grade_threshold,
         "std_threshold": args.std_threshold,
-        "n_flipped": sum(1 for d in decisions if d.flipped),
+        "n_flipped": int(flipped.sum()),
         **report.to_dict(),
     }
-    data._atomic_write_text(
-        args.out, lambda fh: fh.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
-    )
+    data._atomic_write(args.out, json.dumps(document, indent=2, sort_keys=True) + "\n")
     box_path = args.out.with_name(args.out.stem + ".boxstats.txt")
-    data._atomic_write_text(
-        box_path, lambda fh: fh.write(metrics.box_stats_table(report.group_stats))
-    )
+    data._atomic_write(box_path, metrics.box_stats_table(report.group_stats))
     sys.stdout.write(report.to_text())
     print(f"report written to {args.out}")
     print(f"box stats written to {box_path}")
@@ -177,11 +163,11 @@ def cmd_synth(args) -> int:
         counts = counts * 5
     if len(counts) != 5:
         raise InputError("--n-per-grade takes one integer or five comma-separated")
-    records = data.synthesize_dataset(
+    ids, X, grades = data.synthesize_dataset(
         counts, args.dim, args.separation, args.noise, args.seed
     )
-    data.write_feature_csv(records, args.out)
-    print(f"wrote {len(records)} synthetic records to {args.out}")
+    data.write_feature_csv(ids, X, grades, args.out)
+    print(f"wrote {len(ids)} synthetic records to {args.out}")
     return 0
 
 
@@ -193,22 +179,17 @@ def cmd_sweep(args) -> int:
         raise InputError(f"bad --std-thresholds value {args.std_thresholds!r}") from None
     if not thresholds:
         raise InputError("--std-thresholds needs at least one value")
-    _, records, preds = _load_and_predict(args.model, args.test_csv)
-    labels = [diagnosis.grade_to_referable(r.grade) for r in records]
-    base = [diagnosis.binarize(p, args.grade_threshold) for p in preds]
-
-    def emit(fh):
-        fh.write("std_threshold,tp,fp,tn,fn,sensitivity,specificity,n_flipped\n")
-        for t in thresholds:
-            decisions = [diagnosis.apply_uncertainty_flip(d, t) for d in base]
-            tp, fp, tn, fn = metrics.confusion(decisions, labels)
-            sens, spec = metrics.sens_spec(tp, fp, tn, fn)
-            flipped = sum(1 for d in decisions if d.flipped)
-            sens_s = "undefined" if sens is None else repr(sens)
-            spec_s = "undefined" if spec is None else repr(spec)
-            fh.write(f"{t!r},{tp},{fp},{tn},{fn},{sens_s},{spec_s},{flipped}\n")
-
-    data._atomic_write_text(args.out, emit)
+    _, labels, mean, std = _load_and_predict(args.model, args.test_csv)
+    base = diagnosis.binarize(mean, args.grade_threshold)
+    lines = ["std_threshold,tp,fp,tn,fn,sensitivity,specificity,n_flipped\n"]
+    for t in thresholds:
+        referable, flipped = diagnosis.apply_uncertainty_flip(base, std, t)
+        tp, fp, tn, fn = metrics.confusion(referable, labels)
+        sens, spec = metrics.sens_spec(tp, fp, tn, fn)
+        sens_s = "undefined" if sens is None else repr(sens)
+        spec_s = "undefined" if spec is None else repr(spec)
+        lines.append(f"{t!r},{tp},{fp},{tn},{fn},{sens_s},{spec_s},{int(flipped.sum())}\n")
+    data._atomic_write(args.out, "".join(lines))
     print(f"wrote {len(thresholds)} sweep rows to {args.out}")
     return 0
 

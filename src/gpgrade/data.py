@@ -17,6 +17,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,14 +36,7 @@ MODEL_FORMAT_VERSION = 1
 # Tolerance when comparing recomputed factor/solve digests on load.
 _DIGEST_RTOL = 1e-10
 
-
-@dataclass(frozen=True)
-class FeatureRecord:
-    """One sample: identifier, D-dimensional feature vector, grade 0..4."""
-
-    id: str
-    features: np.ndarray
-    grade: int
+_UNSAFE_ID_CHARS = re.compile('[,"\r\n]')
 
 
 @dataclass(frozen=True)
@@ -53,38 +47,21 @@ class NormStats:
     std: np.ndarray
 
 
-@dataclass(frozen=True)
-class DatasetManifest:
-    path: str
-    n_records: int
-    dimension: int
-    grade_histogram: tuple[int, int, int, int, int]
-
-
-def feature_matrix(records: list[FeatureRecord]) -> np.ndarray:
-    """Stack record features into an (n, D) float64 matrix."""
-    if not records:
-        raise InputError("no records")
-    return np.stack([r.features for r in records]).astype(np.float64)
-
-
-def grades_vector(records: list[FeatureRecord]) -> np.ndarray:
-    """Grades as a float vector, ready for regression targets."""
-    return np.array([r.grade for r in records], dtype=np.float64)
-
-
-def load_feature_csv(path) -> tuple[list[FeatureRecord], DatasetManifest]:
+def load_feature_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Parse a feature CSV in file order, validating every row.
 
-    Raises ParseError (with the offending 1-based line number) on a
-    malformed header, inconsistent row width, non-integer or out-of-range
-    grade, or non-finite feature value.
+    Returns ``(ids, X, grades)``: the id strings, the (n, D) float64
+    feature matrix and the integer grade vector. Raises ParseError (with
+    the offending 1-based line number) on a malformed header, inconsistent
+    row width, an id holding a comma, quote, CR or LF, non-integer or
+    out-of-range grade, or non-finite feature value.
     """
     path = Path(path)
     if not path.is_file():
         raise InputError(f"no such file: {path}")
-    records: list[FeatureRecord] = []
-    histogram = [0, 0, 0, 0, 0]
+    ids: list[str] = []
+    rows: list[np.ndarray] = []
+    grades: list[int] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -107,6 +84,12 @@ def load_feature_csv(path) -> tuple[list[FeatureRecord], DatasetManifest]:
                 raise ParseError(
                     f"expected {dim + 2} fields, got {len(row)}", line=lineno
                 )
+            # Ids are echoed unquoted into the prediction CSV, so a field
+            # separator, quote or line break in one would corrupt that file.
+            if _UNSAFE_ID_CHARS.search(row[0]):
+                raise ParseError(
+                    f"id {row[0]!r} contains a comma, quote, CR or LF", line=lineno
+                )
             try:
                 grade = int(row[1])
             except ValueError:
@@ -121,51 +104,38 @@ def load_feature_csv(path) -> tuple[list[FeatureRecord], DatasetManifest]:
                 raise ParseError("non-numeric feature value", line=lineno) from None
             if not np.isfinite(features).all():
                 raise ParseError("non-finite feature value", line=lineno)
-            histogram[grade] += 1
-            records.append(FeatureRecord(id=row[0], features=features, grade=grade))
-    if not records:
+            ids.append(row[0])
+            rows.append(features)
+            grades.append(grade)
+    if not ids:
         raise ParseError("no records")
-    manifest = DatasetManifest(
-        path=str(path),
-        n_records=len(records),
-        dimension=dim,
-        grade_histogram=tuple(histogram),
-    )
-    return records, manifest
+    return ids, np.stack(rows), np.array(grades)
 
 
-def write_feature_csv(records: list[FeatureRecord], path) -> None:
-    """Write records in the feature CSV format (atomic, deterministic)."""
-    if not records:
+def write_feature_csv(ids, X, grades, path) -> None:
+    """Write rows in the feature CSV format (atomic, deterministic)."""
+    X = np.asarray(X, dtype=np.float64)
+    if len(ids) == 0:
         raise InputError("no records to write")
-    dim = records[0].features.shape[0]
-    header = "id,grade," + ",".join(f"f{i}" for i in range(dim))
-
-    def emit(fh):
-        fh.write(header + "\n")
-        for r in records:
-            if r.features.shape[0] != dim:
-                raise InputError(f"record {r.id!r} has inconsistent dimension")
-            values = ",".join(repr(float(v)) for v in r.features)
-            fh.write(f"{r.id},{r.grade},{values}\n")
-
-    _atomic_write_text(Path(path), emit)
+    lines = ["id,grade," + ",".join(f"f{i}" for i in range(X.shape[1])) + "\n"]
+    rows = zip(ids, np.asarray(grades).tolist(), X.tolist(), strict=True)
+    for id_, grade, features in rows:
+        values = ",".join(repr(v) for v in features)
+        lines.append(f"{id_},{grade},{values}\n")
+    _atomic_write(path, "".join(lines))
 
 
-def fit_normalizer(train: list[FeatureRecord]) -> NormStats:
-    """Per-feature mean/std from the training split; std floored at 1e-8."""
-    X = feature_matrix(train)
+def fit_normalizer(X) -> NormStats:
+    """Per-feature mean/std of the training matrix; std floored at 1e-8."""
+    X = _as_features(X)
     mean = X.mean(axis=0)
     std = np.maximum(X.std(axis=0), STD_FLOOR)
     return NormStats(mean=mean, std=std)
 
 
-def apply_normalizer(stats: NormStats, records) -> np.ndarray:
-    """Z-score a record list (or raw matrix) with frozen training statistics."""
-    if isinstance(records, np.ndarray):
-        X = np.asarray(records, dtype=np.float64)
-    else:
-        X = feature_matrix(records)
+def apply_normalizer(stats: NormStats, X) -> np.ndarray:
+    """Z-score a feature matrix with frozen training statistics."""
+    X = _as_features(X)
     if X.shape[1] != stats.mean.shape[0]:
         raise InputError(
             f"feature dimension {X.shape[1]} does not match normalizer "
@@ -174,19 +144,27 @@ def apply_normalizer(stats: NormStats, records) -> np.ndarray:
     return (X - stats.mean) / stats.std
 
 
+def _as_features(X) -> np.ndarray:
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] == 0:
+        raise InputError(f"expected a nonempty (n, D) feature matrix, got shape {X.shape}")
+    return X
+
+
 def synthesize_dataset(
     n_per_grade,
     D: int,
     separation: float,
     noise: float,
     seed: int,
-) -> list[FeatureRecord]:
+) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Seeded synthetic stand-in for extracted image features.
 
     Grade ``g`` samples are drawn from an isotropic Gaussian centred at
     ``g * separation * u`` for a fixed unit direction ``u`` derived from
     the seed, so the grades embed on a one-dimensional manifold and the
-    regress-then-threshold pipeline is learnable.
+    regress-then-threshold pipeline is learnable. Returns ``(ids, X,
+    grades)`` in grade order, like ``load_feature_csv``.
     """
     n_per_grade = list(n_per_grade)
     if len(n_per_grade) != 5 or any(int(n) != n or n < 0 for n in n_per_grade):
@@ -200,39 +178,24 @@ def synthesize_dataset(
     u /= np.linalg.norm(u)
     total = int(sum(n_per_grade))
     eps = rng.normal(size=(total, D))
-    records = []
-    idx = 0
-    for grade, count in enumerate(n_per_grade):
-        center = grade * separation * u
-        for _ in range(int(count)):
-            features = center + noise * eps[idx]
-            records.append(
-                FeatureRecord(id=f"synth-{idx:05d}", features=features, grade=grade)
-            )
-            idx += 1
-    return records
+    grades = np.repeat(np.arange(5), [int(n) for n in n_per_grade])
+    X = (grades * separation)[:, None] * u + noise * eps
+    ids = [f"synth-{idx:05d}" for idx in range(total)]
+    return ids, X, grades
 
 
 # ---------------------------------------------------------------------------
 # model persistence
 
 
-def _atomic_write_text(path: Path, emit) -> None:
+def _atomic_write(path, content: str | bytes) -> None:
+    """Write text (as UTF-8) or bytes through a temp file and a rename."""
+    path = Path(path)
+    if isinstance(content, str):
+        content = content.encode("utf-8")
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="") as fh:
-            emit(fh)
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
-
-
-def _atomic_write_bytes(path: Path, blob: bytes) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(blob)
+        tmp.write_bytes(content)
         os.replace(tmp, path)
     finally:
         if tmp.exists():
@@ -282,15 +245,56 @@ def save_model(model: gp.GPModel, path) -> None:
         + struct.pack("<Q", len(payload))
         + payload
     )
-    _atomic_write_bytes(Path(path), blob)
+    _atomic_write(path, blob)
+
+
+# Allowed JSON types of each archive header entry that load_model reads.
+# Exact types, because bool is an int subclass: a flag must not pass for a
+# number, nor a number for a flag.
+_NUMBER = (int, float)
+_HEADER_TYPES = {
+    "arrays": (list,),
+    "digests": (dict,),
+    "log_length_scale": _NUMBER,
+    "log_signal_variance": _NUMBER,
+    "log_noise_variance": _NUMBER,
+    "has_normalizer": (bool,),
+    "train_subset_seed": (int,),
+}
+
+
+def _array_shapes(header) -> dict[str, tuple[int, ...]]:
+    """Check a decoded archive header; return each array's shape in file order."""
+    if not isinstance(header, dict):
+        raise ModelFormatError("archive header is not a JSON object")
+    for key, kind in _HEADER_TYPES.items():
+        if type(header.get(key)) not in kind:
+            raise ModelFormatError(f"archive header entry {key!r} is missing or mistyped")
+    # Every other array's shape follows from the training matrix's (n, D).
+    specs = header["arrays"]
+    shape = specs[0].get("shape") if specs and isinstance(specs[0], dict) else None
+    if type(shape) is not list or len(shape) != 2 or not all(
+        type(s) is int and s >= 0 for s in shape
+    ):
+        raise ModelFormatError("archive does not start with a 2-d X_train array")
+    n, dim = shape
+    expected = {"X_train": (n, dim), "y_train": (n,)}
+    if header["has_normalizer"]:
+        expected.update(norm_mean=(dim,), norm_std=(dim,))
+    if specs != [{"name": k, "shape": list(v)} for k, v in expected.items()]:
+        raise ModelFormatError(
+            f"archive arrays must be {expected} (name: shape), in that order"
+        )
+    return expected
 
 
 def load_model(path) -> gp.GPModel:
     """Load a model archive; recompute and verify the factorized system.
 
     Raises ModelFormatError on a bad magic string, unknown format
-    version, checksum mismatch, truncation, or when the recomputed
-    factor/solve digests deviate from the saved ones.
+    version, checksum mismatch, truncation, a header with missing,
+    mistyped or inconsistent entries, or when the recomputed factor/solve
+    digests deviate from the saved ones.
     """
     path = Path(path)
     if not path.is_file():
@@ -315,22 +319,20 @@ def load_model(path) -> gp.GPModel:
     if hashlib.sha256(payload).digest() != checksum:
         raise ModelFormatError("checksum mismatch: archive payload is corrupt")
 
-    (header_len,) = struct.unpack_from("<Q", payload, 0)
     try:
+        (header_len,) = struct.unpack_from("<Q", payload, 0)
         header = json.loads(payload[8 : 8 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (struct.error, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ModelFormatError(f"unreadable archive header: {exc}") from None
 
     cursor = 8 + header_len
     loaded = {}
-    for spec in header["arrays"]:
-        shape = tuple(int(s) for s in spec["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
+    for name, shape in _array_shapes(header).items():
+        nbytes = math.prod(shape) * 8
         raw = payload[cursor : cursor + nbytes]
         if len(raw) != nbytes:
             raise ModelFormatError("truncated archive: array data incomplete")
-        loaded[spec["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        loaded[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         cursor += nbytes
 
     hp = Hyperparams(
@@ -349,9 +351,13 @@ def load_model(path) -> gp.GPModel:
         train_subset_seed=int(header["train_subset_seed"]),
     )
     recomputed = _model_digests(model)
-    for key, saved in header["digests"].items():
-        got = recomputed[key]
-        if not math.isclose(got, saved, rel_tol=_DIGEST_RTOL, abs_tol=_DIGEST_RTOL):
+    if set(header["digests"]) != set(recomputed):
+        raise ModelFormatError(f"archive digests must be {sorted(recomputed)}")
+    for key, got in recomputed.items():
+        saved = header["digests"][key]
+        if type(saved) not in _NUMBER or not math.isclose(
+            got, saved, rel_tol=_DIGEST_RTOL, abs_tol=_DIGEST_RTOL
+        ):
             raise ModelFormatError(
                 f"digest {key} mismatch after recomputation: "
                 f"saved {saved!r}, got {got!r}"

@@ -2,60 +2,52 @@
 
 Two rules: binarize the continuous grade at a threshold (default 1.5),
 then flip negatives whose posterior standard deviation is strictly above
-a second threshold (default 0.84).
+a second threshold (default 0.84). Both work on whole batches of
+predictions at once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+
+import numpy as np
 
 from .errors import InputError
-from .gp import Prediction
 
 GRADE_THRESHOLD_DEFAULT = 1.5
 STD_THRESHOLD_DEFAULT = 0.84
 
 
-@dataclass(frozen=True)
-class Decision:
-    """Binary referral decision for one sample."""
-
-    referable: bool
-    flipped: bool
-    mean: float
-    std: float
+def _check_threshold(name: str, value: float) -> None:
+    # A NaN threshold compares false against every value, which would
+    # silently switch its rule off.
+    if not math.isfinite(value):
+        raise InputError(f"{name} must be finite, got {value!r}")
 
 
-def grade_to_referable(grade: int) -> bool:
-    """True for grades 2..4 (referable), False for 0 and 1."""
-    if isinstance(grade, bool) or int(grade) != grade:
-        raise InputError(f"grade must be an integer, got {grade!r}")
-    grade = int(grade)
-    if grade < 0 or grade > 4:
-        raise InputError(f"grade must be in 0..4, got {grade}")
-    return grade >= 2
-
-
-def binarize(pred: Prediction, grade_threshold: float = GRADE_THRESHOLD_DEFAULT) -> Decision:
-    """Referable iff the posterior mean is >= the grade threshold."""
-    if pred.std < 0:
-        raise InputError(f"prediction std must be >= 0, got {pred.std}")
-    return Decision(
-        referable=pred.mean >= grade_threshold,
-        flipped=False,
-        mean=pred.mean,
-        std=pred.std,
-    )
+def binarize(mean, grade_threshold: float = GRADE_THRESHOLD_DEFAULT) -> np.ndarray:
+    """Boolean referable mask: the posterior mean is >= the grade threshold."""
+    _check_threshold("grade threshold", grade_threshold)
+    return np.asarray(mean, dtype=np.float64) >= grade_threshold
 
 
 def apply_uncertainty_flip(
-    d: Decision, std_threshold: float = STD_THRESHOLD_DEFAULT
-) -> Decision:
-    """Flip a negative decision to positive when std is strictly above the threshold.
+    referable, std, std_threshold: float = STD_THRESHOLD_DEFAULT
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flip negatives whose std is strictly above the threshold to positive.
 
-    Positives and already-flipped decisions pass through unchanged, so the
-    rule is idempotent.
+    Returns boolean ``(referable, flipped)`` arrays, where ``flipped``
+    marks the rows this call turned positive. Positives pass through
+    unchanged, so applying the rule to its own output changes nothing.
     """
-    if not d.referable and d.std > std_threshold:
-        return replace(d, referable=True, flipped=True)
-    return d
+    _check_threshold("std threshold", std_threshold)
+    referable = np.asarray(referable, dtype=bool)
+    std = np.asarray(std, dtype=np.float64)
+    if referable.shape != std.shape:
+        raise InputError(
+            f"referable shape {referable.shape} does not match std shape {std.shape}"
+        )
+    if (std < 0).any():
+        raise InputError("prediction std must be >= 0")
+    flipped = ~referable & (std > std_threshold)
+    return referable | flipped, flipped

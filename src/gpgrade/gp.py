@@ -42,6 +42,9 @@ _BAD_OBJECTIVE = 1e25
 
 _PREDICT_BLOCK = 2048
 
+# L-BFGS-B stopping rules for the evidence search.
+LBFGS_OPTIONS = {"maxiter": 200, "ftol": 1e-6, "gtol": 1e-5}
+
 
 @dataclass(frozen=True)
 class FitConfig:
@@ -55,18 +58,7 @@ class FitConfig:
     max_train: int = 2000
     restarts: int = 3
     seed: int = 0
-    max_iter: int = 200
-    lml_tol: float = 1e-6
-    grad_tol: float = 1e-5
     grade_targets: bool = True
-
-
-@dataclass(frozen=True)
-class Prediction:
-    """Posterior mean (continuous grade) and standard deviation."""
-
-    mean: float
-    std: float
 
 
 @dataclass
@@ -126,18 +118,21 @@ def _validate_training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
+def _factorize(K: np.ndarray, hp: Hyperparams, y: np.ndarray):
+    """Cholesky factor L of K + noise*I and alpha solving (K + noise*I) alpha = y."""
+    L, _ = cholesky_with_jitter(K + hp.noise_variance * np.eye(K.shape[0]))
+    return L, cho_solve((L, True), y)
+
+
 def _evidence(S: np.ndarray, y: np.ndarray, hp: Hyperparams):
-    """Log marginal likelihood, its gradient, and the factorized system.
+    """Log marginal likelihood and its gradient.
 
     ``S`` is the precomputed squared-distance matrix of the training
-    inputs; returns (lml, grad, L, alpha) so callers can reuse the
-    factorization at the optimum.
+    inputs.
     """
     n = y.shape[0]
     K = rbf_from_sq_dists(S, hp)
-    Ky = K + hp.noise_variance * np.eye(n)
-    L, _ = cholesky_with_jitter(Ky)
-    alpha = cho_solve((L, True), y)
+    L, alpha = _factorize(K, hp, y)
 
     lml = (
         -0.5 * float(y @ alpha)
@@ -158,7 +153,7 @@ def _evidence(S: np.ndarray, y: np.ndarray, hp: Hyperparams):
             0.5 * float(np.trace(T)) * noise_deriv,
         ]
     )
-    return lml, grad, L, alpha
+    return lml, grad
 
 
 def log_marginal_likelihood(X, y, hp: Hyperparams) -> tuple[float, np.ndarray]:
@@ -168,9 +163,7 @@ def log_marginal_likelihood(X, y, hp: Hyperparams) -> tuple[float, np.ndarray]:
     log signal variance, log noise variance).
     """
     X, y = _validate_training_data(X, y)
-    S = pairwise_sq_dists(X)
-    lml, grad, _, _ = _evidence(S, y, hp)
-    return lml, grad
+    return _evidence(pairwise_sq_dists(X), y, hp)
 
 
 def build_model(
@@ -182,10 +175,7 @@ def build_model(
 ) -> GPModel:
     """Assemble a GPModel at fixed hyperparameters (no optimization)."""
     X, y = _validate_training_data(X, y)
-    K = kernel_matrix(X, X, hp)
-    Ky = K + hp.noise_variance * np.eye(X.shape[0])
-    L, _ = cholesky_with_jitter(Ky)
-    alpha = cho_solve((L, True), y)
+    L, alpha = _factorize(kernel_matrix(X, X, hp), hp, y)
     return GPModel(
         hp=hp,
         X_train=X,
@@ -240,7 +230,7 @@ def fit(
     def negative_evidence(theta):
         try:
             hp = Hyperparams.from_log_array(theta)
-            lml, grad, _, _ = _evidence(S, y, hp)
+            lml, grad = _evidence(S, y, hp)
         except (InputError, NumericalError, OverflowError, FloatingPointError):
             return _BAD_OBJECTIVE, np.zeros(3)
         if not np.isfinite(lml) or not np.isfinite(grad).all():
@@ -260,11 +250,7 @@ def fit(
             theta0,
             jac=True,
             method="L-BFGS-B",
-            options={
-                "maxiter": config.max_iter,
-                "ftol": config.lml_tol,
-                "gtol": config.grad_tol,
-            },
+            options=LBFGS_OPTIONS,
         )
         # The optimizer never worsens its own start, but keep the
         # initialization as a candidate in case it fails outright.
@@ -276,21 +262,17 @@ def fit(
     if best_theta is None or not np.isfinite(best_lml) or best_lml <= -_BAD_OBJECTIVE / 2:
         raise NumericalError("evidence was non-finite at every restart")
 
-    hp = Hyperparams.from_log_array(best_theta)
-    _, _, L, alpha = _evidence(S, y, hp)
-    return GPModel(
-        hp=hp,
-        X_train=X,
-        y_train=y,
-        chol_L=L,
-        alpha=alpha,
+    return build_model(
+        X,
+        y,
+        Hyperparams.from_log_array(best_theta),
         normalizer=normalizer,
         train_subset_seed=config.seed,
     )
 
 
-def predict(model: GPModel, X_query) -> list[Prediction]:
-    """Posterior mean and standard deviation at each query row.
+def predict(model: GPModel, X_query) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean and standard deviation at each query row, as arrays.
 
     Queries must already be normalized with the model's statistics; the
     pipeline layer is responsible for that. The reported variance includes
@@ -306,16 +288,14 @@ def predict(model: GPModel, X_query) -> list[Prediction]:
         )
     sig2 = model.hp.signal_variance
     noise = model.hp.noise_variance
-    out: list[Prediction] = []
+    mean = np.empty(Xq.shape[0])
+    std = np.empty(Xq.shape[0])
     for start in range(0, Xq.shape[0], _PREDICT_BLOCK):
-        block = Xq[start : start + _PREDICT_BLOCK]
-        Kq = kernel_matrix(block, model.X_train, model.hp)
-        mean = Kq @ model.alpha
+        block = slice(start, start + _PREDICT_BLOCK)
+        Kq = kernel_matrix(Xq[block], model.X_train, model.hp)
+        mean[block] = Kq @ model.alpha
         W = solve_triangular(model.chol_L, Kq.T, lower=True)
         var = sig2 + noise - np.einsum("ij,ij->j", W, W)
         np.clip(var, 0.0, None, out=var)
-        std = np.sqrt(var)
-        out.extend(
-            Prediction(float(m), float(s)) for m, s in zip(mean, std)
-        )
-    return out
+        std[block] = np.sqrt(var)
+    return mean, std

@@ -1,4 +1,4 @@
-"""RBF kernel evaluation, gram-matrix assembly, and log-space gradients.
+"""RBF kernel hyperparameters, pairwise distances, and gram-matrix assembly.
 
 The kernel convention used throughout this package is
 
@@ -110,18 +110,6 @@ def rbf_from_sq_dists(S: np.ndarray, hp: Hyperparams) -> np.ndarray:
     return hp.signal_variance * np.exp(-0.5 * S / hp.length_scale**2)
 
 
-def rbf_eval(x, y, hp: Hyperparams) -> float:
-    """Evaluate k(x, y) for a single pair of feature vectors."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if x.ndim != 1 or y.ndim != 1:
-        raise InputError("rbf_eval expects 1-d feature vectors")
-    if x.shape != y.shape:
-        raise InputError(f"dimension mismatch: {x.shape[0]} vs {y.shape[0]}")
-    sq_dist = float(np.sum((x - y) ** 2))
-    return hp.signal_variance * math.exp(-0.5 * sq_dist / hp.length_scale**2)
-
-
 def kernel_matrix(A, B, hp: Hyperparams) -> np.ndarray:
     """Gram matrix K[i, j] = k(A[i], B[j]).
 
@@ -131,16 +119,3 @@ def kernel_matrix(A, B, hp: Hyperparams) -> np.ndarray:
     """
     return rbf_from_sq_dists(pairwise_sq_dists(A, B), hp)
 
-
-def kernel_matrix_gradients(A, hp: Hyperparams):
-    """Gradients of the training gram matrix w.r.t. the log-parameters.
-
-    Returns ``(dK/dlog_length_scale, dK/dlog_signal_variance)``; the
-    noise term is not part of the gram matrix and is handled by the
-    regression layer. Both outputs are exactly symmetric.
-    """
-    S = pairwise_sq_dists(A)
-    ell2 = hp.length_scale**2
-    K = hp.signal_variance * np.exp(-0.5 * S / ell2)
-    d_log_length = K * (S / ell2)
-    return d_log_length, K

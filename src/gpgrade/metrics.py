@@ -8,12 +8,11 @@ integration. Undefined ratios (an empty class) are reported as explicit
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.stats import rankdata
 
-from .diagnosis import Decision
 from .errors import InputError
 
 # Quartile convention for the per-group uncertainty summaries: linear
@@ -35,16 +34,6 @@ class BoxStats:
     q3: float | None = None
     max: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "min": self.min,
-            "q1": self.q1,
-            "median": self.median,
-            "q3": self.q3,
-            "max": self.max,
-        }
-
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -64,18 +53,8 @@ class EvalReport:
         return self.tp + self.fp + self.tn + self.fn
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "tp": self.tp,
-            "fp": self.fp,
-            "tn": self.tn,
-            "fn": self.fn,
-            "sensitivity": self.sensitivity,
-            "specificity": self.specificity,
-            "auc": self.auc,
-            "quartile_method": QUARTILE_METHOD,
-            "group_stats": {k: v.to_dict() for k, v in self.group_stats.items()},
-        }
+        """Every field (group stats as nested dicts), plus n and the quartile method."""
+        return {"n": self.n, **asdict(self), "quartile_method": QUARTILE_METHOD}
 
     def to_text(self) -> str:
         """Key-value report, one metric per line; undefined stays explicit."""
@@ -96,32 +75,29 @@ class EvalReport:
         return "\n".join(lines) + "\n"
 
 
-def _check_lengths(decisions, labels):
-    if len(decisions) != len(labels):
+def _group_masks(referable, labels) -> dict[str, np.ndarray]:
+    """One boolean mask per confusion group, with referable as the positive class."""
+    referable = np.asarray(referable, dtype=bool)
+    labels = np.asarray(labels, dtype=bool)
+    if referable.ndim != 1 or referable.shape != labels.shape:
         raise InputError(
-            f"decisions ({len(decisions)}) and labels ({len(labels)}) differ in length"
+            f"referable {referable.shape} and labels {labels.shape} must be "
+            "1-d and equally long"
         )
-    if len(decisions) == 0:
+    if referable.size == 0:
         raise InputError("cannot evaluate an empty batch")
+    return {
+        "TP": referable & labels,
+        "FP": referable & ~labels,
+        "TN": ~referable & ~labels,
+        "FN": ~referable & labels,
+    }
 
 
-def confusion(
-    decisions: list[Decision], labels: list[bool]
-) -> tuple[int, int, int, int]:
-    """Counts (tp, fp, tn, fn) with referable as the positive class."""
-    _check_lengths(decisions, labels)
-    tp = fp = tn = fn = 0
-    for d, label in zip(decisions, labels):
-        if d.referable:
-            if label:
-                tp += 1
-            else:
-                fp += 1
-        else:
-            if label:
-                fn += 1
-            else:
-                tn += 1
+def confusion(referable, labels) -> tuple[int, int, int, int]:
+    """Counts (tp, fp, tn, fn) of a referable mask against true labels."""
+    masks = _group_masks(referable, labels)
+    tp, fp, tn, fn = (int(np.count_nonzero(masks[g])) for g in _GROUPS)
     return tp, fp, tn, fn
 
 
@@ -153,27 +129,21 @@ def roc_auc(scores, labels) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def group_uncertainty_stats(
-    decisions: list[Decision], labels: list[bool]
-) -> dict[str, BoxStats]:
+def group_uncertainty_stats(referable, labels, std) -> dict[str, BoxStats]:
     """Quartiles of posterior std per confusion group (TP/FP/TN/FN)."""
-    _check_lengths(decisions, labels)
-    buckets: dict[str, list[float]] = {g: [] for g in _GROUPS}
-    for d, label in zip(decisions, labels):
-        if d.referable:
-            group = "TP" if label else "FP"
-        else:
-            group = "FN" if label else "TN"
-        buckets[group].append(d.std)
+    masks = _group_masks(referable, labels)
+    std = np.asarray(std, dtype=np.float64)
+    if std.shape != masks["TP"].shape:
+        raise InputError(f"std shape {std.shape} does not match the labels")
     stats = {}
     for group in _GROUPS:
-        values = buckets[group]
-        if not values:
+        values = std[masks[group]]
+        if values.size == 0:
             stats[group] = BoxStats(count=0)
             continue
         q = np.quantile(values, [0.0, 0.25, 0.5, 0.75, 1.0], method=QUARTILE_METHOD)
         stats[group] = BoxStats(
-            count=len(values),
+            count=int(values.size),
             min=float(q[0]),
             q1=float(q[1]),
             median=float(q[2]),
@@ -196,26 +166,16 @@ def box_stats_table(group_stats: dict[str, BoxStats]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def evaluate(
-    decisions: list[Decision],
-    labels: list[bool],
-    scores=None,
-) -> EvalReport:
+def evaluate(referable, labels, mean, std) -> EvalReport:
     """Full evaluation of a decision batch against true referable labels.
 
-    ``scores`` defaults to the decisions' posterior means (the continuous
-    grade), which is what the AUC is defined over. AUC is None when only
-    one class is present.
+    The AUC is taken over the posterior means (the continuous grade) and
+    is None when only one class is present.
     """
-    _check_lengths(decisions, labels)
-    tp, fp, tn, fn = confusion(decisions, labels)
+    tp, fp, tn, fn = confusion(referable, labels)
     sensitivity, specificity = sens_spec(tp, fp, tn, fn)
-    if scores is None:
-        scores = [d.mean for d in decisions]
-    try:
-        auc = roc_auc(scores, labels)
-    except InputError:
-        auc = None
+    # The AUC needs at least one sample of each class.
+    auc = roc_auc(mean, labels) if tp + fn and fp + tn else None
     return EvalReport(
         tp=tp,
         fp=fp,
@@ -224,5 +184,5 @@ def evaluate(
         sensitivity=sensitivity,
         specificity=specificity,
         auc=auc,
-        group_stats=group_uncertainty_stats(decisions, labels),
+        group_stats=group_uncertainty_stats(referable, labels, std),
     )

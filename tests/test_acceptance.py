@@ -14,7 +14,6 @@ import numpy as np
 from gpgrade import (
     FitConfig,
     Hyperparams,
-    Prediction,
     apply_normalizer,
     apply_uncertainty_flip,
     binarize,
@@ -22,10 +21,8 @@ from gpgrade import (
     cholesky_with_jitter,
     cli,
     evaluate,
-    feature_matrix,
     fit,
     fit_normalizer,
-    grades_vector,
     group_uncertainty_stats,
     kernel_matrix,
     load_model,
@@ -76,7 +73,7 @@ def test_criterion_2_dense_oracle_equivalence(capsys):
         )
         queries = rng.normal(size=(7, d))
         model = build_model(X, y, hp)
-        preds = predict(model, queries)
+        pred_mean, pred_std = predict(model, queries)
 
         K = kernel_matrix(X, X, hp) + hp.noise_variance * np.eye(n)
         K_inv = np.linalg.inv(K)
@@ -88,8 +85,7 @@ def test_criterion_2_dense_oracle_equivalence(capsys):
             - np.einsum("ij,jk,ki->i", ks.T, K_inv, ks)
         )
         stds = np.sqrt(np.maximum(variances, 0.0))
-        for p, m, s in zip(preds, means, stds):
-            worst = max(worst, abs(p.mean - m), abs(p.std - s))
+        worst = max(worst, np.abs(pred_mean - means).max(), np.abs(pred_std - stds).max())
     elapsed = time.perf_counter() - start
     check(
         capsys,
@@ -199,31 +195,26 @@ def test_criterion_6_end_to_end_pipeline(capsys):
     worst_auc, worst_sens, worst_nn, worst_time = 1.0, 1.0, 1.0, 0.0
     for seed in range(5):
         start = time.perf_counter()
-        records = synthesize_dataset([50] * 5, 8, 6.0, 1.0, seed)
+        _, X_all, grades = synthesize_dataset([50] * 5, 8, 6.0, 1.0, seed)
 
-        X_all = feature_matrix(records)
-        grades = np.array([r.grade for r in records])
         sq = pairwise_sq_dists(X_all)
         np.fill_diagonal(sq, np.inf)
         nn_accuracy = float(np.mean(grades[np.argmin(sq, axis=1)] == grades))
         worst_nn = min(worst_nn, nn_accuracy)
 
-        train = [r for i, r in enumerate(records) if i % 2 == 0]
-        test = [r for i, r in enumerate(records) if i % 2 == 1]
-        stats = fit_normalizer(train)
-        X_train = apply_normalizer(stats, train)
-        X_test = apply_normalizer(stats, test)
+        stats = fit_normalizer(X_all[0::2])
+        X_train = apply_normalizer(stats, X_all[0::2])
+        X_test = apply_normalizer(stats, X_all[1::2])
         model = fit(
             X_train,
-            grades_vector(train),
+            grades[0::2].astype(np.float64),
             FitConfig(restarts=2, seed=seed),
             normalizer=stats,
         )
-        decisions = [
-            apply_uncertainty_flip(binarize(p)) for p in predict(model, X_test)
-        ]
-        labels = [r.grade >= 2 for r in test]
-        report = evaluate(decisions, labels)
+        mean, std = predict(model, X_test)
+        referable, _ = apply_uncertainty_flip(binarize(mean), std)
+        labels = grades[1::2] >= 2
+        report = evaluate(referable, labels, mean, std)
         worst_auc = min(worst_auc, report.auc)
         worst_sens = min(worst_sens, report.sensitivity)
         worst_time = max(worst_time, time.perf_counter() - start)
@@ -268,9 +259,8 @@ def test_criterion_7_uncertainty_ordering(capsys):
         X_test[outliers] += 5.0 * rng.normal(size=(60, 2))
 
         model = fit(X_train, corrupted, FitConfig(restarts=4, seed=seed))
-        decisions = [binarize(p) for p in predict(model, X_test)]
-        labels = [g >= 2 for g in y_test]
-        stats = group_uncertainty_stats(decisions, labels)
+        mean, std = predict(model, X_test)
+        stats = group_uncertainty_stats(binarize(mean), y_test >= 2, std)
         if (
             stats["FN"].median > stats["TN"].median
             and stats["FP"].median > stats["TP"].median
@@ -281,31 +271,32 @@ def test_criterion_7_uncertainty_ordering(capsys):
 
 def test_criterion_8_decision_rules(capsys):
     """Threshold boundary, flip boundary, idempotence, and monotonicity."""
-    boundary = binarize(Prediction(mean=1.5, std=0.2))
-    below = binarize(Prediction(mean=1.4999999, std=0.2))
-    at_flip = apply_uncertainty_flip(binarize(Prediction(mean=1.0, std=0.84)))
-    above_flip = apply_uncertainty_flip(binarize(Prediction(mean=1.0, std=0.8401)))
-    twice = apply_uncertainty_flip(at_flip)
+    boundary, below = binarize(np.array([1.5, 1.4999999]))
+    at_flip, at_flip_flipped = apply_uncertainty_flip(binarize([1.0]), [0.84])
+    above_flip, above_flip_flipped = apply_uncertainty_flip(binarize([1.0]), [0.8401])
+    twice, twice_flipped = apply_uncertainty_flip(at_flip, [0.84])
 
     rng = np.random.default_rng(17)
-    monotone = True
-    for _ in range(200):
-        p = Prediction(mean=float(rng.uniform(0, 4)), std=float(rng.uniform(0, 2)))
-        base = binarize(p)
-        flipped = apply_uncertainty_flip(base)
-        if base.referable and not flipped.referable:
-            monotone = False
-        if apply_uncertainty_flip(flipped) != flipped:
-            monotone = False
+    mean = rng.uniform(0, 4, size=200)
+    std = rng.uniform(0, 2, size=200)
+    base = binarize(mean)
+    flipped, _ = apply_uncertainty_flip(base, std)
+    again, again_flipped = apply_uncertainty_flip(flipped, std)
+    monotone = (
+        not (base & ~flipped).any()
+        and np.array_equal(again, flipped)
+        and not again_flipped.any()
+    )
 
     ok = (
-        boundary.referable
-        and not below.referable
-        and not at_flip.referable
-        and not at_flip.flipped
-        and above_flip.referable
-        and above_flip.flipped
-        and twice == at_flip
+        boundary
+        and not below
+        and not at_flip[0]
+        and not at_flip_flipped[0]
+        and above_flip[0]
+        and above_flip_flipped[0]
+        and np.array_equal(twice, at_flip)
+        and not twice_flipped.any()
         and monotone
     )
     check(
@@ -320,17 +311,17 @@ def test_criterion_8_decision_rules(capsys):
 def test_criterion_9_determinism_and_persistence(tmp_path, capsys):
     """Save/load round trips bit-identically; same-seed CLI runs produce
     byte-identical artifacts."""
-    records = synthesize_dataset([10] * 5, 6, 6.0, 1.0, 3)
-    stats = fit_normalizer(records)
-    X = apply_normalizer(stats, records)
-    model = fit(X, grades_vector(records), FitConfig(restarts=2, seed=3), normalizer=stats)
+    _, X_raw, grades = synthesize_dataset([10] * 5, 6, 6.0, 1.0, 3)
+    stats = fit_normalizer(X_raw)
+    X = apply_normalizer(stats, X_raw)
+    model = fit(X, grades.astype(np.float64), FitConfig(restarts=2, seed=3), normalizer=stats)
     path = tmp_path / "round.model"
     save_model(model, path)
     loaded = load_model(path)
     rng = np.random.default_rng(8)
     queries = rng.normal(size=(25, X.shape[1]))
     bitwise = all(
-        a.mean == b.mean and a.std == b.std
+        np.array_equal(a, b)
         for a, b in zip(predict(model, queries), predict(loaded, queries))
     )
 

@@ -354,3 +354,49 @@ class TestSweep:
             ]
         )
         assert code == 1
+
+
+class TestRejections:
+    """Bad input exits 1 with a one-line ``error:`` message and no artifact."""
+
+    def assert_rejected(self, argv, out, capsys, match):
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert match in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("predict", "--std-threshold", "nan"),
+            ("predict", "--grade-threshold", "inf"),
+            ("evaluate", "--std-threshold", "-inf"),
+            ("evaluate", "--grade-threshold", "nan"),
+            ("sweep", "--std-thresholds", "0.5,nan"),
+            ("sweep", "--std-thresholds", "inf"),
+        ],
+    )
+    def test_non_finite_threshold(self, workspace, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "out"
+        argv = [command, "--test-csv", workspace["test"], "--model", workspace["model"]]
+        argv += ["--out", out, f"{flag}={value}"]
+        self.assert_rejected(argv, out, capsys, "must be finite")
+
+    def test_id_with_comma(self, workspace, tmp_path, capsys):
+        lines = workspace["test"].read_text().splitlines(keepends=True)
+        test_csv = tmp_path / "test.csv"
+        test_csv.write_text(lines[0] + '"a,b"' + lines[1][lines[1].index(",") :])
+        out = tmp_path / "preds.csv"
+        argv = ["predict", "--test-csv", test_csv, "--model", workspace["model"], "--out", out]
+        self.assert_rejected(argv, out, capsys, "line 2")
+
+    def test_archive_header_without_arrays(self, workspace, tmp_path, capsys):
+        from test_data import rewrite_header
+
+        model = tmp_path / "m.model"
+        model.write_bytes(workspace["model"].read_bytes())
+        rewrite_header(model, lambda header: header.pop("arrays"))
+        out = tmp_path / "r.json"
+        argv = ["evaluate", "--test-csv", workspace["test"], "--model", model, "--out", out]
+        self.assert_rejected(argv, out, capsys, "'arrays'")

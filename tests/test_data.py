@@ -1,20 +1,19 @@
 """Ingestion, normalization, synthesis, and model-archive tests."""
 
-import math
+import hashlib
+import json
+import struct
 
 import numpy as np
 import pytest
 
 from gpgrade import (
-    FeatureRecord,
     FitConfig,
     InputError,
     apply_normalizer,
     build_model,
-    feature_matrix,
     fit,
     fit_normalizer,
-    grades_vector,
     load_feature_csv,
     load_model,
     pairwise_sq_dists,
@@ -42,17 +41,20 @@ class TestLoadFeatureCsv:
         path = tmp_path / "d.csv"
         rows = [row(i, 0) for i in range(3)] + [row(i + 3, 4) for i in range(2)]
         write_csv(path, rows)
-        records, manifest = load_feature_csv(path)
-        assert manifest.grade_histogram == (3, 0, 0, 0, 2)
-        assert manifest.n_records == 5
-        assert manifest.dimension == 4
-        assert sum(manifest.grade_histogram) == manifest.n_records
+        ids, X, grades = load_feature_csv(path)
+        histogram = np.bincount(grades, minlength=5).tolist()
+        assert histogram == [3, 0, 0, 0, 2]
+        assert len(ids) == 5
+        assert X.shape == (5, 4)
+        assert sum(histogram) == len(ids)
 
     def test_order_preserving(self, tmp_path):
         path = tmp_path / "d.csv"
         write_csv(path, [row(i, i % 5) for i in range(10)])
-        records, _ = load_feature_csv(path)
-        assert [r.id for r in records] == [f"r{i}" for i in range(10)]
+        ids, X, grades = load_feature_csv(path)
+        assert ids == [f"r{i}" for i in range(10)]
+        assert grades.tolist() == [i % 5 for i in range(10)]
+        np.testing.assert_array_equal(X[:, 1] - X[:, 0], np.ones(10))
 
     def test_header_only_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -69,9 +71,9 @@ class TestLoadFeatureCsv:
             + [row(8096 + i, 4, dim=2) for i in range(694)]
         )
         write_csv(path, rows, dim=2)
-        _, manifest = load_feature_csv(path)
-        assert manifest.grade_histogram == (7407, 689, 0, 0, 694)
-        assert manifest.n_records == 8790
+        ids, _, grades = load_feature_csv(path)
+        assert np.bincount(grades, minlength=5).tolist() == [7407, 689, 0, 0, 694]
+        assert len(ids) == 8790
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError, match="no such file"):
@@ -113,47 +115,51 @@ class TestLoadFeatureCsv:
         with pytest.raises(ParseError, match="line 3.*non-finite"):
             load_feature_csv(path)
 
+    @pytest.mark.parametrize("field", ['"a,b"', '"a""b"', '"a\nb"', '"a\rb"'])
+    def test_id_with_separator_quote_or_newline_rejected(self, tmp_path, field):
+        """Such an id would be echoed unquoted into the prediction CSV."""
+        path = tmp_path / "d.csv"
+        write_csv(path, [row(0, 1), field + ",2,0.5,1.5,2.5,3.5"])
+        with pytest.raises(ParseError, match="line 3.*comma, quote, CR or LF"):
+            load_feature_csv(path)
+
 
 class TestWriteFeatureCsv:
     def test_round_trip(self, tmp_path):
-        records = synthesize_dataset([3, 3, 3, 3, 3], 4, 6.0, 1.0, 0)
+        ids, X, grades = synthesize_dataset([3, 3, 3, 3, 3], 4, 6.0, 1.0, 0)
         path = tmp_path / "out.csv"
-        write_feature_csv(records, path)
-        back, manifest = load_feature_csv(path)
-        assert manifest.grade_histogram == (3, 3, 3, 3, 3)
-        for a, b in zip(records, back):
-            assert a.id == b.id
-            assert a.grade == b.grade
-            np.testing.assert_array_equal(a.features, b.features)
+        write_feature_csv(ids, X, grades, path)
+        back_ids, back_X, back_grades = load_feature_csv(path)
+        assert np.bincount(back_grades, minlength=5).tolist() == [3, 3, 3, 3, 3]
+        assert back_ids == ids
+        np.testing.assert_array_equal(back_grades, grades)
+        np.testing.assert_array_equal(back_X, X)
+
+    def test_misaligned_inputs_rejected(self, tmp_path):
+        ids, X, grades = synthesize_dataset([3] * 5, 4, 6.0, 1.0, 0)
+        with pytest.raises(ValueError):
+            write_feature_csv(ids[:-1], X, grades, tmp_path / "out.csv")
+        assert not (tmp_path / "out.csv").exists()
 
 
 class TestNormalizer:
     def test_zscore_on_training_set(self):
-        records = synthesize_dataset([10] * 5, 6, 6.0, 1.0, 1)
-        stats = fit_normalizer(records)
-        Z = apply_normalizer(stats, records)
+        _, X, _ = synthesize_dataset([10] * 5, 6, 6.0, 1.0, 1)
+        stats = fit_normalizer(X)
+        Z = apply_normalizer(stats, X)
         np.testing.assert_allclose(Z.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(Z.std(axis=0), 1.0, atol=1e-10)
 
     def test_constant_column_maps_to_zero(self):
-        records = [
-            FeatureRecord(id=f"r{i}", features=np.array([7.0, float(i)]), grade=0)
-            for i in range(5)
-        ]
-        stats = fit_normalizer(records)
-        Z = apply_normalizer(stats, records)
+        X = np.array([[7.0, float(i)] for i in range(5)])
+        stats = fit_normalizer(X)
+        Z = apply_normalizer(stats, X)
         np.testing.assert_array_equal(Z[:, 0], np.zeros(5))
 
     def test_train_stats_differ_from_test_fit(self):
         rng = np.random.default_rng(21)
-        train = [
-            FeatureRecord(id=f"a{i}", features=rng.normal(size=3), grade=0)
-            for i in range(20)
-        ]
-        test = [
-            FeatureRecord(id=f"b{i}", features=3.0 + rng.normal(size=3), grade=0)
-            for i in range(20)
-        ]
+        train = rng.normal(size=(20, 3))
+        test = 3.0 + rng.normal(size=(20, 3))
         train_stats = fit_normalizer(train)
         test_stats = fit_normalizer(test)
         via_train = apply_normalizer(train_stats, test)
@@ -161,38 +167,36 @@ class TestNormalizer:
         assert not np.allclose(via_train, via_test)
 
     def test_inverse_recovers_raw_features(self):
-        records = synthesize_dataset([8] * 5, 5, 6.0, 1.0, 2)
-        stats = fit_normalizer(records)
-        X = feature_matrix(records)
-        Z = apply_normalizer(stats, records)
+        _, X, _ = synthesize_dataset([8] * 5, 5, 6.0, 1.0, 2)
+        stats = fit_normalizer(X)
+        Z = apply_normalizer(stats, X)
         back = Z * stats.std + stats.mean
         np.testing.assert_allclose(back, X, atol=1e-9)
 
     def test_dimension_mismatch(self):
-        records = synthesize_dataset([2] * 5, 4, 6.0, 1.0, 3)
-        stats = fit_normalizer(records)
+        _, X, _ = synthesize_dataset([2] * 5, 4, 6.0, 1.0, 3)
+        stats = fit_normalizer(X)
         with pytest.raises(InputError):
             apply_normalizer(stats, np.zeros((2, 7)))
+        with pytest.raises(InputError):
+            fit_normalizer(np.zeros((0, 4)))
 
 
 class TestSynthesizeDataset:
     def test_counts_and_histogram(self):
-        records = synthesize_dataset([10, 10, 10, 10, 10], 4, 6.0, 1.0, 0)
-        assert len(records) == 50
-        grades = [r.grade for r in records]
-        assert [grades.count(g) for g in range(5)] == [10] * 5
+        ids, X, grades = synthesize_dataset([10, 10, 10, 10, 10], 4, 6.0, 1.0, 0)
+        assert len(ids) == 50
+        assert X.shape == (50, 4)
+        assert np.bincount(grades, minlength=5).tolist() == [10] * 5
 
     def test_uneven_counts(self):
-        records = synthesize_dataset([1, 2, 3, 4, 5], 3, 6.0, 1.0, 0)
-        grades = [r.grade for r in records]
-        assert [grades.count(g) for g in range(5)] == [1, 2, 3, 4, 5]
+        _, _, grades = synthesize_dataset([1, 2, 3, 4, 5], 3, 6.0, 1.0, 0)
+        assert np.bincount(grades, minlength=5).tolist() == [1, 2, 3, 4, 5]
 
     def test_nearest_neighbor_separability(self):
         """With separation well above noise, a leave-one-out 1-NN oracle
         recovers almost every grade."""
-        records = synthesize_dataset([50] * 5, 8, 6.0, 1.0, 0)
-        X = feature_matrix(records)
-        grades = np.array([r.grade for r in records])
+        _, X, grades = synthesize_dataset([50] * 5, 8, 6.0, 1.0, 0)
         S = pairwise_sq_dists(X)
         np.fill_diagonal(S, np.inf)
         nearest = np.argmin(S, axis=1)
@@ -201,19 +205,17 @@ class TestSynthesizeDataset:
 
     def test_same_seed_byte_identical_export(self, tmp_path):
         for name in ("a.csv", "b.csv"):
-            records = synthesize_dataset([10] * 5, 6, 6.0, 1.0, 42)
-            write_feature_csv(records, tmp_path / name)
+            ids, X, grades = synthesize_dataset([10] * 5, 6, 6.0, 1.0, 42)
+            write_feature_csv(ids, X, grades, tmp_path / name)
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_different_seeds_differ(self):
-        a = synthesize_dataset([5] * 5, 4, 6.0, 1.0, 0)
-        b = synthesize_dataset([5] * 5, 4, 6.0, 1.0, 1)
-        assert not np.allclose(feature_matrix(a), feature_matrix(b))
+        _, a, _ = synthesize_dataset([5] * 5, 4, 6.0, 1.0, 0)
+        _, b, _ = synthesize_dataset([5] * 5, 4, 6.0, 1.0, 1)
+        assert not np.allclose(a, b)
 
     def test_grade_centroids_nearly_collinear(self):
-        records = synthesize_dataset([50] * 5, 6, 6.0, 1.0, 7)
-        X = feature_matrix(records)
-        grades = np.array([r.grade for r in records])
+        _, X, grades = synthesize_dataset([50] * 5, 6, 6.0, 1.0, 7)
         centroids = np.stack([X[grades == g].mean(axis=0) for g in range(5)])
         t = np.arange(5.0)
         design = np.stack([np.ones(5), t], axis=1)
@@ -233,10 +235,10 @@ class TestSynthesizeDataset:
 
 
 def trained_model(seed=0):
-    records = synthesize_dataset([8] * 5, 5, 6.0, 1.0, seed)
-    stats = fit_normalizer(records)
-    X = apply_normalizer(stats, records)
-    y = grades_vector(records)
+    _, X_raw, grades = synthesize_dataset([8] * 5, 5, 6.0, 1.0, seed)
+    stats = fit_normalizer(X_raw)
+    X = apply_normalizer(stats, X_raw)
+    y = grades.astype(np.float64)
     return fit(X, y, FitConfig(restarts=2, seed=seed), normalizer=stats), X
 
 
@@ -248,11 +250,10 @@ class TestModelArchive:
         loaded = load_model(path)
         rng = np.random.default_rng(50)
         queries = rng.normal(size=(20, X.shape[1]))
-        before = predict(model, queries)
-        after = predict(loaded, queries)
-        for a, b in zip(before, after):
-            assert a.mean == b.mean
-            assert a.std == b.std
+        before_mean, before_std = predict(model, queries)
+        after_mean, after_std = predict(loaded, queries)
+        np.testing.assert_array_equal(after_mean, before_mean)
+        np.testing.assert_array_equal(after_std, before_std)
 
     def test_round_trip_preserves_fields(self, tmp_path):
         model, _ = trained_model(seed=4)
@@ -319,3 +320,74 @@ class TestModelArchive:
         save_model(model, tmp_path / "a.model")
         save_model(model, tmp_path / "b.model")
         assert (tmp_path / "a.model").read_bytes() == (tmp_path / "b.model").read_bytes()
+
+
+def rewrite_header(path, edit):
+    """Apply ``edit`` to an archive's JSON header and re-seal the checksum."""
+    blob = path.read_bytes()
+    prefix = len(MODEL_MAGIC) + 4
+    payload = blob[prefix + 32 + 8 :]
+    (header_len,) = struct.unpack_from("<Q", payload, 0)
+    header = json.loads(payload[8 : 8 + header_len])
+    edit(header)
+    header_bytes = json.dumps(header).encode("utf-8")
+    payload = struct.pack("<Q", len(header_bytes)) + header_bytes + payload[8 + header_len :]
+    path.write_bytes(
+        blob[:prefix]
+        + hashlib.sha256(payload).digest()
+        + struct.pack("<Q", len(payload))
+        + payload
+    )
+
+
+def shape_of(name, shape):
+    def edit(header):
+        for spec in header["arrays"]:
+            if spec["name"] == name:
+                spec["shape"] = shape
+
+    return edit
+
+
+BAD_HEADERS = {
+    "arrays missing": lambda h: h.pop("arrays"),
+    "arrays mistyped": lambda h: h.update(arrays="X_train"),
+    "digests missing": lambda h: h.pop("digests"),
+    "digests mistyped": lambda h: h.update(digests=[1.0, 2.0]),
+    "digest unknown": lambda h: h["digests"].update(extra=1.0),
+    "digest missing": lambda h: h["digests"].pop("alpha_l2"),
+    "digest mistyped": lambda h: h["digests"].update(alpha_l2="1.0"),
+    "length scale missing": lambda h: h.pop("log_length_scale"),
+    "signal variance mistyped": lambda h: h.update(log_signal_variance="0.5"),
+    "noise variance mistyped": lambda h: h.update(log_noise_variance=None),
+    "has_normalizer missing": lambda h: h.pop("has_normalizer"),
+    "has_normalizer mistyped": lambda h: h.update(has_normalizer=1),
+    "seed missing": lambda h: h.pop("train_subset_seed"),
+    "seed mistyped": lambda h: h.update(train_subset_seed=True),
+    "header emptied": lambda h: h.clear(),
+    "array unknown": lambda h: h["arrays"][0].update(name="X_test"),
+    "array missing": lambda h: h["arrays"].pop(),
+    "array entry mistyped": lambda h: h["arrays"].__setitem__(1, "y_train"),
+    "shape malformed": shape_of("X_train", [-40, 5]),
+    "X not 2-d": shape_of("X_train", [200]),
+    "X rows disagree with y": shape_of("y_train", [39]),
+    "normalizer width disagrees with D": shape_of("norm_mean", [4]),
+}
+
+
+class TestArchiveHeader:
+    def test_rewrite_keeps_a_valid_archive_loadable(self, tmp_path):
+        model, _ = trained_model(seed=9)
+        path = tmp_path / "m.model"
+        save_model(model, path)
+        rewrite_header(path, lambda header: None)
+        assert load_model(path).hp == model.hp
+
+    @pytest.mark.parametrize("edit", BAD_HEADERS.values(), ids=BAD_HEADERS.keys())
+    def test_bad_header_rejected(self, tmp_path, edit):
+        model, _ = trained_model(seed=9)
+        path = tmp_path / "m.model"
+        save_model(model, path)
+        rewrite_header(path, edit)
+        with pytest.raises(ModelFormatError):
+            load_model(path)

@@ -1,133 +1,109 @@
-"""Decision-rule tests: grade labeling, thresholding, uncertainty flips."""
+"""Decision-rule tests: thresholding and uncertainty flips on arrays."""
 
+import numpy as np
 import pytest
 
-from gpgrade import (
-    Decision,
-    InputError,
-    Prediction,
-    apply_uncertainty_flip,
-    binarize,
-    grade_to_referable,
-)
-
-
-class TestGradeToReferable:
-    def test_non_referable_grades(self):
-        assert grade_to_referable(0) is False
-        assert grade_to_referable(1) is False
-
-    def test_referable_grades(self):
-        assert grade_to_referable(2) is True
-        assert grade_to_referable(3) is True
-        assert grade_to_referable(4) is True
-
-    def test_out_of_range(self):
-        with pytest.raises(InputError):
-            grade_to_referable(5)
-        with pytest.raises(InputError):
-            grade_to_referable(-1)
-
-    def test_non_integer(self):
-        with pytest.raises(InputError):
-            grade_to_referable(1.5)
-        with pytest.raises(InputError):
-            grade_to_referable(True)
+from gpgrade import InputError, apply_uncertainty_flip, binarize
 
 
 class TestBinarize:
     def test_boundary_mean_is_positive(self):
-        d = binarize(Prediction(mean=1.5, std=0.2))
-        assert d.referable is True
-        assert d.flipped is False
+        referable = binarize(np.array([1.5]))
+        assert referable.dtype == bool
+        assert referable.tolist() == [True]
+        _, flipped = apply_uncertainty_flip(referable, np.array([0.2]))
+        assert flipped.tolist() == [False]
 
     def test_just_below_boundary_is_negative(self):
-        assert binarize(Prediction(mean=1.49, std=5.0)).referable is False
+        assert binarize(np.array([1.49])).tolist() == [False]
 
     def test_well_above_boundary(self):
-        assert binarize(Prediction(mean=3.7, std=0.1)).referable is True
+        assert binarize(np.array([3.7])).tolist() == [True]
 
     def test_custom_threshold(self):
-        assert binarize(Prediction(mean=2.4, std=0.1), grade_threshold=2.5).referable is False
-        assert binarize(Prediction(mean=2.5, std=0.1), grade_threshold=2.5).referable is True
-
-    def test_carries_mean_and_std(self):
-        d = binarize(Prediction(mean=0.8, std=0.33))
-        assert d.mean == 0.8
-        assert d.std == 0.33
+        assert binarize(np.array([2.4]), grade_threshold=2.5).tolist() == [False]
+        assert binarize(np.array([2.5]), grade_threshold=2.5).tolist() == [True]
 
     def test_negative_std_rejected(self):
         with pytest.raises(InputError):
-            binarize(Prediction(mean=1.0, std=-0.1))
+            apply_uncertainty_flip(binarize(np.array([1.0])), np.array([-0.1]))
 
     def test_raising_threshold_never_creates_positives(self):
-        pred = Prediction(mean=1.2, std=0.5)
-        low = binarize(pred, grade_threshold=1.0)
-        high = binarize(pred, grade_threshold=2.0)
-        assert low.referable is True
-        assert high.referable is False
+        mean = np.array([1.2])
+        low = binarize(mean, grade_threshold=1.0)
+        high = binarize(mean, grade_threshold=2.0)
+        assert low.tolist() == [True]
+        assert high.tolist() == [False]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_threshold_rejected(self, value):
+        with pytest.raises(InputError, match="grade threshold must be finite"):
+            binarize(np.array([1.0]), grade_threshold=value)
 
 
 class TestUncertaintyFlip:
     def test_uncertain_negative_flips(self):
-        d = binarize(Prediction(mean=1.0, std=0.90))
-        flipped = apply_uncertainty_flip(d)
-        assert flipped.referable is True
-        assert flipped.flipped is True
-        assert flipped.mean == d.mean
-        assert flipped.std == d.std
+        base = binarize(np.array([1.0]))
+        referable, flipped = apply_uncertainty_flip(base, np.array([0.90]))
+        assert referable.tolist() == [True]
+        assert flipped.tolist() == [True]
+        assert base.tolist() == [False]
 
     def test_boundary_std_does_not_flip(self):
-        d = binarize(Prediction(mean=1.0, std=0.84))
-        assert apply_uncertainty_flip(d) == d
+        base = binarize(np.array([1.0]))
+        referable, flipped = apply_uncertainty_flip(base, np.array([0.84]))
+        np.testing.assert_array_equal(referable, base)
+        assert not flipped.any()
 
     def test_just_above_boundary_flips(self):
-        d = binarize(Prediction(mean=1.0, std=0.8401))
-        assert apply_uncertainty_flip(d).flipped is True
+        base = binarize(np.array([1.0]))
+        _, flipped = apply_uncertainty_flip(base, np.array([0.8401]))
+        assert flipped.tolist() == [True]
 
     def test_positive_untouched(self):
-        d = binarize(Prediction(mean=2.0, std=2.0))
-        out = apply_uncertainty_flip(d)
-        assert out == d
-        assert out.flipped is False
+        base = binarize(np.array([2.0]))
+        referable, flipped = apply_uncertainty_flip(base, np.array([2.0]))
+        np.testing.assert_array_equal(referable, base)
+        assert flipped.tolist() == [False]
 
     def test_idempotent(self):
-        for mean, std in ((1.0, 0.9), (1.0, 0.5), (2.0, 0.9), (1.5, 0.9)):
-            once = apply_uncertainty_flip(binarize(Prediction(mean=mean, std=std)))
-            twice = apply_uncertainty_flip(once)
-            assert twice == once
+        mean = np.array([1.0, 1.0, 2.0, 1.5])
+        std = np.array([0.9, 0.5, 0.9, 0.9])
+        once, _ = apply_uncertainty_flip(binarize(mean), std)
+        twice, flipped_again = apply_uncertainty_flip(once, std)
+        np.testing.assert_array_equal(twice, once)
+        assert not flipped_again.any()
 
     def test_custom_threshold(self):
-        d = binarize(Prediction(mean=1.0, std=0.6))
-        assert apply_uncertainty_flip(d, std_threshold=0.5).flipped is True
-        assert apply_uncertainty_flip(d, std_threshold=0.7).flipped is False
+        base = binarize(np.array([1.0]))
+        std = np.array([0.6])
+        assert apply_uncertainty_flip(base, std, std_threshold=0.5)[1].tolist() == [True]
+        assert apply_uncertainty_flip(base, std, std_threshold=0.7)[1].tolist() == [False]
 
     def test_flip_only_adds_positives(self):
-        import numpy as np
-
         rng = np.random.default_rng(30)
-        batch = [
-            binarize(Prediction(mean=float(rng.uniform(0, 4)), std=float(rng.uniform(0, 2))))
-            for _ in range(200)
-        ]
-        flipped = [apply_uncertainty_flip(d) for d in batch]
-        before = sum(d.referable for d in batch)
-        after = sum(d.referable for d in flipped)
-        assert after >= before
-        for a, b in zip(batch, flipped):
-            if a.referable:
-                assert b.referable
+        mean = rng.uniform(0, 4, size=200)
+        std = rng.uniform(0, 2, size=200)
+        before = binarize(mean)
+        after, _ = apply_uncertainty_flip(before, std)
+        assert after.sum() >= before.sum()
+        assert after[before].all()
 
     def test_flip_invariants(self):
-        d = apply_uncertainty_flip(binarize(Prediction(mean=1.2, std=1.1)))
-        assert d.flipped
-        assert d.referable
-        assert d.mean < 1.5
-        assert d.std > 0.84
+        rng = np.random.default_rng(31)
+        mean = np.append(rng.uniform(0, 4, size=200), 1.2)
+        std = np.append(rng.uniform(0, 2, size=200), 1.1)
+        referable, flipped = apply_uncertainty_flip(binarize(mean), std)
+        assert flipped[-1]
+        assert referable[flipped].all()
+        assert (mean[flipped] < 1.5).all()
+        assert (std[flipped] > 0.84).all()
 
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(InputError):
+            apply_uncertainty_flip(np.array([True, False]), np.array([0.1]))
 
-class TestDecisionType:
-    def test_frozen(self):
-        d = Decision(referable=True, flipped=False, mean=2.0, std=0.1)
-        with pytest.raises(AttributeError):
-            d.referable = False
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_threshold_rejected(self, value):
+        with pytest.raises(InputError, match="std threshold must be finite"):
+            apply_uncertainty_flip(np.array([False]), np.array([0.9]), value)

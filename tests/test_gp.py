@@ -162,8 +162,8 @@ class TestFit:
         y = np.full(30, 2.0)
         model = fit(X, y, FitConfig(restarts=3, seed=0))
         query = X.mean(axis=0, keepdims=True) + 0.1 * rng.normal(size=(1, 4))
-        pred = predict(model, query)[0]
-        assert abs(pred.mean - 2.0) < 0.05
+        mean, _ = predict(model, query)
+        assert abs(mean[0] - 2.0) < 0.05
 
     def test_subsampling_contract(self):
         rng = np.random.default_rng(15)
@@ -236,9 +236,9 @@ class TestPredict:
         X = np.array([[0.0, 0.0], [1.5, 0.0], [0.0, 1.5]])
         y = np.array([1.0, 2.0, 3.0])
         model = build_model(X, y, hp)
-        pred = predict(model, X[[1]])[0]
-        assert abs(pred.mean - 2.0) < 1e-3
-        assert pred.std <= 2e-4
+        mean, std = predict(model, X[[1]])
+        assert abs(mean[0] - 2.0) < 1e-3
+        assert std[0] <= 2e-4
 
     def test_reverts_to_prior_far_from_data(self):
         hp = hp_of(1.0, 1.0, 0.01)
@@ -246,9 +246,9 @@ class TestPredict:
         X = rng.normal(size=(10, 2))
         y = rng.normal(size=10)
         model = build_model(X, y, hp)
-        pred = predict(model, np.array([[80.0, -80.0]]))[0]
-        assert abs(pred.mean) < 1e-6
-        assert abs(pred.std - math.sqrt(1.0 + hp.noise_variance)) < 1e-6
+        mean, std = predict(model, np.array([[80.0, -80.0]]))
+        assert abs(mean[0]) < 1e-6
+        assert abs(std[0] - math.sqrt(1.0 + hp.noise_variance)) < 1e-6
 
     def test_matches_dense_inverse_oracle(self):
         rng = np.random.default_rng(5)
@@ -257,7 +257,7 @@ class TestPredict:
         hp = hp_of(1.2, 1.5, 0.3)
         model = build_model(X, y, hp)
         Xq = rng.normal(size=(9, 4))
-        preds = predict(model, Xq)
+        pred_mean, pred_std = predict(model, Xq)
         Ky_inv = np.linalg.inv(kernel_matrix(X, X, hp) + hp.noise_variance * np.eye(20))
         Kq = kernel_matrix(Xq, X, hp)
         means = Kq @ Ky_inv @ y
@@ -267,9 +267,8 @@ class TestPredict:
             - np.einsum("ij,ij->i", Kq @ Ky_inv, Kq)
         )
         stds = np.sqrt(np.maximum(variances, 0.0))
-        for pred, m, s in zip(preds, means, stds):
-            assert abs(pred.mean - m) < 1e-8
-            assert abs(pred.std - s) < 1e-8
+        assert np.abs(pred_mean - means).max() < 1e-8
+        assert np.abs(pred_std - stds).max() < 1e-8
 
     def test_dimension_mismatch(self):
         model = build_model(np.zeros((3, 2)), np.zeros(3), hp_of())
@@ -284,8 +283,8 @@ class TestPredict:
         model = build_model(X, y, hp)
         bound = math.sqrt(hp.signal_variance + hp.noise_variance)
         queries = rng.normal(size=(200, 3)) * rng.uniform(0.1, 10.0, size=(200, 1))
-        for pred in predict(model, queries):
-            assert pred.std <= bound + 1e-12
+        _, std = predict(model, queries)
+        assert (std <= bound + 1e-12).all()
 
     def test_std_shrinks_when_training_point_added_at_query(self):
         rng = np.random.default_rng(22)
@@ -293,10 +292,10 @@ class TestPredict:
         X = rng.uniform(-3, 3, size=(12, 1))
         y = rng.normal(size=12)
         query = np.array([[0.7]])
-        before = predict(build_model(X, y, hp), query)[0].std
+        _, (before,) = predict(build_model(X, y, hp), query)
         X2 = np.vstack([X, query])
         y2 = np.append(y, 0.5)
-        after = predict(build_model(X2, y2, hp), query)[0].std
+        _, (after,) = predict(build_model(X2, y2, hp), query)
         assert after <= before + 1e-12
 
     def test_training_residual_shrinks_with_noise(self):
@@ -306,7 +305,7 @@ class TestPredict:
         residuals = []
         for noise in (1.0, 0.1, 0.001):
             model = build_model(X, y, hp_of(1.0, 1.0, noise))
-            means = np.array([p.mean for p in predict(model, X)])
+            means, _ = predict(model, X)
             residuals.append(float(np.linalg.norm(y - means)))
         assert residuals[0] > residuals[1] > residuals[2]
 
@@ -319,12 +318,11 @@ class TestPredict:
         y = rng.normal(size=10)
         model = build_model(X, y, hp_of(1.0, 1.0, 0.1))
         queries = rng.normal(size=(gp_module._PREDICT_BLOCK + 7, 2))
-        preds = predict(model, queries)
-        assert len(preds) == queries.shape[0]
-        tail = predict(model, queries[gp_module._PREDICT_BLOCK :])
-        for a, b in zip(preds[gp_module._PREDICT_BLOCK :], tail):
-            assert a.mean == b.mean
-            assert a.std == b.std
+        mean, std = predict(model, queries)
+        assert mean.shape == std.shape == (queries.shape[0],)
+        tail_mean, tail_std = predict(model, queries[gp_module._PREDICT_BLOCK :])
+        np.testing.assert_array_equal(mean[gp_module._PREDICT_BLOCK :], tail_mean)
+        np.testing.assert_array_equal(std[gp_module._PREDICT_BLOCK :], tail_std)
 
 
 class TestDeterminism:

@@ -1,12 +1,24 @@
-"""Kernel evaluation, gram assembly, and log-space gradient tests."""
+"""Hyperparameter, pairwise-distance and gram-assembly tests."""
 
 import math
 
 import numpy as np
 import pytest
 
-from gpgrade import Hyperparams, InputError, kernel_matrix, pairwise_sq_dists, rbf_eval
-from gpgrade.kernel import NOISE_VARIANCE_FLOOR, kernel_matrix_gradients
+from gpgrade import Hyperparams, InputError, kernel_matrix, pairwise_sq_dists
+from gpgrade.kernel import NOISE_VARIANCE_FLOOR
+
+
+def rbf_eval(x, y, hp: Hyperparams) -> float:
+    """Scalar reference for k(x, y), one pair of feature vectors at a time."""
+    x = np.asarray(x, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if x.ndim != 1 or y.ndim != 1:
+        raise InputError("rbf_eval expects 1-d feature vectors")
+    if x.shape != y.shape:
+        raise InputError(f"dimension mismatch: {x.shape[0]} vs {y.shape[0]}")
+    sq_dist = float(np.sum((x - y) ** 2))
+    return hp.signal_variance * math.exp(-0.5 * sq_dist / hp.length_scale**2)
 
 
 def hp_of(length_scale=1.0, signal_variance=1.0, noise_variance=1.0):
@@ -141,41 +153,3 @@ class TestKernelMatrix:
         with pytest.raises(InputError):
             kernel_matrix(np.zeros((2, 3)), np.zeros((2, 4)), hp_of())
 
-
-class TestKernelGradients:
-    def test_length_scale_gradient_zero_on_diagonal(self):
-        rng = np.random.default_rng(6)
-        A = rng.normal(size=(8, 3))
-        d_len, _ = kernel_matrix_gradients(A, hp_of(length_scale=1.7))
-        np.testing.assert_array_equal(np.diag(d_len), np.zeros(8))
-
-    def test_signal_gradient_diagonal_is_signal_variance(self):
-        rng = np.random.default_rng(7)
-        A = rng.normal(size=(8, 3))
-        _, d_sig = kernel_matrix_gradients(A, hp_of(signal_variance=2.4))
-        np.testing.assert_allclose(np.diag(d_sig), np.full(8, 2.4))
-
-    def test_gradients_symmetric(self):
-        rng = np.random.default_rng(8)
-        A = rng.normal(size=(10, 4))
-        d_len, d_sig = kernel_matrix_gradients(A, hp_of(0.9, 1.4))
-        assert np.array_equal(d_len, d_len.T)
-        assert np.array_equal(d_sig, d_sig.T)
-
-    def test_matches_finite_differences(self):
-        """Central differences on each log-parameter, step 1e-5."""
-        rng = np.random.default_rng(7)
-        A = rng.normal(size=(6, 4))
-        theta = np.array([0.2, 0.4, 0.0])
-        d_len, d_sig = kernel_matrix_gradients(A, Hyperparams.from_log_array(theta))
-        step = 1e-5
-        for index, analytic in ((0, d_len), (1, d_sig)):
-            plus = theta.copy()
-            plus[index] += step
-            minus = theta.copy()
-            minus[index] -= step
-            K_plus = kernel_matrix(A, A, Hyperparams.from_log_array(plus))
-            K_minus = kernel_matrix(A, A, Hyperparams.from_log_array(minus))
-            fd = (K_plus - K_minus) / (2.0 * step)
-            rel = np.abs(analytic - fd) / np.maximum(np.abs(fd), 1e-12)
-            assert rel.max() < 1e-6

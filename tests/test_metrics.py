@@ -7,9 +7,7 @@ import pytest
 
 from gpgrade import (
     BoxStats,
-    Decision,
     InputError,
-    Prediction,
     binarize,
     box_stats_table,
     confusion,
@@ -18,12 +16,6 @@ from gpgrade import (
     roc_auc,
     sens_spec,
 )
-
-
-def decision(referable, std=0.2, mean=None):
-    if mean is None:
-        mean = 3.0 if referable else 0.5
-    return Decision(referable=referable, flipped=False, mean=mean, std=std)
 
 
 def brute_force_auc(scores, labels):
@@ -42,47 +34,45 @@ def brute_force_auc(scores, labels):
 
 class TestConfusion:
     def test_perfect_classifier(self):
-        decisions = [decision(True)] * 3 + [decision(False)] * 2
-        labels = [True] * 3 + [False] * 2
-        assert confusion(decisions, labels) == (3, 0, 2, 0)
+        referable = np.array([True] * 3 + [False] * 2)
+        labels = np.array([True] * 3 + [False] * 2)
+        assert confusion(referable, labels) == (3, 0, 2, 0)
 
     def test_inverted_classifier(self):
-        decisions = [decision(False)] * 3 + [decision(True)] * 2
-        labels = [True] * 3 + [False] * 2
-        assert confusion(decisions, labels) == (0, 2, 0, 3)
+        referable = np.array([False] * 3 + [True] * 2)
+        labels = np.array([True] * 3 + [False] * 2)
+        assert confusion(referable, labels) == (0, 2, 0, 3)
 
     def test_matches_brute_force_tally_at_screening_scale(self):
         """Label mix shaped like a large screening test partition."""
         labels = [False] * (7407 + 689) + [True] * 694
         rng = np.random.default_rng(40)
-        decisions = [
-            decision(bool(label) ^ (rng.random() < 0.15), std=float(rng.uniform(0, 1)))
-            for label in labels
-        ]
-        tp, fp, tn, fn = confusion(decisions, labels)
-        expect_tp = sum(1 for d, l in zip(decisions, labels) if d.referable and l)
-        expect_fp = sum(1 for d, l in zip(decisions, labels) if d.referable and not l)
-        expect_tn = sum(1 for d, l in zip(decisions, labels) if not d.referable and not l)
-        expect_fn = sum(1 for d, l in zip(decisions, labels) if not d.referable and l)
+        referable = [label ^ bool(rng.random() < 0.15) for label in labels]
+        tp, fp, tn, fn = confusion(np.array(referable), np.array(labels))
+        assert all(type(count) is int for count in (tp, fp, tn, fn))
+        expect_tp = sum(1 for r, l in zip(referable, labels) if r and l)
+        expect_fp = sum(1 for r, l in zip(referable, labels) if r and not l)
+        expect_tn = sum(1 for r, l in zip(referable, labels) if not r and not l)
+        expect_fn = sum(1 for r, l in zip(referable, labels) if not r and l)
         assert (tp, fp, tn, fn) == (expect_tp, expect_fp, expect_tn, expect_fn)
         assert tp + fp + tn + fn == len(labels)
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(41)
-        decisions = [decision(bool(rng.integers(2))) for _ in range(50)]
-        labels = [bool(rng.integers(2)) for _ in range(50)]
-        base = confusion(decisions, labels)
+        referable = rng.integers(0, 2, size=50).astype(bool)
+        labels = rng.integers(0, 2, size=50).astype(bool)
+        base = confusion(referable, labels)
         order = rng.permutation(50)
-        shuffled = confusion([decisions[i] for i in order], [labels[i] for i in order])
+        shuffled = confusion(referable[order], labels[order])
         assert base == shuffled
 
     def test_length_mismatch(self):
         with pytest.raises(InputError):
-            confusion([decision(True)], [True, False])
+            confusion(np.array([True]), np.array([True, False]))
 
     def test_empty(self):
         with pytest.raises(InputError):
-            confusion([], [])
+            confusion(np.array([], dtype=bool), np.array([], dtype=bool))
 
 
 class TestSensSpec:
@@ -149,57 +139,58 @@ class TestRocAuc:
 
 class TestGroupUncertaintyStats:
     def test_singleton_groups(self):
-        decisions = [
-            decision(True, std=0.11),
-            decision(True, std=0.22),
-            decision(False, std=0.33),
-            decision(False, std=0.44),
-        ]
-        labels = [True, False, False, True]
-        stats = group_uncertainty_stats(decisions, labels)
+        referable = np.array([True, True, False, False])
+        std = np.array([0.11, 0.22, 0.33, 0.44])
+        labels = np.array([True, False, False, True])
+        stats = group_uncertainty_stats(referable, labels, std)
         for group, std in (("TP", 0.11), ("FP", 0.22), ("TN", 0.33), ("FN", 0.44)):
             s = stats[group]
             assert s.count == 1
             assert s.min == s.q1 == s.median == s.q3 == s.max == std
 
     def test_hand_quartiles(self):
-        decisions = [decision(False, std=v) for v in (1.0, 2.0, 3.0, 4.0, 5.0)]
-        labels = [False] * 5
-        s = group_uncertainty_stats(decisions, labels)["TN"]
+        negatives = np.zeros(5, dtype=bool)
+        std = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        s = group_uncertainty_stats(negatives, negatives, std)["TN"]
         assert (s.min, s.q1, s.median, s.q3, s.max) == (1.0, 2.0, 3.0, 4.0, 5.0)
 
     def test_empty_group_reports_count_zero(self):
-        decisions = [decision(True, std=0.5)]
-        stats = group_uncertainty_stats(decisions, [True])
+        stats = group_uncertainty_stats(np.array([True]), np.array([True]), np.array([0.5]))
         assert stats["FP"] == BoxStats(count=0)
         assert stats["FP"].median is None
 
     def test_quartile_ordering(self):
         rng = np.random.default_rng(45)
-        decisions = [decision(False, std=float(rng.uniform(0, 1))) for _ in range(33)]
-        s = group_uncertainty_stats(decisions, [False] * 33)["TN"]
+        negatives = np.zeros(33, dtype=bool)
+        s = group_uncertainty_stats(negatives, negatives, rng.uniform(0, 1, size=33))["TN"]
         assert s.min <= s.q1 <= s.median <= s.q3 <= s.max
+
+    def test_std_length_mismatch(self):
+        with pytest.raises(InputError):
+            group_uncertainty_stats(np.array([True]), np.array([True]), np.array([0.1, 0.2]))
 
     def test_noisy_batch_ranks_misses_above_correct_rejections(self):
         """Predictions whose error grows with their own std put high-std
         samples into the miss bucket, so the FN median ends up above TN."""
         rng = np.random.default_rng(13)
-        decisions, labels = [], []
+        grades, means, stds = [], [], []
         for _ in range(400):
             grade = int(rng.integers(0, 5))
             std = float(rng.uniform(0.1, 1.2))
-            mean = grade + std * float(rng.normal())
-            decisions.append(binarize(Prediction(mean=mean, std=std)))
-            labels.append(grade >= 2)
-        stats = group_uncertainty_stats(decisions, labels)
+            grades.append(grade)
+            stds.append(std)
+            means.append(grade + std * float(rng.normal()))
+        labels = np.array(grades) >= 2
+        stats = group_uncertainty_stats(binarize(means), labels, np.array(stds))
         assert stats["FN"].count > 0
         assert stats["FN"].median > stats["TN"].median
 
 
 class TestBoxStatsTable:
     def test_tsv_layout(self):
-        decisions = [decision(False, std=v) for v in (1.0, 2.0, 3.0, 4.0, 5.0)]
-        table = box_stats_table(group_uncertainty_stats(decisions, [False] * 5))
+        negatives = np.zeros(5, dtype=bool)
+        std = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        table = box_stats_table(group_uncertainty_stats(negatives, negatives, std))
         lines = table.strip().split("\n")
         assert lines[0] == "group\tcount\tmin\tq1\tmedian\tq3\tmax"
         assert len(lines) == 5
@@ -211,41 +202,37 @@ class TestBoxStatsTable:
 
 class TestEvaluate:
     def test_full_report(self):
-        decisions = [
-            decision(True, std=0.1, mean=3.0),
-            decision(True, std=0.2, mean=2.5),
-            decision(False, std=0.3, mean=1.0),
-            decision(False, std=0.4, mean=0.5),
-            decision(True, std=0.5, mean=2.0),
-        ]
-        labels = [True, True, False, False, False]
-        report = evaluate(decisions, labels)
+        referable = np.array([True, True, False, False, True])
+        std = np.array([0.1, 0.2, 0.3, 0.4, 0.5])
+        mean = np.array([3.0, 2.5, 1.0, 0.5, 2.0])
+        labels = np.array([True, True, False, False, False])
+        report = evaluate(referable, labels, mean, std)
         assert (report.tp, report.fp, report.tn, report.fn) == (2, 1, 2, 0)
         assert report.n == 5
         assert report.sensitivity == 1.0
         assert report.specificity == pytest.approx(2 / 3)
-        assert report.auc == brute_force_auc([d.mean for d in decisions], labels)
+        assert report.auc == brute_force_auc(mean, labels)
 
     def test_auc_defaults_to_means(self):
-        decisions = [
-            decision(True, mean=2.0),
-            decision(False, mean=1.0),
-            decision(False, mean=0.5),
-            decision(True, mean=3.0),
-        ]
-        labels = [True, False, True, False]
-        report = evaluate(decisions, labels)
+        referable = np.array([True, False, False, True])
+        mean = np.array([2.0, 1.0, 0.5, 3.0])
+        labels = np.array([True, False, True, False])
+        report = evaluate(referable, labels, mean, np.full(4, 0.2))
         assert report.auc == roc_auc([2.0, 1.0, 0.5, 3.0], labels)
 
     def test_single_class_auc_is_none(self):
-        decisions = [decision(True), decision(False)]
-        report = evaluate(decisions, [True, True])
+        report = evaluate_batch([True, False], [True, True])
         assert report.auc is None
         assert report.specificity is None
 
+    def test_mean_length_mismatch(self):
+        with pytest.raises(InputError):
+            evaluate(
+                np.array([True, False]), np.array([True, False]), np.array([3.0]), np.full(2, 0.2)
+            )
+
     def test_to_dict_round_trips_through_json(self):
-        decisions = [decision(True), decision(False)]
-        report = evaluate(decisions, [True, False])
+        report = evaluate_batch([True, False], [True, False])
         doc = json.loads(json.dumps(report.to_dict()))
         assert doc["tp"] == 1
         assert doc["tn"] == 1
@@ -253,8 +240,14 @@ class TestEvaluate:
         assert set(doc["group_stats"]) == {"TP", "FP", "TN", "FN"}
 
     def test_to_text_marks_undefined(self):
-        decisions = [decision(True), decision(False)]
-        text = evaluate(decisions, [True, True]).to_text()
+        text = evaluate_batch([True, False], [True, True]).to_text()
         assert "sensitivity 0.5" in text
         assert "specificity undefined" in text
         assert "auc undefined" in text
+
+
+def evaluate_batch(referable, labels):
+    """evaluate() with mean 3.0 per positive decision, 0.5 per negative, std 0.2."""
+    referable = np.array(referable)
+    mean = np.where(referable, 3.0, 0.5)
+    return evaluate(referable, np.array(labels), mean, np.full(referable.size, 0.2))
