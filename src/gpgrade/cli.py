@@ -107,7 +107,7 @@ def cmd_train(args) -> int:
     )
     model = gp.fit(X, grades.astype(float), config, normalizer=stats)
     data.save_model(model, args.model)
-    lml, _ = gp.log_marginal_likelihood(model.X_train, model.y_train, model.hp)
+    lml = gp._lml_from_factor(model.chol_L, model.alpha, model.y_train)
     print(f"trained on {model.X_train.shape[0]} of {len(ids)} records")
     print(f"log_marginal_likelihood {lml!r}")
     print(f"length_scale {model.hp.length_scale!r}")

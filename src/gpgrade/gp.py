@@ -120,8 +120,19 @@ def _validate_training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
 
 def _factorize(K: np.ndarray, hp: Hyperparams, y: np.ndarray):
     """Cholesky factor L of K + noise*I and alpha solving (K + noise*I) alpha = y."""
-    L, _ = cholesky_with_jitter(K + hp.noise_variance * np.eye(K.shape[0]))
-    return L, cho_solve((L, True), y)
+    Ky = K.copy()
+    Ky.flat[:: K.shape[0] + 1] += hp.noise_variance
+    L, _ = cholesky_with_jitter(Ky)
+    return L, cho_solve((L, True), y, check_finite=False)
+
+
+def _lml_from_factor(L: np.ndarray, alpha: np.ndarray, y: np.ndarray) -> float:
+    """Log marginal likelihood read off the factor L and alpha of ``_factorize``."""
+    return (
+        -0.5 * float(y @ alpha)
+        - float(np.sum(np.log(np.diag(L))))
+        - 0.5 * y.shape[0] * _LOG_2PI
+    )
 
 
 def _evidence(S: np.ndarray, y: np.ndarray, hp: Hyperparams):
@@ -130,27 +141,34 @@ def _evidence(S: np.ndarray, y: np.ndarray, hp: Hyperparams):
     ``S`` is the precomputed squared-distance matrix of the training
     inputs.
     """
-    n = y.shape[0]
     K = rbf_from_sq_dists(S, hp)
     L, alpha = _factorize(K, hp, y)
+    lml = _lml_from_factor(L, alpha, y)
 
-    lml = (
-        -0.5 * float(y @ alpha)
-        - float(np.sum(np.log(np.diag(L))))
-        - 0.5 * n * _LOG_2PI
-    )
+    # Each gradient entry is 0.5 * (alpha^T D alpha - tr(Ky^-1 D)) for the
+    # symmetric derivative D of Ky by that log-parameter.
+    Ky_inv, info = lapack.dpotri(L, lower=1, overwrite_c=1)
+    if info != 0:
+        raise NumericalError(f"inverting the training system failed (dpotri info {info})")
+    inv_diag = np.diag(Ky_inv)
 
-    # 0.5 * tr((alpha alpha^T - Ky^-1) dK/dtheta) for each log-parameter.
-    Ky_inv = cho_solve((L, True), np.eye(n))
-    T = np.outer(alpha, alpha) - Ky_inv
-    ell2 = hp.length_scale**2
+    def trace_with(D):
+        # dpotri fills only the lower triangle (zeros above), so
+        # tr(Ky^-1 D) = 2 <tril(Ky^-1), D> - sum_i (Ky^-1)_ii D_ii. The
+        # transpose is a C-ordered view of the Fortran-ordered inverse, read
+        # against C-ordered D without a copy. einsum rather than BLAS ddot:
+        # threaded ddot costs milliseconds per call to wake, which dominates
+        # at a few hundred rows.
+        return 2.0 * float(np.einsum("ij,ij->", Ky_inv.T, D)) - float(inv_diag @ np.diag(D))
+
+    KS = K * S  # l^2 times the length-scale derivative of K
     raw_noise = math.exp(hp.log_noise_variance)
     noise_deriv = raw_noise if raw_noise > NOISE_VARIANCE_FLOOR else 0.0
-    grad = np.array(
+    grad = 0.5 * np.array(
         [
-            0.5 * float(np.sum(T * (K * (S / ell2)))),
-            0.5 * float(np.sum(T * K)),
-            0.5 * float(np.trace(T)) * noise_deriv,
+            (float(alpha @ (KS @ alpha)) - trace_with(KS)) / hp.length_scale**2,
+            float(alpha @ (K @ alpha)) - trace_with(K),
+            (float(alpha @ alpha) - float(np.sum(inv_diag))) * noise_deriv,
         ]
     )
     return lml, grad
@@ -227,14 +245,17 @@ def fit(
     log_sig0 = math.log(var_y)
     log_noise0 = math.log(0.1 * var_y)
 
+    evidences = []  # evidence at each point the optimizer tries, in call order
+
     def negative_evidence(theta):
         try:
             hp = Hyperparams.from_log_array(theta)
             lml, grad = _evidence(S, y, hp)
         except (InputError, NumericalError, OverflowError, FloatingPointError):
-            return _BAD_OBJECTIVE, np.zeros(3)
+            lml, grad = -_BAD_OBJECTIVE, np.zeros(3)
         if not np.isfinite(lml) or not np.isfinite(grad).all():
-            return _BAD_OBJECTIVE, np.zeros(3)
+            lml, grad = -_BAD_OBJECTIVE, np.zeros(3)
+        evidences.append(lml)
         return -lml, -grad
 
     best_lml = -np.inf
@@ -244,7 +265,7 @@ def fit(
             math.log(0.5 * median_dist), math.log(2.0 * median_dist)
         )
         theta0 = np.array([log_l0, log_sig0, log_noise0])
-        f0, _ = negative_evidence(theta0)
+        first_call = len(evidences)
         result = minimize(
             negative_evidence,
             theta0,
@@ -252,9 +273,10 @@ def fit(
             method="L-BFGS-B",
             options=LBFGS_OPTIONS,
         )
-        # The optimizer never worsens its own start, but keep the
-        # initialization as a candidate in case it fails outright.
-        for value, theta in ((-result.fun, result.x), (-f0, theta0)):
+        # L-BFGS-B evaluates theta0 first. It never worsens its own start,
+        # but keep the initialization as a candidate in case it fails
+        # outright.
+        for value, theta in ((-result.fun, result.x), (evidences[first_call], theta0)):
             if value > best_lml:
                 best_lml = value
                 best_theta = theta

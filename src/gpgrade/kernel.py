@@ -106,8 +106,16 @@ def pairwise_sq_dists(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
 
 
 def rbf_from_sq_dists(S: np.ndarray, hp: Hyperparams) -> np.ndarray:
-    """Kernel values for a precomputed squared-distance matrix."""
-    return hp.signal_variance * np.exp(-0.5 * S / hp.length_scale**2)
+    """Kernel values for a precomputed squared-distance matrix.
+
+    Built in one new array, in the operation order of
+    ``s2 * exp(-0.5 * S / l**2)`` so the values are bitwise the same.
+    """
+    K = np.multiply(S, -0.5)
+    K /= hp.length_scale**2
+    np.exp(K, out=K)
+    K *= hp.signal_variance
+    return K
 
 
 def kernel_matrix(A, B, hp: Hyperparams) -> np.ndarray:

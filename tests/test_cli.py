@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from gpgrade import cli
+from gpgrade import cli, data, gp
 from gpgrade.errors import NumericalError
 
 
@@ -96,6 +96,16 @@ class TestTrain:
         assert "log_marginal_likelihood" in out
         assert "length_scale" in out
         assert "noise_variance" in out
+
+    def test_printed_evidence_matches_full_evaluation(self, workspace, capsys, tmp_path):
+        """The lml line is read off the stored factor, bit for bit."""
+        path = tmp_path / "m.model"
+        assert run(["train", "--train-csv", workspace["train"], "--model", path]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        printed = next(line for line in lines if line.startswith("log_marginal_likelihood "))
+        model = data.load_model(path)
+        lml, _ = gp.log_marginal_likelihood(model.X_train, model.y_train, model.hp)
+        assert printed == f"log_marginal_likelihood {lml!r}"
 
     def test_missing_csv_exits_one(self, tmp_path, capsys):
         code = run(

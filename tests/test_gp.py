@@ -18,7 +18,9 @@ from gpgrade import (
     log_marginal_likelihood,
     predict,
 )
+from gpgrade import gp as gp_module
 from gpgrade.data import save_model
+from gpgrade.kernel import NOISE_VARIANCE_FLOOR, pairwise_sq_dists
 
 
 def hp_of(length_scale=1.0, signal_variance=1.0, noise_variance=1.0):
@@ -125,6 +127,96 @@ class TestLogMarginalLikelihood:
             log_marginal_likelihood(np.zeros((1, 2)), np.zeros(1), hp_of())
 
 
+def dense_inverse_evidence(X, y, hp):
+    """Evidence and gradient from numpy.linalg.inv, with the gradient's scale.
+
+    The jitter is whatever ``cholesky_with_jitter`` needed, so the reference
+    describes the same training system. The scale of gradient entry k is
+    0.5 * sum |(alpha alpha^T - Ky^-1) * dKy/dtheta_k|, the size of the
+    terms that cancel in it.
+    """
+    n = y.shape[0]
+    K = kernel_matrix(X, X, hp)
+    Ky = K + hp.noise_variance * np.eye(n)
+    _, jitter = cholesky_with_jitter(Ky)
+    Ky = Ky + jitter * np.eye(n)
+    Ky_inv = np.linalg.inv(Ky)
+    alpha = Ky_inv @ y
+    sign, logdet = np.linalg.slogdet(Ky)
+    assert sign > 0
+    lml = -0.5 * y @ alpha - 0.5 * logdet - 0.5 * n * math.log(2.0 * math.pi)
+    T = np.outer(alpha, alpha) - Ky_inv
+    raw_noise = math.exp(hp.log_noise_variance)
+    noise_deriv = raw_noise if raw_noise > NOISE_VARIANCE_FLOOR else 0.0
+    derivatives = (
+        K * pairwise_sq_dists(X) / hp.length_scale**2,
+        K,
+        noise_deriv * np.eye(n),
+    )
+    grad = np.array([0.5 * np.sum(T * D) for D in derivatives])
+    scale = np.array([0.5 * np.sum(np.abs(T * D)) for D in derivatives])
+    return lml, grad, scale, jitter
+
+
+class TestDenseInverseEvidence:
+    """Value and gradient against numpy.linalg.inv at n=200.
+
+    The n=10 finite-difference checks are too small to see a wrong
+    triangle or diagonal term in the gradient traces.
+    """
+
+    n = 200
+
+    def test_well_conditioned(self):
+        rng = np.random.default_rng(31)
+        X = rng.normal(size=(self.n, 5))
+        y = rng.normal(size=self.n)
+        hp = hp_of(2.0, 1.5, 0.3)
+        lml, grad = log_marginal_likelihood(X, y, hp)
+        ref_lml, ref_grad, _, jitter = dense_inverse_evidence(X, y, hp)
+        assert jitter == 0.0
+        assert lml == pytest.approx(ref_lml, rel=1e-8)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-8, atol=0.0)
+
+    def test_noise_floor(self):
+        rng = np.random.default_rng(32)
+        X = rng.normal(size=(self.n, 5))
+        y = rng.normal(size=self.n)
+        hp = Hyperparams(math.log(2.0), math.log(1.5), math.log(1e-12))
+        lml, grad = log_marginal_likelihood(X, y, hp)
+        ref_lml, ref_grad, _, jitter = dense_inverse_evidence(X, y, hp)
+        assert jitter == 0.0
+        assert grad[2] == 0.0
+        assert lml == pytest.approx(ref_lml, rel=1e-8)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-8, atol=0.0)
+
+    @pytest.mark.parametrize("length_scale", [1.0, 2.0, 3.0])
+    def test_jitter_escalation(self, length_scale):
+        """Duplicated rows at the noise floor: the factorization needs jitter.
+
+        Features are multiples of 1/4, so the duplicated rows have exactly
+        zero distance and, with signal variance 2**30, the second pivot is
+        exactly zero. The inverse then has entries of order
+        1 / (jitter level 1e-10), and terms that large cancel in the
+        signal-variance entry, so the gradient is held to 1e-8 of the
+        size of its terms rather than of its value.
+        """
+        rng = np.random.default_rng(33)
+        X = 0.25 * rng.integers(-8, 9, size=(self.n, 6))
+        y = rng.normal(size=self.n)
+        X[1::40] = X[0::40]
+        y[1::40] = y[0::40]
+        hp = Hyperparams(
+            math.log(length_scale), 30.0 * math.log(2.0), math.log(NOISE_VARIANCE_FLOOR)
+        )
+        lml, grad = log_marginal_likelihood(X, y, hp)
+        ref_lml, ref_grad, scale, jitter = dense_inverse_evidence(X, y, hp)
+        assert jitter > 0.0
+        assert grad[2] == 0.0
+        assert lml == pytest.approx(ref_lml, rel=1e-8)
+        assert (np.abs(grad - ref_grad) <= 1e-8 * scale).all()
+
+
 class TestBuildModel:
     def test_factor_reconstructs_training_system(self):
         rng = np.random.default_rng(13)
@@ -206,6 +298,28 @@ class TestFit:
             hp0 = Hyperparams(log_l0, math.log(var_y), math.log(0.1 * var_y))
             at_init, _ = log_marginal_likelihood(X, y, hp0)
             assert best >= at_init - 1e-9
+
+    def test_one_factorization_per_optimizer_evaluation(self, monkeypatch):
+        """No evidence call outside the optimizer's own, plus the final build."""
+        nfev = []
+        factorizations = []
+        minimize, cholesky = gp_module.minimize, gp_module.cholesky_with_jitter
+
+        def counting_minimize(*args, **kwargs):
+            result = minimize(*args, **kwargs)
+            nfev.append(result.nfev)
+            return result
+
+        def counting_cholesky(M):
+            factorizations.append(M.shape)
+            return cholesky(M)
+
+        monkeypatch.setattr(gp_module, "minimize", counting_minimize)
+        monkeypatch.setattr(gp_module, "cholesky_with_jitter", counting_cholesky)
+        X, y = sample_from_prior(hp_of(1.5, 2.0, 0.1), n=40, D=3, seed=22)
+        fit(X, y, FitConfig(restarts=3, seed=22, grade_targets=False))
+        assert len(nfev) == 3
+        assert len(factorizations) == sum(nfev) + 1
 
     def test_rejects_fractional_grades_by_default(self):
         rng = np.random.default_rng(17)
@@ -311,8 +425,6 @@ class TestPredict:
 
     def test_blocked_prediction_matches_unblocked(self):
         """Query batches larger than the internal block size split cleanly."""
-        import gpgrade.gp as gp_module
-
         rng = np.random.default_rng(24)
         X = rng.normal(size=(10, 2))
         y = rng.normal(size=10)

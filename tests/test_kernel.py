@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gpgrade import Hyperparams, InputError, kernel_matrix, pairwise_sq_dists
-from gpgrade.kernel import NOISE_VARIANCE_FLOOR
+from gpgrade.kernel import NOISE_VARIANCE_FLOOR, rbf_from_sq_dists
 
 
 def rbf_eval(x, y, hp: Hyperparams) -> float:
@@ -101,6 +101,20 @@ class TestPairwiseSqDists:
         A = rng.normal(size=(20, 4)) * 1e-8
         S = pairwise_sq_dists(A, A + 1e-12)
         assert (S >= 0.0).all()
+
+
+class TestRbfFromSqDists:
+    def test_bitwise_equal_to_out_of_place_formula(self):
+        """Archive refactorization and predictions depend on these exact bits."""
+        rng = np.random.default_rng(7)
+        S = rng.uniform(0.0, 50.0, size=(64, 48))
+        S[0, :5] = 0.0
+        for hp in (hp_of(1.7, 0.6), hp_of(0.3, 2.5), hp_of(13.8, 1.48)):
+            l, s2 = hp.length_scale, hp.signal_variance
+            expected = s2 * np.exp(-0.5 * S / l**2)
+            K = rbf_from_sq_dists(S, hp)
+            assert K.tobytes() == expected.tobytes()
+            assert not np.shares_memory(K, S)
 
 
 class TestKernelMatrix:
