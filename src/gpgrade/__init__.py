@@ -27,7 +27,6 @@ from .gp import (
     FitConfig,
     GPModel,
     build_model,
-    cholesky_with_jitter,
     fit,
     log_marginal_likelihood,
     predict,
@@ -71,7 +70,6 @@ __all__ = [
     "binarize",
     "box_stats_table",
     "build_model",
-    "cholesky_with_jitter",
     "confusion",
     "evaluate",
     "fit",

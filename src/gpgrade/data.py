@@ -171,8 +171,10 @@ def synthesize_dataset(
         raise InputError("n_per_grade must be five non-negative integers")
     if D < 2:
         raise InputError("D must be at least 2")
-    if separation <= 0 or noise <= 0:
-        raise InputError("separation and noise must be positive")
+    if not all(math.isfinite(v) and v > 0 for v in (separation, noise)):
+        raise InputError("separation and noise must be finite and positive")
+    if seed < 0:
+        raise InputError("seed must be non-negative")
     rng = np.random.default_rng(seed)
     u = rng.normal(size=D)
     u /= np.linalg.norm(u)

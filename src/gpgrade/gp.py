@@ -73,32 +73,38 @@ class GPModel:
     normalizer: "NormStats | None" = None
     train_subset_seed: int = 0
 
+    @property
+    def log_evidence(self) -> float:
+        """Log marginal likelihood of the training targets, read off the factor."""
+        return _lml_from_factor(self.chol_L, self.alpha, self.y_train)
 
-def cholesky_with_jitter(M) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of M, escalating diagonal jitter on failure.
 
-    Jitter levels are multiples of the mean diagonal of M; the value that
-    succeeded is returned alongside the factor. Raises NumericalError
-    (naming the failing diagonal index) if every level fails.
+def cholesky_with_jitter(K, noise: float = 0.0) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of K + (noise + jitter)*I for symmetric K.
+
+    The jitter escalates through multiples of the mean diagonal of
+    K + noise*I; the one that succeeded is returned with the factor. Each
+    attempt factors in place the transpose of its own C-ordered copy of K,
+    which is K in Fortran order, so K is left unchanged. Raises
+    NumericalError (naming the failing diagonal index) if every level fails.
     """
-    M = np.ascontiguousarray(M, dtype=np.float64)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise InputError(f"expected a square matrix, got shape {M.shape}")
-    if not np.isfinite(M).all():
-        raise InputError("matrix entries must be finite")
-    n = M.shape[0]
-    scale = float(np.mean(np.diag(M)))
-    last_info = 0
+    K = np.asarray(K, dtype=np.float64)
+    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+        raise InputError(f"expected a square matrix, got shape {K.shape}")
+    if not np.isfinite(K).all() or not math.isfinite(noise):
+        raise InputError("matrix entries and noise must be finite")
+    diag = np.diag(K) + noise
+    scale = float(np.mean(diag))
     for level in JITTER_LEVELS:
         jitter = level * scale
-        target = M if jitter == 0.0 else M + jitter * np.eye(n)
-        L, info = lapack.dpotrf(target, lower=1, clean=1, overwrite_a=False)
+        A = K.copy()
+        np.fill_diagonal(A, diag + jitter)
+        L, info = lapack.dpotrf(A.T, lower=1, clean=1, overwrite_a=1)
         if info == 0:
             return L, jitter
-        last_info = int(info)
     raise NumericalError(
         f"Cholesky factorization failed at all jitter levels; "
-        f"leading minor of order {last_info} is not positive definite"
+        f"leading minor of order {int(info)} is not positive definite"
     )
 
 
@@ -119,11 +125,9 @@ def _validate_training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _factorize(K: np.ndarray, hp: Hyperparams, y: np.ndarray):
-    """Cholesky factor L of K + noise*I and alpha solving (K + noise*I) alpha = y."""
-    Ky = K.copy()
-    Ky.flat[:: K.shape[0] + 1] += hp.noise_variance
-    L, _ = cholesky_with_jitter(Ky)
-    return L, cho_solve((L, True), y, check_finite=False)
+    """Factor L of K + (noise + jitter)*I, alpha solving that system, and the jitter."""
+    L, jitter = cholesky_with_jitter(K, hp.noise_variance)
+    return L, cho_solve((L, True), y, check_finite=False), jitter
 
 
 def _lml_from_factor(L: np.ndarray, alpha: np.ndarray, y: np.ndarray) -> float:
@@ -136,39 +140,32 @@ def _lml_from_factor(L: np.ndarray, alpha: np.ndarray, y: np.ndarray) -> float:
 
 
 def _evidence(S: np.ndarray, y: np.ndarray, hp: Hyperparams):
-    """Log marginal likelihood and its gradient.
-
-    ``S`` is the precomputed squared-distance matrix of the training
-    inputs.
-    """
+    """Log marginal likelihood and its gradient, from the inputs' squared distances S."""
     K = rbf_from_sq_dists(S, hp)
-    L, alpha = _factorize(K, hp, y)
+    L, alpha, jitter = _factorize(K, hp, y)
     lml = _lml_from_factor(L, alpha, y)
 
     # Each gradient entry is 0.5 * (alpha^T D alpha - tr(Ky^-1 D)) for the
-    # symmetric derivative D of Ky by that log-parameter.
+    # derivative D of Ky by that log-parameter. Length-scale: D = K*S / l^2
+    # has an exactly zero diagonal and dpotri fills only the lower triangle
+    # of Ky^-1, so the trace is twice that triangle's inner product with K*S
+    # (einsum on the C-ordered transpose view; threaded BLAS ddot costs
+    # milliseconds per call to wake). Signal variance: D = K = Ky - nu*I with
+    # nu = noise + jitter gives y^T alpha - nu alpha^T alpha and
+    # n - nu tr(Ky^-1), so no terms of size s2/jitter cancel.
     Ky_inv, info = lapack.dpotri(L, lower=1, overwrite_c=1)
     if info != 0:
         raise NumericalError(f"inverting the training system failed (dpotri info {info})")
-    inv_diag = np.diag(Ky_inv)
-
-    def trace_with(D):
-        # dpotri fills only the lower triangle (zeros above), so
-        # tr(Ky^-1 D) = 2 <tril(Ky^-1), D> - sum_i (Ky^-1)_ii D_ii. The
-        # transpose is a C-ordered view of the Fortran-ordered inverse, read
-        # against C-ordered D without a copy. einsum rather than BLAS ddot:
-        # threaded ddot costs milliseconds per call to wake, which dominates
-        # at a few hundred rows.
-        return 2.0 * float(np.einsum("ij,ij->", Ky_inv.T, D)) - float(inv_diag @ np.diag(D))
-
-    KS = K * S  # l^2 times the length-scale derivative of K
-    raw_noise = math.exp(hp.log_noise_variance)
-    noise_deriv = raw_noise if raw_noise > NOISE_VARIANCE_FLOOR else 0.0
+    KS = np.multiply(K, S, out=K)
+    alpha_sq = float(alpha @ alpha)
+    inv_trace = float(np.trace(Ky_inv))
+    nu = hp.noise_variance + jitter
+    noise_deriv = hp.noise_variance if hp.noise_variance > NOISE_VARIANCE_FLOOR else 0.0
     grad = 0.5 * np.array(
         [
-            (float(alpha @ (KS @ alpha)) - trace_with(KS)) / hp.length_scale**2,
-            float(alpha @ (K @ alpha)) - trace_with(K),
-            (float(alpha @ alpha) - float(np.sum(inv_diag))) * noise_deriv,
+            (alpha @ (KS @ alpha) - 2.0 * np.einsum("ij,ij->", Ky_inv.T, KS)) / hp.length_scale**2,
+            float(y @ alpha) - y.shape[0] - nu * (alpha_sq - inv_trace),
+            (alpha_sq - inv_trace) * noise_deriv,
         ]
     )
     return lml, grad
@@ -193,7 +190,7 @@ def build_model(
 ) -> GPModel:
     """Assemble a GPModel at fixed hyperparameters (no optimization)."""
     X, y = _validate_training_data(X, y)
-    L, alpha = _factorize(kernel_matrix(X, X, hp), hp, y)
+    L, alpha, _ = _factorize(kernel_matrix(X, X, hp), hp, y)
     return GPModel(
         hp=hp,
         X_train=X,
@@ -224,6 +221,8 @@ def fit(
         raise InputError("max_train must be at least 2")
     if config.restarts < 1:
         raise InputError("restarts must be at least 1")
+    if config.seed < 0:
+        raise InputError("seed must be non-negative")
     if config.grade_targets and not np.isin(y, (0.0, 1.0, 2.0, 3.0, 4.0)).all():
         raise InputError("targets must be integer grades in 0..4")
 

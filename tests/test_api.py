@@ -22,7 +22,6 @@ PUBLIC_NAMES = [
     "binarize",
     "box_stats_table",
     "build_model",
-    "cholesky_with_jitter",
     "confusion",
     "evaluate",
     "fit",

@@ -393,6 +393,23 @@ class TestRejections:
         argv += ["--out", out, f"{flag}={value}"]
         self.assert_rejected(argv, out, capsys, "must be finite")
 
+    @pytest.mark.parametrize(
+        "flag, value, match",
+        [
+            ("--separation", "nan", "finite"),
+            ("--noise", "inf", "finite"),
+            ("--seed", "-1", "seed"),
+        ],
+    )
+    def test_bad_synth_argument(self, tmp_path, capsys, flag, value, match):
+        out = tmp_path / "synth.csv"
+        self.assert_rejected(["synth", "--out", out, f"{flag}={value}"], out, capsys, match)
+
+    def test_negative_train_seed(self, workspace, tmp_path, capsys):
+        out = tmp_path / "m.model"
+        argv = ["train", "--train-csv", workspace["train"], "--model", out, "--seed", -3]
+        self.assert_rejected(argv, out, capsys, "seed")
+
     def test_id_with_comma(self, workspace, tmp_path, capsys):
         lines = workspace["test"].read_text().splitlines(keepends=True)
         test_csv = tmp_path / "test.csv"

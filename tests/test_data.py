@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
@@ -232,6 +233,20 @@ class TestSynthesizeDataset:
             synthesize_dataset([1] * 5, 4, 0.0, 1.0, 0)
         with pytest.raises(InputError):
             synthesize_dataset([1] * 5, 4, 6.0, -1.0, 0)
+
+    @pytest.mark.parametrize(
+        "separation, noise, seed",
+        [
+            (math.nan, 1.0, 0),
+            (math.inf, 1.0, 0),
+            (6.0, math.nan, 0),
+            (6.0, math.inf, 0),
+            (6.0, 1.0, -1),
+        ],
+    )
+    def test_rejects_non_finite_scale_and_negative_seed(self, separation, noise, seed):
+        with pytest.raises(InputError):
+            synthesize_dataset([1] * 5, 4, separation, noise, seed)
 
 
 def trained_model(seed=0):

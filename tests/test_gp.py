@@ -12,7 +12,6 @@ from gpgrade import (
     InputError,
     NumericalError,
     build_model,
-    cholesky_with_jitter,
     fit,
     kernel_matrix,
     log_marginal_likelihood,
@@ -20,6 +19,7 @@ from gpgrade import (
 )
 from gpgrade import gp as gp_module
 from gpgrade.data import save_model
+from gpgrade.gp import cholesky_with_jitter
 from gpgrade.kernel import NOISE_VARIANCE_FLOOR, pairwise_sq_dists
 
 
@@ -33,46 +33,78 @@ def sample_from_prior(hp, n, D, seed, x_scale=1.5):
     """Draw (X, y) with y an exact function sample plus observation noise."""
     rng = np.random.default_rng(seed)
     X = x_scale * rng.normal(size=(n, D))
-    K = kernel_matrix(X, X, hp) + hp.noise_variance * np.eye(n)
-    L, _ = cholesky_with_jitter(K)
+    L, _ = cholesky_with_jitter(kernel_matrix(X, X, hp), hp.noise_variance)
     y = L @ rng.normal(size=n)
     return X, y
 
 
+NOISES = (0.0, 0.5)
+
+
+def factor_and_check(M, noise):
+    """Factor M + noise*I, checking the contract every call must keep.
+
+    L L^T reconstructs M + (noise + jitter)*I and M is bitwise unchanged.
+    """
+    before = M.copy()
+    L, jitter = cholesky_with_jitter(M, noise)
+    np.testing.assert_array_equal(M, before)
+    target = M + (noise + jitter) * np.eye(M.shape[0])
+    np.testing.assert_allclose(L @ L.T, target, rtol=1e-12, atol=1e-12)
+    return L, jitter
+
+
 class TestCholeskyWithJitter:
+    """Each case runs with noise 0 and with noise 0.5 added to the diagonal."""
+
     def test_identity_needs_no_jitter(self):
-        L, jitter = cholesky_with_jitter(np.eye(3))
-        assert jitter == 0.0
-        np.testing.assert_array_equal(L, np.eye(3))
+        for noise in NOISES:
+            L, jitter = factor_and_check(np.eye(3), noise)
+            assert jitter == 0.0
+            np.testing.assert_array_equal(L, math.sqrt(1.0 + noise) * np.eye(3))
 
     def test_two_by_two_by_hand(self):
-        M = np.array([[4.0, 2.0], [2.0, 5.0]])
-        L, jitter = cholesky_with_jitter(M)
-        assert jitter == 0.0
-        np.testing.assert_allclose(L, [[2.0, 0.0], [1.0, 2.0]], rtol=1e-15)
+        # [[4.5, 2], [2, 5.5]] = L L^T with L = [[3/sqrt(2), 0], [2 sqrt(2)/3, sqrt(83/18)]].
+        by_hand = {
+            0.0: [[2.0, 0.0], [1.0, 2.0]],
+            0.5: [[3.0 / math.sqrt(2.0), 0.0], [2.0 * math.sqrt(2.0) / 3.0, math.sqrt(83.0 / 18.0)]],
+        }
+        for noise in NOISES:
+            L, jitter = factor_and_check(np.array([[4.0, 2.0], [2.0, 5.0]]), noise)
+            assert jitter == 0.0
+            np.testing.assert_allclose(L, by_hand[noise], rtol=1e-15)
 
     def test_rank_deficient_needs_jitter(self):
-        M = np.ones((3, 3))
-        L, jitter = cholesky_with_jitter(M)
-        assert jitter > 0.0
-        err = np.linalg.norm(L @ L.T - M, "fro")
-        assert err <= 3.0 * jitter
+        for noise in NOISES:
+            M = np.ones((3, 3))
+            L, jitter = factor_and_check(M, noise)
+            if noise == 0.0:
+                assert jitter > 0.0
+                err = np.linalg.norm(L @ L.T - M, "fro")
+                assert err <= 3.0 * jitter
+            else:
+                # Any positive noise makes the all-ones matrix positive definite.
+                assert jitter == 0.0
 
     def test_reconstruction(self):
         rng = np.random.default_rng(10)
         A = rng.normal(size=(8, 8))
         M = A @ A.T + 0.5 * np.eye(8)
-        L, _ = cholesky_with_jitter(M)
-        np.testing.assert_allclose(L @ L.T, M, rtol=1e-10, atol=1e-10)
+        for noise in NOISES:
+            L, _ = factor_and_check(M, noise)
+            np.testing.assert_allclose(L @ L.T, M + noise * np.eye(8), rtol=1e-10, atol=1e-10)
 
     def test_indefinite_matrix_fails_with_index(self):
-        M = np.array([[1.0, 0.0], [0.0, -5.0]])
-        with pytest.raises(NumericalError, match="order"):
-            cholesky_with_jitter(M)
+        for noise in NOISES:
+            M = np.array([[1.0, 0.0], [0.0, -5.0]])
+            with pytest.raises(NumericalError, match="order"):
+                cholesky_with_jitter(M, noise)
+            np.testing.assert_array_equal(M, [[1.0, 0.0], [0.0, -5.0]])
 
     def test_rejects_non_square(self):
-        with pytest.raises(InputError):
-            cholesky_with_jitter(np.zeros((2, 3)))
+        for noise in NOISES:
+            with pytest.raises(InputError):
+                cholesky_with_jitter(np.zeros((2, 3)), noise)
 
 
 class TestLogMarginalLikelihood:
@@ -92,8 +124,7 @@ class TestLogMarginalLikelihood:
         y = np.zeros(6)
         hp = hp_of(1.2, 0.8, 0.3)
         lml, _ = log_marginal_likelihood(X, y, hp)
-        K = kernel_matrix(X, X, hp) + hp.noise_variance * np.eye(6)
-        L, _ = cholesky_with_jitter(K)
+        L, _ = cholesky_with_jitter(kernel_matrix(X, X, hp), hp.noise_variance)
         expected = -float(np.sum(np.log(np.diag(L)))) - 3.0 * math.log(2.0 * math.pi)
         assert lml == pytest.approx(expected, rel=1e-12)
 
@@ -137,9 +168,8 @@ def dense_inverse_evidence(X, y, hp):
     """
     n = y.shape[0]
     K = kernel_matrix(X, X, hp)
-    Ky = K + hp.noise_variance * np.eye(n)
-    _, jitter = cholesky_with_jitter(Ky)
-    Ky = Ky + jitter * np.eye(n)
+    _, jitter = cholesky_with_jitter(K, hp.noise_variance)
+    Ky = K + hp.noise_variance * np.eye(n) + jitter * np.eye(n)
     Ky_inv = np.linalg.inv(Ky)
     alpha = Ky_inv @ y
     sign, logdet = np.linalg.slogdet(Ky)
@@ -199,7 +229,9 @@ class TestDenseInverseEvidence:
         exactly zero. The inverse then has entries of order
         1 / (jitter level 1e-10), and terms that large cancel in the
         signal-variance entry, so the gradient is held to 1e-8 of the
-        size of its terms rather than of its value.
+        size of its terms rather than of its value. The signal-variance
+        entry, computed from the noise entry's terms, must also be within
+        5e-8 of its value.
         """
         rng = np.random.default_rng(33)
         X = 0.25 * rng.integers(-8, 9, size=(self.n, 6))
@@ -215,6 +247,7 @@ class TestDenseInverseEvidence:
         assert grad[2] == 0.0
         assert lml == pytest.approx(ref_lml, rel=1e-8)
         assert (np.abs(grad - ref_grad) <= 1e-8 * scale).all()
+        assert abs(grad[1] - ref_grad[1]) <= 5e-8 * abs(ref_grad[1])
 
 
 class TestBuildModel:
@@ -310,9 +343,9 @@ class TestFit:
             nfev.append(result.nfev)
             return result
 
-        def counting_cholesky(M):
-            factorizations.append(M.shape)
-            return cholesky(M)
+        def counting_cholesky(K, noise=0.0):
+            factorizations.append(K.shape)
+            return cholesky(K, noise)
 
         monkeypatch.setattr(gp_module, "minimize", counting_minimize)
         monkeypatch.setattr(gp_module, "cholesky_with_jitter", counting_cholesky)
@@ -342,6 +375,8 @@ class TestFit:
             fit(X, y, FitConfig(max_train=1, restarts=1, seed=0))
         with pytest.raises(InputError):
             fit(X, y, FitConfig(restarts=0, seed=0))
+        with pytest.raises(InputError, match="seed"):
+            fit(X, y, FitConfig(restarts=1, seed=-3))
 
 
 class TestPredict:
