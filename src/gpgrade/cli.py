@@ -99,6 +99,8 @@ def _format_bool(flag: bool) -> str:
 
 
 def cmd_train(args) -> int:
+    if not args.model.parent.is_dir():
+        raise InputError(f"cannot write {args.model}: no directory {args.model.parent}")
     ids, X_raw, grades = data.load_feature_csv(args.train_csv)
     stats = data.fit_normalizer(X_raw)
     X = data.apply_normalizer(stats, X_raw)

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from scipy.linalg import blas
 
 from . import gp
 from .errors import InputError, ModelFormatError, ParseError
@@ -134,14 +135,18 @@ def fit_normalizer(X) -> NormStats:
 
 
 def apply_normalizer(stats: NormStats, X) -> np.ndarray:
-    """Z-score a feature matrix with frozen training statistics."""
+    """Z-score a feature matrix with frozen training statistics.
+
+    Features too large for their scale become inf; ``gp.predict`` rejects them.
+    """
     X = _as_features(X)
     if X.shape[1] != stats.mean.shape[0]:
         raise InputError(
             f"feature dimension {X.shape[1]} does not match normalizer "
             f"dimension {stats.mean.shape[0]}"
         )
-    return (X - stats.mean) / stats.std
+    with np.errstate(over="ignore"):
+        return (X - stats.mean) / stats.std
 
 
 def _as_features(X) -> np.ndarray:
@@ -177,7 +182,7 @@ def synthesize_dataset(
         raise InputError("seed must be non-negative")
     rng = np.random.default_rng(seed)
     u = rng.normal(size=D)
-    u /= np.linalg.norm(u)
+    u /= math.sqrt(blas.ddot(u, u))
     total = int(sum(n_per_grade))
     eps = rng.normal(size=(total, D))
     grades = np.repeat(np.arange(5), [int(n) for n in n_per_grade])
@@ -199,15 +204,18 @@ def _atomic_write(path, content: str | bytes) -> None:
     try:
         tmp.write_bytes(content)
         os.replace(tmp, path)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
     finally:
         if tmp.exists():
             tmp.unlink()
 
 
 def _model_digests(model: gp.GPModel) -> dict:
+    L, alpha = model.chol_L.ravel(order="K"), model.alpha
     return {
-        "chol_l_fro": float(np.linalg.norm(model.chol_L, "fro")),
-        "alpha_l2": float(np.linalg.norm(model.alpha)),
+        "chol_l_fro": math.sqrt(blas.ddot(L, L)),
+        "alpha_l2": math.sqrt(blas.ddot(alpha, alpha)),
     }
 
 

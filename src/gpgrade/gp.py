@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import cho_solve, lapack, solve_triangular
+from scipy.linalg import blas, cho_solve, lapack, solve_triangular
 from scipy.optimize import minimize
 
 from .errors import InputError, NumericalError
@@ -133,7 +133,7 @@ def _factorize(K: np.ndarray, hp: Hyperparams, y: np.ndarray):
 def _lml_from_factor(L: np.ndarray, alpha: np.ndarray, y: np.ndarray) -> float:
     """Log marginal likelihood read off the factor L and alpha of ``_factorize``."""
     return (
-        -0.5 * float(y @ alpha)
+        -0.5 * blas.ddot(y, alpha)
         - float(np.sum(np.log(np.diag(L))))
         - 0.5 * y.shape[0] * _LOG_2PI
     )
@@ -157,14 +157,15 @@ def _evidence(S: np.ndarray, y: np.ndarray, hp: Hyperparams):
     if info != 0:
         raise NumericalError(f"inverting the training system failed (dpotri info {info})")
     KS = np.multiply(K, S, out=K)
-    alpha_sq = float(alpha @ alpha)
+    alpha_sq = blas.ddot(alpha, alpha)
     inv_trace = float(np.trace(Ky_inv))
     nu = hp.noise_variance + jitter
     noise_deriv = hp.noise_variance if hp.noise_variance > NOISE_VARIANCE_FLOOR else 0.0
     grad = 0.5 * np.array(
         [
-            (alpha @ (KS @ alpha) - 2.0 * np.einsum("ij,ij->", Ky_inv.T, KS)) / hp.length_scale**2,
-            float(y @ alpha) - y.shape[0] - nu * (alpha_sq - inv_trace),
+            (blas.ddot(alpha, blas.dgemv(1.0, KS.T, alpha, trans=1))
+             - 2.0 * np.einsum("ij,ij->", Ky_inv.T, KS)) / hp.length_scale**2,
+            blas.ddot(y, alpha) - y.shape[0] - nu * (alpha_sq - inv_trace),
             (alpha_sq - inv_trace) * noise_deriv,
         ]
     )
@@ -307,6 +308,15 @@ def predict(model: GPModel, X_query) -> tuple[np.ndarray, np.ndarray]:
             f"query dimension {Xq.shape[1]} does not match model dimension "
             f"{model.X_train.shape[1]}"
         )
+    # A non-finite squared norm would overflow the distance expansion; this
+    # check is also what lets the solve below skip its finiteness passes.
+    with np.errstate(over="ignore"):
+        sq_norms = np.einsum("ij,ij->i", Xq, Xq)
+    bad = np.flatnonzero(~np.isfinite(sq_norms))
+    if bad.size:
+        raise InputError(
+            f"query row {int(bad[0])} is non-finite or too large: its squared norm overflows"
+        )
     sig2 = model.hp.signal_variance
     noise = model.hp.noise_variance
     mean = np.empty(Xq.shape[0])
@@ -314,8 +324,8 @@ def predict(model: GPModel, X_query) -> tuple[np.ndarray, np.ndarray]:
     for start in range(0, Xq.shape[0], _PREDICT_BLOCK):
         block = slice(start, start + _PREDICT_BLOCK)
         Kq = kernel_matrix(Xq[block], model.X_train, model.hp)
-        mean[block] = Kq @ model.alpha
-        W = solve_triangular(model.chol_L, Kq.T, lower=True)
+        mean[block] = blas.dgemv(1.0, Kq.T, model.alpha, trans=1)
+        W = solve_triangular(model.chol_L, Kq.T, lower=True, check_finite=False)
         var = sig2 + noise - np.einsum("ij,ij->j", W, W)
         np.clip(var, 0.0, None, out=var)
         std[block] = np.sqrt(var)

@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import blas
 
 from .errors import InputError
 
@@ -81,13 +82,18 @@ def pairwise_sq_dists(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     round-off. When ``B`` is omitted (or is the same array object as
     ``A``) the result is exactly symmetric with an exactly zero diagonal:
     the upper triangle is computed once and mirrored.
+
+    The products run on scipy's BLAS, the OpenBLAS its LAPACK uses, so
+    numpy's separate thread pool never wakes. They read Fortran-ordered
+    transpose views (no copy) and apply the exact factor -2 themselves,
+    because numpy cannot scale their transposed results in place.
     """
     self_gram = B is None or B is A
     A = _as_matrix(A, "A")
     if self_gram:
-        G = A @ A.T
         sq_norms = np.einsum("ij,ij->i", A, A)
-        S = sq_norms[:, None] + sq_norms[None, :] - 2.0 * G
+        # Only the upper triangle of -2 A A^T is filled; the rest is dropped.
+        S = sq_norms[:, None] + sq_norms[None, :] + blas.dsyrk(-2.0, A.T, trans=1, lower=1).T
         np.maximum(S, 0.0, out=S)
         upper = np.triu(S, 1)
         return upper + upper.T
@@ -99,7 +105,7 @@ def pairwise_sq_dists(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     S = (
         np.einsum("ij,ij->i", A, A)[:, None]
         + np.einsum("ij,ij->i", B, B)[None, :]
-        - 2.0 * (A @ B.T)
+        + blas.dgemm(-2.0, B.T, A.T, trans_a=1).T
     )
     np.maximum(S, 0.0, out=S)
     return S

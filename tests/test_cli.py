@@ -418,6 +418,36 @@ class TestRejections:
         argv = ["predict", "--test-csv", test_csv, "--model", workspace["model"], "--out", out]
         self.assert_rejected(argv, out, capsys, "line 2")
 
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_query_row_too_large(self, workspace, tmp_path, capsys, command):
+        dim = len(workspace["test"].read_text().splitlines()[0].split(",")) - 2
+        test_csv = tmp_path / "test.csv"
+        test_csv.write_text(
+            workspace["test"].read_text() + "huge,0," + ",".join(["1.7e308"] * dim) + "\n"
+        )
+        out = tmp_path / "out"
+        argv = [command, "--test-csv", test_csv, "--model", workspace["model"], "--out", out]
+        self.assert_rejected(argv, out, capsys, "query row 100 ")
+
+    @pytest.mark.parametrize("command", ["train", "predict", "evaluate", "sweep"])
+    def test_output_in_missing_directory(
+        self, workspace, tmp_path, capsys, monkeypatch, command
+    ):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("train fitted before checking its output directory")
+
+        monkeypatch.setattr(gp, "fit", no_fit)
+        out = tmp_path / "nodir" / "out"
+        if command == "train":
+            argv = ["train", "--train-csv", workspace["train"], "--model", out]
+        else:
+            argv = [command, "--test-csv", workspace["test"], "--model", workspace["model"]]
+            argv += ["--out", out]
+        if command == "sweep":
+            argv += ["--std-thresholds", "0.5"]
+        self.assert_rejected(argv, out, capsys, str(out))
+        assert list(tmp_path.iterdir()) == []
+
     def test_archive_header_without_arrays(self, workspace, tmp_path, capsys):
         from test_data import rewrite_header
 

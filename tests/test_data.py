@@ -143,6 +143,21 @@ class TestWriteFeatureCsv:
         assert not (tmp_path / "out.csv").exists()
 
 
+class TestAtomicWrite:
+    def test_missing_directory_is_an_input_error(self, tmp_path):
+        out = tmp_path / "nodir" / "x.csv"
+        with pytest.raises(InputError, match="nodir"):
+            write_feature_csv(["a"], np.zeros((1, 2)), [0], out)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_rename_removes_the_temp_file(self, tmp_path):
+        out = tmp_path / "adir"
+        out.mkdir()
+        with pytest.raises(InputError, match="adir"):
+            write_feature_csv(["a"], np.zeros((1, 2)), [0], out)
+        assert list(tmp_path.iterdir()) == [out]
+
+
 class TestNormalizer:
     def test_zscore_on_training_set(self):
         _, X, _ = synthesize_dataset([10] * 5, 6, 6.0, 1.0, 1)
@@ -173,6 +188,12 @@ class TestNormalizer:
         Z = apply_normalizer(stats, X)
         back = Z * stats.std + stats.mean
         np.testing.assert_allclose(back, X, atol=1e-9)
+
+    def test_feature_too_large_for_its_scale_is_infinite_without_warning(self, recwarn):
+        stats = fit_normalizer(np.array([[0.0], [0.5]]))
+        Z = apply_normalizer(stats, np.array([[1.7e308], [1.0]]))
+        assert Z[0, 0] == np.inf and Z[1, 0] == 3.0
+        assert len(recwarn) == 0
 
     def test_dimension_mismatch(self):
         _, X, _ = synthesize_dataset([2] * 5, 4, 6.0, 1.0, 3)

@@ -1,6 +1,7 @@
 """Regression-engine tests: factorization, evidence, fitting, prediction."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -464,12 +465,30 @@ class TestPredict:
         X = rng.normal(size=(10, 2))
         y = rng.normal(size=10)
         model = build_model(X, y, hp_of(1.0, 1.0, 0.1))
-        queries = rng.normal(size=(gp_module._PREDICT_BLOCK + 7, 2))
-        mean, std = predict(model, queries)
-        assert mean.shape == std.shape == (queries.shape[0],)
-        tail_mean, tail_std = predict(model, queries[gp_module._PREDICT_BLOCK :])
-        np.testing.assert_array_equal(mean[gp_module._PREDICT_BLOCK :], tail_mean)
-        np.testing.assert_array_equal(std[gp_module._PREDICT_BLOCK :], tail_std)
+        for tail in (7, 1):
+            queries = rng.normal(size=(gp_module._PREDICT_BLOCK + tail, 2))
+            mean, std = predict(model, queries)
+            assert mean.shape == std.shape == (queries.shape[0],)
+            tail_mean, tail_std = predict(model, queries[gp_module._PREDICT_BLOCK :])
+            np.testing.assert_array_equal(mean[gp_module._PREDICT_BLOCK :], tail_mean)
+            np.testing.assert_array_equal(std[gp_module._PREDICT_BLOCK :], tail_std)
+
+    @pytest.mark.parametrize("value", [1.7e308, 1e160, -1e160, np.inf, -np.inf, np.nan])
+    def test_rejects_query_row_with_non_finite_squared_norm(self, value):
+        model = build_model(np.eye(3), np.arange(3.0), hp_of())
+        queries = np.zeros((4, 3))
+        queries[2, 1] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="query row 2 "):
+                predict(model, queries)
+
+    def test_large_finite_query_row_reverts_to_prior(self):
+        hp = hp_of(1.0, 2.0, 0.1)
+        model = build_model(np.eye(3), np.arange(3.0), hp)
+        mean, std = predict(model, np.full((1, 3), 1e150))
+        assert mean[0] == 0.0
+        assert std[0] == math.sqrt(hp.signal_variance + hp.noise_variance)
 
 
 class TestDeterminism:

@@ -88,6 +88,15 @@ class TestPairwiseSqDists:
             for j in range(4):
                 expect = float(np.sum((A[i] - B[j]) ** 2))
                 np.testing.assert_allclose(S[i, j], expect, rtol=1e-12, atol=1e-12)
+        # Shapes where the BLAS transpose flags matter: one-row queries or
+        # training sets, a single feature, and m, n and D all different.
+        for m, n, D in [(1, 7, 3), (1, 2000, 64), (6, 1, 2), (4, 6, 1), (3, 9, 5), (1, 1, 1)]:
+            A = rng.normal(size=(m, D))
+            B = rng.normal(size=(n, D))
+            S = pairwise_sq_dists(A, B)
+            assert S.shape == (m, n)
+            expect = ((A[:, None, :] - B[None, :, :]) ** 2).sum(axis=2)
+            np.testing.assert_allclose(S, expect, rtol=1e-12, atol=1e-12)
 
     def test_self_distances_exactly_symmetric(self):
         rng = np.random.default_rng(1)
@@ -95,6 +104,15 @@ class TestPairwiseSqDists:
         S = pairwise_sq_dists(A)
         assert np.array_equal(S, S.T)
         assert np.array_equal(np.diag(S), np.zeros(30))
+        # Odd sizes, where only one triangle of the product is filled.
+        for n in (1, 3, 31, 257):
+            for D in (1, 5, 64):
+                A = rng.normal(size=(n, D))
+                S = pairwise_sq_dists(A)
+                assert np.array_equal(S, S.T)
+                assert np.array_equal(np.diag(S), np.zeros(n))
+                expect = ((A[:, None, :] - A[None, :, :]) ** 2).sum(axis=2)
+                np.testing.assert_allclose(S, expect, rtol=1e-12, atol=1e-12)
 
     def test_never_negative(self):
         rng = np.random.default_rng(2)
