@@ -23,28 +23,14 @@ from .errors import (
     NumericalError,
     ParseError,
 )
-from .gp import (
-    FitConfig,
-    GPModel,
-    build_model,
-    fit,
-    log_marginal_likelihood,
-    predict,
-)
-from .kernel import (
-    NOISE_VARIANCE_FLOOR,
-    Hyperparams,
-    kernel_matrix,
-    pairwise_sq_dists,
-)
+from .gp import GPModel, build_model, fit, predict
+from .kernel import Hyperparams
 from .metrics import (
     BoxStats,
     EvalReport,
     box_stats_table,
     confusion,
     evaluate,
-    group_uncertainty_stats,
-    roc_auc,
     sens_spec,
 )
 
@@ -53,14 +39,12 @@ __version__ = "0.1.0"
 __all__ = [
     "BoxStats",
     "EvalReport",
-    "FitConfig",
     "GPGradeError",
     "GPModel",
     "GRADE_THRESHOLD_DEFAULT",
     "Hyperparams",
     "InputError",
     "ModelFormatError",
-    "NOISE_VARIANCE_FLOOR",
     "NormStats",
     "NumericalError",
     "ParseError",
@@ -74,14 +58,9 @@ __all__ = [
     "evaluate",
     "fit",
     "fit_normalizer",
-    "group_uncertainty_stats",
-    "kernel_matrix",
     "load_feature_csv",
     "load_model",
-    "log_marginal_likelihood",
-    "pairwise_sq_dists",
     "predict",
-    "roc_auc",
     "save_model",
     "sens_spec",
     "synthesize_dataset",

@@ -104,10 +104,14 @@ def cmd_train(args) -> int:
     ids, X_raw, grades = data.load_feature_csv(args.train_csv)
     stats = data.fit_normalizer(X_raw)
     X = data.apply_normalizer(stats, X_raw)
-    config = gp.FitConfig(
-        max_train=args.max_train, restarts=args.restarts, seed=args.seed
+    model = gp.fit(
+        X,
+        grades.astype(float),
+        max_train=args.max_train,
+        restarts=args.restarts,
+        seed=args.seed,
+        normalizer=stats,
     )
-    model = gp.fit(X, grades.astype(float), config, normalizer=stats)
     data.save_model(model, args.model)
     print(f"trained on {model.X_train.shape[0]} of {len(ids)} records")
     print(f"log_marginal_likelihood {model.log_evidence!r}")

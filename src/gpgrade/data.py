@@ -127,10 +127,21 @@ def write_feature_csv(ids, X, grades, path) -> None:
 
 
 def fit_normalizer(X) -> NormStats:
-    """Per-feature mean/std of the training matrix; std floored at 1e-8."""
+    """Per-feature mean/std of the training matrix; std floored at 1e-8.
+
+    Rejects the matrix, naming the first row at which a column's running
+    sum of squares overflows, when the statistics are not finite.
+    """
     X = _as_features(X)
-    mean = X.mean(axis=0)
-    std = np.maximum(X.std(axis=0), STD_FLOOR)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X.mean(axis=0)
+        std = np.maximum(X.std(axis=0), STD_FLOOR)
+        if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+            row = int(np.argmax(~np.isfinite(np.cumsum(X * X, axis=0)).all(axis=1)))
+            raise InputError(
+                f"training row {row} is non-finite or too large: "
+                "a feature's sum of squares overflows"
+            )
     return NormStats(mean=mean, std=std)
 
 
@@ -345,11 +356,14 @@ def load_model(path) -> gp.GPModel:
         loaded[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         cursor += nbytes
 
-    hp = Hyperparams(
-        header["log_length_scale"],
-        header["log_signal_variance"],
-        header["log_noise_variance"],
-    )
+    try:
+        hp = Hyperparams(
+            header["log_length_scale"],
+            header["log_signal_variance"],
+            header["log_noise_variance"],
+        )
+    except InputError as exc:
+        raise ModelFormatError(f"archive header entry {exc}") from None
     normalizer = None
     if header["has_normalizer"]:
         normalizer = NormStats(mean=loaded["norm_mean"], std=loaded["norm_std"])

@@ -46,21 +46,6 @@ _PREDICT_BLOCK = 2048
 LBFGS_OPTIONS = {"maxiter": 200, "ftol": 1e-6, "gtol": 1e-5}
 
 
-@dataclass(frozen=True)
-class FitConfig:
-    """Knobs for hyperparameter fitting.
-
-    ``grade_targets`` enforces the integer 0..4 target domain; switch it
-    off to fit arbitrary real-valued targets (used by synthetic-recovery
-    checks).
-    """
-
-    max_train: int = 2000
-    restarts: int = 3
-    seed: int = 0
-    grade_targets: bool = True
-
-
 @dataclass
 class GPModel:
     """Trained regressor state. Treat instances as immutable once built."""
@@ -206,30 +191,31 @@ def build_model(
 def fit(
     X,
     y,
-    config: FitConfig,
+    *,
+    max_train: int = 2000,
+    restarts: int = 3,
+    seed: int = 0,
     normalizer: "NormStats | None" = None,
 ) -> GPModel:
     """Fit hyperparameters by maximizing the evidence, then freeze the model.
 
-    If there are more rows than ``config.max_train``, a uniform random
-    subset is drawn with ``config.seed`` (recorded on the model). Each
-    restart starts the length-scale from a seeded draw around the median
-    pairwise distance; the best optimum across restarts wins and is never
-    worse than any initialization point.
+    Any finite targets are regressed. If there are more rows than
+    ``max_train``, a uniform random subset is drawn with ``seed`` (recorded
+    on the model). Each restart starts the length-scale from a seeded draw
+    around the median pairwise distance; the best optimum across restarts
+    wins and is never worse than any initialization point.
     """
     X, y = _validate_training_data(X, y)
-    if config.max_train < 2:
+    if max_train < 2:
         raise InputError("max_train must be at least 2")
-    if config.restarts < 1:
+    if restarts < 1:
         raise InputError("restarts must be at least 1")
-    if config.seed < 0:
+    if seed < 0:
         raise InputError("seed must be non-negative")
-    if config.grade_targets and not np.isin(y, (0.0, 1.0, 2.0, 3.0, 4.0)).all():
-        raise InputError("targets must be integer grades in 0..4")
 
-    rng = np.random.default_rng(config.seed)
-    if X.shape[0] > config.max_train:
-        idx = np.sort(rng.choice(X.shape[0], size=config.max_train, replace=False))
+    rng = np.random.default_rng(seed)
+    if X.shape[0] > max_train:
+        idx = np.sort(rng.choice(X.shape[0], size=max_train, replace=False))
         X = X[idx]
         y = y[idx]
     S = pairwise_sq_dists(X)
@@ -260,7 +246,7 @@ def fit(
 
     best_lml = -np.inf
     best_theta = None
-    for _ in range(config.restarts):
+    for _ in range(restarts):
         log_l0 = rng.uniform(
             math.log(0.5 * median_dist), math.log(2.0 * median_dist)
         )
@@ -289,7 +275,7 @@ def fit(
         y,
         Hyperparams.from_log_array(best_theta),
         normalizer=normalizer,
-        train_subset_seed=config.seed,
+        train_subset_seed=seed,
     )
 
 

@@ -34,10 +34,22 @@ class Hyperparams:
     log_noise_variance: float
 
     def __post_init__(self):
-        for name in ("log_length_scale", "log_signal_variance", "log_noise_variance"):
+        # The kernel divides by l**2 and uses each variance as a float, so
+        # l**2 must neither overflow nor be 0, and no variance may overflow.
+        for name, power in (
+            ("log_length_scale", 2),
+            ("log_signal_variance", 1),
+            ("log_noise_variance", 1),
+        ):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise InputError(f"{name} must be finite, got {value!r}")
+            try:
+                scale = math.exp(value) ** power
+            except OverflowError:
+                raise InputError(f"{name} {value!r} is too large: it overflows") from None
+            if scale == 0.0 and power == 2:
+                raise InputError(f"{name} {value!r} is too small: l**2 is 0")
 
     @property
     def length_scale(self) -> float:

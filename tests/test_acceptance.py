@@ -12,7 +12,6 @@ import time
 import numpy as np
 
 from gpgrade import (
-    FitConfig,
     Hyperparams,
     apply_normalizer,
     apply_uncertainty_flip,
@@ -22,17 +21,14 @@ from gpgrade import (
     evaluate,
     fit,
     fit_normalizer,
-    group_uncertainty_stats,
-    kernel_matrix,
     load_model,
-    log_marginal_likelihood,
-    pairwise_sq_dists,
     predict,
-    roc_auc,
     save_model,
     synthesize_dataset,
 )
-from gpgrade.gp import cholesky_with_jitter
+from gpgrade.gp import cholesky_with_jitter, log_marginal_likelihood
+from gpgrade.kernel import kernel_matrix, pairwise_sq_dists
+from gpgrade.metrics import group_uncertainty_stats, roc_auc
 
 
 def check(capsys, number, ok, detail):
@@ -141,7 +137,7 @@ def test_criterion_4_hyperparameter_recovery(capsys):
         X = 1.5 * rng.normal(size=(100, 3))
         L, _ = cholesky_with_jitter(kernel_matrix(X, X, hp_true), hp_true.noise_variance)
         y = L @ rng.normal(size=100)
-        model = fit(X, y, FitConfig(restarts=3, seed=seed, grade_targets=False))
+        model = fit(X, y, restarts=3, seed=seed)
         learned = np.array(
             [
                 model.hp.log_length_scale,
@@ -207,7 +203,8 @@ def test_criterion_6_end_to_end_pipeline(capsys):
         model = fit(
             X_train,
             grades[0::2].astype(np.float64),
-            FitConfig(restarts=2, seed=seed),
+            restarts=2,
+            seed=seed,
             normalizer=stats,
         )
         mean, std = predict(model, X_test)
@@ -257,7 +254,7 @@ def test_criterion_7_uncertainty_ordering(capsys):
         outliers = rng.choice(len(y_test), size=60, replace=False)
         X_test[outliers] += 5.0 * rng.normal(size=(60, 2))
 
-        model = fit(X_train, corrupted, FitConfig(restarts=4, seed=seed))
+        model = fit(X_train, corrupted, restarts=4, seed=seed)
         mean, std = predict(model, X_test)
         stats = group_uncertainty_stats(binarize(mean), y_test >= 2, std)
         if (
@@ -313,7 +310,7 @@ def test_criterion_9_determinism_and_persistence(tmp_path, capsys):
     _, X_raw, grades = synthesize_dataset([10] * 5, 6, 6.0, 1.0, 3)
     stats = fit_normalizer(X_raw)
     X = apply_normalizer(stats, X_raw)
-    model = fit(X, grades.astype(np.float64), FitConfig(restarts=2, seed=3), normalizer=stats)
+    model = fit(X, grades.astype(np.float64), restarts=2, seed=3, normalizer=stats)
     path = tmp_path / "round.model"
     save_model(model, path)
     loaded = load_model(path)

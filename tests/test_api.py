@@ -1,18 +1,21 @@
 """The public surface: a name joins or leaves ``gpgrade.__all__`` only on purpose."""
 
+import re
+import shlex
+from pathlib import Path
+
 import gpgrade
+from gpgrade import cli
 
 PUBLIC_NAMES = [
     "BoxStats",
     "EvalReport",
-    "FitConfig",
     "GPGradeError",
     "GPModel",
     "GRADE_THRESHOLD_DEFAULT",
     "Hyperparams",
     "InputError",
     "ModelFormatError",
-    "NOISE_VARIANCE_FLOOR",
     "NormStats",
     "NumericalError",
     "ParseError",
@@ -26,14 +29,9 @@ PUBLIC_NAMES = [
     "evaluate",
     "fit",
     "fit_normalizer",
-    "group_uncertainty_stats",
-    "kernel_matrix",
     "load_feature_csv",
     "load_model",
-    "log_marginal_likelihood",
-    "pairwise_sq_dists",
     "predict",
-    "roc_auc",
     "save_model",
     "sens_spec",
     "synthesize_dataset",
@@ -48,3 +46,18 @@ def test_all_is_pinned():
 def test_every_public_name_resolves():
     for name in gpgrade.__all__:
         assert getattr(gpgrade, name, None) is not None, name
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
+    """The README's python block runs on the CSVs of its own synth commands."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    synth_lines = [
+        line for line in readme.splitlines() if line.startswith("gpgrade synth ")
+    ]
+    (example,) = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    monkeypatch.chdir(tmp_path)
+    assert len(synth_lines) == 2
+    for line in synth_lines:
+        assert cli.main(shlex.split(line)[1:]) == 0
+    exec(compile(example, "README.md", "exec"), {})
+    assert "sensitivity" in capsys.readouterr().out

@@ -429,6 +429,31 @@ class TestRejections:
         argv = [command, "--test-csv", test_csv, "--model", workspace["model"], "--out", out]
         self.assert_rejected(argv, out, capsys, "query row 100 ")
 
+    @pytest.mark.parametrize(
+        "value, columns", [("1e160", 1), ("1.7e308", None)], ids=["one-column", "every-column"]
+    )
+    def test_training_row_too_large(self, workspace, tmp_path, capsys, value, columns):
+        dim = len(workspace["train"].read_text().splitlines()[0].split(",")) - 2
+        columns = columns or dim
+        features = [value] * columns + ["0"] * (dim - columns)
+        train_csv = tmp_path / "train.csv"
+        train_csv.write_text(
+            workspace["train"].read_text() + "big,0," + ",".join(features) + "\n"
+        )
+        out = tmp_path / "m.model"
+        argv = ["train", "--train-csv", train_csv, "--model", out]
+        self.assert_rejected(argv, out, capsys, "training row 100 ")
+
+    def test_archive_hyperparameter_overflows(self, workspace, tmp_path, capsys):
+        from test_data import rewrite_header
+
+        model = tmp_path / "m.model"
+        model.write_bytes(workspace["model"].read_bytes())
+        rewrite_header(model, lambda header: header.update(log_length_scale=400.0))
+        out = tmp_path / "preds.csv"
+        argv = ["predict", "--test-csv", workspace["test"], "--model", model, "--out", out]
+        self.assert_rejected(argv, out, capsys, "log_length_scale")
+
     @pytest.mark.parametrize("command", ["train", "predict", "evaluate", "sweep"])
     def test_output_in_missing_directory(
         self, workspace, tmp_path, capsys, monkeypatch, command

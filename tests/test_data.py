@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from gpgrade import (
-    FitConfig,
     InputError,
     apply_normalizer,
     build_model,
@@ -17,7 +16,6 @@ from gpgrade import (
     fit_normalizer,
     load_feature_csv,
     load_model,
-    pairwise_sq_dists,
     predict,
     save_model,
     synthesize_dataset,
@@ -25,7 +23,7 @@ from gpgrade import (
 )
 from gpgrade.data import MODEL_MAGIC
 from gpgrade.errors import ModelFormatError, ParseError
-from gpgrade.kernel import Hyperparams
+from gpgrade.kernel import Hyperparams, pairwise_sq_dists
 
 
 def write_csv(path, rows, dim=4):
@@ -195,6 +193,23 @@ class TestNormalizer:
         assert Z[0, 0] == np.inf and Z[1, 0] == 3.0
         assert len(recwarn) == 0
 
+    @pytest.mark.parametrize(
+        "row",
+        [[1e160, 0.0, 0.0, 0.0], [1.7e308] * 4],
+        ids=["one-column", "every-column"],
+    )
+    def test_overflowing_row_is_named_without_warning(self, recwarn, row):
+        _, X, _ = synthesize_dataset([20] * 5, 4, 6.0, 1.0, 1)
+        with pytest.raises(InputError, match="training row 100 "):
+            fit_normalizer(np.vstack([X, row]))
+        assert len(recwarn) == 0
+
+    def test_row_of_1e150_still_fits(self):
+        _, X, _ = synthesize_dataset([20] * 5, 4, 6.0, 1.0, 1)
+        stats = fit_normalizer(np.vstack([X, [1e150] * 4]))
+        assert np.isfinite(stats.mean).all() and np.isfinite(stats.std).all()
+        assert np.isfinite(apply_normalizer(stats, X)).all()
+
     def test_dimension_mismatch(self):
         _, X, _ = synthesize_dataset([2] * 5, 4, 6.0, 1.0, 3)
         stats = fit_normalizer(X)
@@ -275,7 +290,7 @@ def trained_model(seed=0):
     stats = fit_normalizer(X_raw)
     X = apply_normalizer(stats, X_raw)
     y = grades.astype(np.float64)
-    return fit(X, y, FitConfig(restarts=2, seed=seed), normalizer=stats), X
+    return fit(X, y, restarts=2, seed=seed, normalizer=stats), X
 
 
 class TestModelArchive:
@@ -408,6 +423,12 @@ BAD_HEADERS = {
     "X not 2-d": shape_of("X_train", [200]),
     "X rows disagree with y": shape_of("y_train", [39]),
     "normalizer width disagrees with D": shape_of("norm_mean", [4]),
+    "length scale not a number": lambda h: h.update(log_length_scale=float("nan")),
+    "length scale squared overflows": lambda h: h.update(log_length_scale=400.0),
+    "length scale overflows": lambda h: h.update(log_length_scale=1000.0),
+    "length scale squared is 0": lambda h: h.update(log_length_scale=-400.0),
+    "signal variance overflows": lambda h: h.update(log_signal_variance=1000.0),
+    "noise variance overflows": lambda h: h.update(log_noise_variance=1000.0),
 }
 
 

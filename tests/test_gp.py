@@ -8,20 +8,17 @@ import pytest
 from scipy.linalg import cho_solve
 
 from gpgrade import (
-    FitConfig,
     Hyperparams,
     InputError,
     NumericalError,
     build_model,
     fit,
-    kernel_matrix,
-    log_marginal_likelihood,
     predict,
 )
 from gpgrade import gp as gp_module
 from gpgrade.data import save_model
-from gpgrade.gp import cholesky_with_jitter
-from gpgrade.kernel import NOISE_VARIANCE_FLOOR, pairwise_sq_dists
+from gpgrade.gp import cholesky_with_jitter, log_marginal_likelihood
+from gpgrade.kernel import NOISE_VARIANCE_FLOOR, kernel_matrix, pairwise_sq_dists
 
 
 def hp_of(length_scale=1.0, signal_variance=1.0, noise_variance=1.0):
@@ -278,7 +275,7 @@ class TestFit:
     def test_recovers_known_hyperparameters(self):
         hp_star = hp_of(2.0, 2.0, 0.1)
         X, y = sample_from_prior(hp_star, n=100, D=5, seed=3)
-        model = fit(X, y, FitConfig(restarts=3, seed=3, grade_targets=False))
+        model = fit(X, y, restarts=3, seed=3)
         err = np.abs(model.hp.to_log_array() - hp_star.to_log_array())
         assert (err < 0.5).all()
 
@@ -286,7 +283,7 @@ class TestFit:
         rng = np.random.default_rng(0)
         X = rng.normal(size=(30, 4))
         y = np.full(30, 2.0)
-        model = fit(X, y, FitConfig(restarts=3, seed=0))
+        model = fit(X, y, restarts=3, seed=0)
         query = X.mean(axis=0, keepdims=True) + 0.1 * rng.normal(size=(1, 4))
         mean, _ = predict(model, query)
         assert abs(mean[0] - 2.0) < 0.05
@@ -295,7 +292,7 @@ class TestFit:
         rng = np.random.default_rng(15)
         X = rng.normal(size=(5, 2))
         y = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
-        model = fit(X, y, FitConfig(max_train=3, restarts=1, seed=7))
+        model = fit(X, y, max_train=3, restarts=1, seed=7)
         assert model.X_train.shape == (3, 2)
         assert model.y_train.shape == (3,)
         assert model.train_subset_seed == 7
@@ -304,7 +301,7 @@ class TestFit:
         rng = np.random.default_rng(16)
         X = rng.normal(size=(40, 3))
         y = rng.integers(0, 5, size=40).astype(float)
-        model = fit(X, y, FitConfig(max_train=10, restarts=1, seed=1))
+        model = fit(X, y, max_train=10, restarts=1, seed=1)
         for row, target in zip(model.X_train, model.y_train):
             matches = np.where((X == row).all(axis=1))[0]
             assert matches.size >= 1
@@ -314,18 +311,16 @@ class TestFit:
         """The returned evidence is at least the evidence at each start point."""
         hp_star = hp_of(1.5, 2.0, 0.1)
         X, y = sample_from_prior(hp_star, n=40, D=3, seed=21)
-        config = FitConfig(restarts=4, seed=21, grade_targets=False)
-        model = fit(X, y, config)
+        restarts, seed = 4, 21
+        model = fit(X, y, restarts=restarts, seed=seed)
         best, _ = log_marginal_likelihood(model.X_train, model.y_train, model.hp)
 
         # Replay the seeded initialization draws the same way fit makes them.
-        from gpgrade.kernel import pairwise_sq_dists
-
         S = pairwise_sq_dists(X)
         median_dist = math.sqrt(float(np.median(S[np.triu_indices(40, 1)])))
         var_y = float(np.var(y))
-        rng = np.random.default_rng(config.seed)
-        for _ in range(config.restarts):
+        rng = np.random.default_rng(seed)
+        for _ in range(restarts):
             log_l0 = rng.uniform(
                 math.log(0.5 * median_dist), math.log(2.0 * median_dist)
             )
@@ -351,33 +346,19 @@ class TestFit:
         monkeypatch.setattr(gp_module, "minimize", counting_minimize)
         monkeypatch.setattr(gp_module, "cholesky_with_jitter", counting_cholesky)
         X, y = sample_from_prior(hp_of(1.5, 2.0, 0.1), n=40, D=3, seed=22)
-        fit(X, y, FitConfig(restarts=3, seed=22, grade_targets=False))
+        fit(X, y, restarts=3, seed=22)
         assert len(nfev) == 3
         assert len(factorizations) == sum(nfev) + 1
-
-    def test_rejects_fractional_grades_by_default(self):
-        rng = np.random.default_rng(17)
-        X = rng.normal(size=(10, 2))
-        y = np.linspace(0.0, 4.0, 10)
-        with pytest.raises(InputError):
-            fit(X, y, FitConfig(restarts=1, seed=0))
-
-    def test_rejects_out_of_range_grades(self):
-        rng = np.random.default_rng(18)
-        X = rng.normal(size=(6, 2))
-        y = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
-        with pytest.raises(InputError):
-            fit(X, y, FitConfig(restarts=1, seed=0))
 
     def test_rejects_bad_config(self):
         X = np.zeros((4, 2))
         y = np.zeros(4)
         with pytest.raises(InputError):
-            fit(X, y, FitConfig(max_train=1, restarts=1, seed=0))
+            fit(X, y, max_train=1, restarts=1, seed=0)
         with pytest.raises(InputError):
-            fit(X, y, FitConfig(restarts=0, seed=0))
+            fit(X, y, restarts=0, seed=0)
         with pytest.raises(InputError, match="seed"):
-            fit(X, y, FitConfig(restarts=1, seed=-3))
+            fit(X, y, restarts=1, seed=-3)
 
 
 class TestPredict:
@@ -498,7 +479,7 @@ class TestDeterminism:
         y = rng.integers(0, 5, size=30).astype(float)
         paths = []
         for name in ("a.model", "b.model"):
-            model = fit(X, y, FitConfig(restarts=2, seed=9))
+            model = fit(X, y, restarts=2, seed=9)
             path = tmp_path / name
             save_model(model, path)
             paths.append(path)

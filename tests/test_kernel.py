@@ -5,8 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from gpgrade import Hyperparams, InputError, kernel_matrix, pairwise_sq_dists
-from gpgrade.kernel import NOISE_VARIANCE_FLOOR, rbf_from_sq_dists
+from gpgrade import Hyperparams, InputError
+from gpgrade.kernel import (
+    NOISE_VARIANCE_FLOOR,
+    kernel_matrix,
+    pairwise_sq_dists,
+    rbf_from_sq_dists,
+)
 
 
 def rbf_eval(x, y, hp: Hyperparams) -> float:
@@ -48,6 +53,30 @@ class TestHyperparams:
             Hyperparams(float("nan"), 0.0, 0.0)
         with pytest.raises(InputError):
             Hyperparams(0.0, float("inf"), 0.0)
+
+    @pytest.mark.parametrize(
+        "logs, name",
+        [
+            ((400.0, 0.0, 0.0), "log_length_scale"),
+            ((1000.0, 0.0, 0.0), "log_length_scale"),
+            ((-400.0, 0.0, 0.0), "log_length_scale"),
+            ((0.0, 1000.0, 0.0), "log_signal_variance"),
+            ((0.0, 0.0, 1000.0), "log_noise_variance"),
+        ],
+        ids=["l-squared-overflows", "l-overflows", "l-squared-is-0", "s2-overflows", "noise-overflows"],
+    )
+    def test_rejects_values_the_kernel_cannot_use(self, logs, name):
+        """l**2 that overflows or is 0, or a variance that overflows."""
+        with pytest.raises(InputError, match=name):
+            Hyperparams(*logs)
+
+    @pytest.mark.parametrize("log_l", [354.0, -354.0])
+    def test_accepts_extremes_that_stay_representable(self, log_l):
+        hp = Hyperparams(log_l, 709.0, -1000.0)
+        assert 0.0 < hp.length_scale**2 < math.inf
+        assert hp.signal_variance < math.inf
+        assert hp.noise_variance == NOISE_VARIANCE_FLOOR
+        assert Hyperparams(log_l, -1000.0, 709.0).signal_variance == 0.0
 
 
 class TestRbfEval:

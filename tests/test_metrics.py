@@ -12,10 +12,9 @@ from gpgrade import (
     box_stats_table,
     confusion,
     evaluate,
-    group_uncertainty_stats,
-    roc_auc,
     sens_spec,
 )
+from gpgrade.metrics import group_uncertainty_stats, roc_auc
 
 
 def brute_force_auc(scores, labels):
