@@ -37,7 +37,7 @@ MODEL_FORMAT_VERSION = 1
 # Tolerance when comparing recomputed factor/solve digests on load.
 _DIGEST_RTOL = 1e-10
 
-_UNSAFE_ID_CHARS = re.compile('[,"\r\n]')
+_UNSAFE_ID_CHARS = re.compile('[\0,"\r\n]')
 
 
 @dataclass(frozen=True)
@@ -54,8 +54,8 @@ def load_feature_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     Returns ``(ids, X, grades)``: the id strings, the (n, D) float64
     feature matrix and the integer grade vector. Raises ParseError (with
     the offending 1-based line number) on a malformed header, inconsistent
-    row width, an id holding a comma, quote, CR or LF, non-integer or
-    out-of-range grade, or non-finite feature value.
+    row width, an id holding a NUL, comma, quote, CR or LF, a non-integer or
+    out-of-range grade, a non-finite feature value or a line csv cannot read.
     """
     path = Path(path)
     if not path.is_file():
@@ -64,7 +64,7 @@ def load_feature_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     rows: list[np.ndarray] = []
     grades: list[int] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        reader = _csv_rows(fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -86,10 +86,10 @@ def load_feature_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
                     f"expected {dim + 2} fields, got {len(row)}", line=lineno
                 )
             # Ids are echoed unquoted into the prediction CSV, so a field
-            # separator, quote or line break in one would corrupt that file.
+            # separator, quote, line break or NUL in one would corrupt that file.
             if _UNSAFE_ID_CHARS.search(row[0]):
                 raise ParseError(
-                    f"id {row[0]!r} contains a comma, quote, CR or LF", line=lineno
+                    f"id {row[0]!r} contains a NUL, comma, quote, CR or LF", line=lineno
                 )
             try:
                 grade = int(row[1])
@@ -111,6 +111,15 @@ def load_feature_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     if not ids:
         raise ParseError("no records")
     return ids, np.stack(rows), np.array(grades)
+
+
+def _csv_rows(fh):
+    """The csv.reader rows of fh, raising the reader's own errors as ParseError."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(str(exc), line=reader.line_num) from None
 
 
 def write_feature_csv(ids, X, grades, path) -> None:
@@ -367,13 +376,16 @@ def load_model(path) -> gp.GPModel:
     normalizer = None
     if header["has_normalizer"]:
         normalizer = NormStats(mean=loaded["norm_mean"], std=loaded["norm_std"])
-    model = gp.build_model(
-        loaded["X_train"],
-        loaded["y_train"],
-        hp,
-        normalizer=normalizer,
-        train_subset_seed=int(header["train_subset_seed"]),
-    )
+    try:
+        model = gp.build_model(
+            loaded["X_train"],
+            loaded["y_train"],
+            hp,
+            normalizer=normalizer,
+            train_subset_seed=int(header["train_subset_seed"]),
+        )
+    except InputError as exc:
+        raise ModelFormatError(f"archive does not rebuild: {exc}") from None
     recomputed = _model_digests(model)
     if set(header["digests"]) != set(recomputed):
         raise ModelFormatError(f"archive digests must be {sorted(recomputed)}")

@@ -122,6 +122,19 @@ class TestLoadFeatureCsv:
         with pytest.raises(ParseError, match="line 3.*comma, quote, CR or LF"):
             load_feature_csv(path)
 
+    def test_id_with_nul_rejected(self, tmp_path):
+        """Before Python 3.11 the csv module itself refuses the line."""
+        path = tmp_path / "d.csv"
+        write_csv(path, [row(0, 1), "a\0b,2,0.5,1.5,2.5,3.5"])
+        with pytest.raises(ParseError, match="line 3.*NUL"):
+            load_feature_csv(path)
+
+    def test_csv_module_error_names_the_line(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_csv(path, [row(0, 1), "x" * 200_000 + ",2,0.5,1.5,2.5,3.5"])
+        with pytest.raises(ParseError, match="line 3.*field limit"):
+            load_feature_csv(path)
+
 
 class TestWriteFeatureCsv:
     def test_round_trip(self, tmp_path):
@@ -429,6 +442,8 @@ BAD_HEADERS = {
     "length scale squared is 0": lambda h: h.update(log_length_scale=-400.0),
     "signal variance overflows": lambda h: h.update(log_signal_variance=1000.0),
     "noise variance overflows": lambda h: h.update(log_noise_variance=1000.0),
+    "diagonal sum overflows": lambda h: h.update(log_signal_variance=709.0),
+    "diagonal sum overflows near the float limit": lambda h: h.update(log_signal_variance=709.7),
 }
 
 

@@ -361,6 +361,98 @@ class TestFit:
             fit(X, y, restarts=1, seed=-3)
 
 
+@pytest.fixture
+def two_stage(monkeypatch):
+    """Shrink the two-stage constants so that a 100-row fit searches in two stages."""
+    monkeypatch.setattr(gp_module, "_TWO_STAGE_MIN_N", 80)
+    monkeypatch.setattr(gp_module, "_COARSE_SUBSET_N", 40)
+
+
+def record_searches(monkeypatch, steer=None):
+    """Record (x0, result) of every L-BFGS-B search; ``steer(i, x0)`` may move a start."""
+    calls = []
+    minimize = gp_module.minimize
+
+    def recording(fun, x0, **kwargs):
+        if steer is not None:
+            x0 = steer(len(calls), x0)
+        result = minimize(fun, x0, **kwargs)
+        calls.append((x0, result))
+        return result
+
+    monkeypatch.setattr(gp_module, "minimize", recording)
+    return calls
+
+
+class TestTwoStageFit:
+    """Restarts on a subset, then a guard restart and a polish on the full set."""
+
+    HP = hp_of(1.5, 2.0, 0.1)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_guard_catches_a_polish_stuck_in_a_poor_basin(self, two_stage, monkeypatch, seed):
+        # Every subset search starts at a length-scale of e^8, far past the
+        # data, where the evidence is flat in it: the subset optimum stays
+        # there and so does a polish from it.
+        far = np.array([8.0, 0.0, 0.0])
+        calls = record_searches(monkeypatch, lambda i, x0: far if i < 3 else x0)
+        X, y = sample_from_prior(self.HP, n=100, D=3, seed=seed)
+        model = fit(X, y, restarts=3, seed=seed)
+        assert len(calls) == 5
+        guard, polish = calls[3][1], calls[4][1]
+        assert -polish.fun < -guard.fun - 10.0
+        np.testing.assert_array_equal(model.hp.to_log_array(), guard.x)
+        assert model.log_evidence == pytest.approx(-guard.fun, rel=1e-9)
+
+    def test_subsample_and_first_start_are_those_of_one_stage(self, two_stage, monkeypatch):
+        calls = record_searches(monkeypatch)
+        X, y = sample_from_prior(self.HP, n=120, D=3, seed=30)
+        model = fit(X, y, max_train=100, restarts=3, seed=30)
+
+        # Replay the training subsample and the first start the way fit draws them.
+        rng = np.random.default_rng(30)
+        idx = np.sort(rng.choice(120, size=100, replace=False))
+        np.testing.assert_array_equal(model.X_train, X[idx])
+        S = pairwise_sq_dists(X[idx])
+        median_dist = math.sqrt(float(np.median(S[np.triu_indices(100, 1)])))
+        log_l0 = rng.uniform(math.log(0.5 * median_dist), math.log(2.0 * median_dist))
+        var_y = float(np.var(y[idx]))
+        theta0 = np.array([log_l0, math.log(var_y), math.log(0.1 * var_y)])
+        np.testing.assert_array_equal(calls[0][0], theta0)  # first subset search
+        np.testing.assert_array_equal(calls[3][0], theta0)  # full-set guard
+
+    def test_same_seed_gives_identical_hyperparameters(self, two_stage):
+        X, y = sample_from_prior(self.HP, n=100, D=3, seed=31)
+        first = fit(X, y, restarts=3, seed=31).hp.to_log_array()
+        second = fit(X, y, restarts=3, seed=31).hp.to_log_array()
+        assert first.tobytes() == second.tobytes()
+
+    def test_one_factorization_per_optimizer_evaluation(self, two_stage, monkeypatch):
+        calls = record_searches(monkeypatch)
+        shapes = []
+        cholesky = gp_module.cholesky_with_jitter
+
+        def counting_cholesky(K, noise=0.0):
+            shapes.append(K.shape)
+            return cholesky(K, noise)
+
+        monkeypatch.setattr(gp_module, "cholesky_with_jitter", counting_cholesky)
+        X, y = sample_from_prior(self.HP, n=100, D=3, seed=32)
+        fit(X, y, restarts=3, seed=32)
+        nfev = [result.nfev for _, result in calls]
+        assert len(nfev) == 3 + 2
+        assert len(shapes) == sum(nfev) + 1
+        assert shapes.count((40, 40)) == sum(nfev[:3])
+
+    @pytest.mark.parametrize("n, restarts", [(100, 1), (79, 3)])
+    def test_one_search_per_restart_otherwise(self, two_stage, monkeypatch, n, restarts):
+        calls = record_searches(monkeypatch)
+        X, y = sample_from_prior(self.HP, n=n, D=3, seed=33)
+        model = fit(X, y, restarts=restarts, seed=33)
+        assert len(calls) == restarts
+        assert model.X_train.shape == (n, 3)
+
+
 class TestPredict:
     def test_interpolates_training_point_at_noise_floor(self):
         hp = Hyperparams(0.0, 0.0, math.log(1e-12))
