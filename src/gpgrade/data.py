@@ -37,7 +37,9 @@ MODEL_FORMAT_VERSION = 1
 # Tolerance when comparing recomputed factor/solve digests on load.
 _DIGEST_RTOL = 1e-10
 
-_UNSAFE_ID_CHARS = re.compile('[\0,"\r\n]')
+# A lone surrogate is how a byte that is not UTF-8 reads under surrogateescape.
+_UNSAFE_ID_CHARS = re.compile('[\0,"\r\n\ud800-\udfff]')
+_UNSAFE_ID_TEXT = "a NUL, comma, quote, CR or LF, or text that is not UTF-8"
 
 
 @dataclass(frozen=True)
@@ -54,8 +56,9 @@ def load_feature_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     Returns ``(ids, X, grades)``: the id strings, the (n, D) float64
     feature matrix and the integer grade vector. Raises ParseError (with
     the offending 1-based line number) on a malformed header, inconsistent
-    row width, an id holding a NUL, comma, quote, CR or LF, a non-integer or
-    out-of-range grade, a non-finite feature value or a line csv cannot read.
+    row width, an id holding a NUL, comma, quote, CR, LF or bytes that are
+    not UTF-8, a non-integer or out-of-range grade, a non-finite feature
+    value or a line csv cannot read.
     """
     path = Path(path)
     if not path.is_file():
@@ -63,7 +66,7 @@ def load_feature_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     ids: list[str] = []
     rows: list[np.ndarray] = []
     grades: list[int] = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = _csv_rows(fh)
         try:
             header = next(reader)
@@ -89,7 +92,7 @@ def load_feature_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
             # separator, quote, line break or NUL in one would corrupt that file.
             if _UNSAFE_ID_CHARS.search(row[0]):
                 raise ParseError(
-                    f"id {row[0]!r} contains a NUL, comma, quote, CR or LF", line=lineno
+                    f"id {row[0]!r} contains {_UNSAFE_ID_TEXT}", line=lineno
                 )
             try:
                 grade = int(row[1])
@@ -123,13 +126,25 @@ def _csv_rows(fh):
 
 
 def write_feature_csv(ids, X, grades, path) -> None:
-    """Write rows in the feature CSV format (atomic, deterministic)."""
+    """Write rows in the feature CSV format (atomic, deterministic).
+
+    Rejects what ``load_feature_csv`` would reject, naming the first bad
+    row: an id holding a NUL, comma, quote, CR, LF or a lone surrogate
+    (not encodable as UTF-8), a grade that is not an integer 0..4, or a
+    non-finite feature value.
+    """
     X = np.asarray(X, dtype=np.float64)
     if len(ids) == 0:
         raise InputError("no records to write")
     lines = ["id,grade," + ",".join(f"f{i}" for i in range(X.shape[1])) + "\n"]
     rows = zip(ids, np.asarray(grades).tolist(), X.tolist(), strict=True)
-    for id_, grade, features in rows:
+    for row, (id_, grade, features) in enumerate(rows):
+        if _UNSAFE_ID_CHARS.search(str(id_)):
+            raise InputError(f"row {row}: id {id_!r} contains {_UNSAFE_ID_TEXT}")
+        if type(grade) is not int or not 0 <= grade <= 4:
+            raise InputError(f"row {row}: grade {grade!r} is not an integer 0..4")
+        if not all(map(math.isfinite, features)):
+            raise InputError(f"row {row}: non-finite feature value")
         values = ",".join(repr(v) for v in features)
         lines.append(f"{id_},{grade},{values}\n")
     _atomic_write(path, "".join(lines))

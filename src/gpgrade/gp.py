@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 from scipy.linalg import blas, cho_solve, lapack, solve_triangular
-from scipy.optimize import minimize
 
 from .errors import InputError, NumericalError
 from .kernel import (
@@ -53,6 +52,13 @@ LBFGS_OPTIONS = {"maxiter": 200, "ftol": 1e-6, "gtol": 1e-5}
 _TWO_STAGE_MIN_N = 2000
 _COARSE_SUBSET_N = 500
 _POLISH_OPTIONS = {**LBFGS_OPTIONS, "ftol": 1e-8}
+
+
+def minimize(*args, **kwargs):
+    """``scipy.optimize.minimize``, imported on the first call: only ``fit`` needs it."""
+    from scipy.optimize import minimize
+
+    return minimize(*args, **kwargs)
 
 
 @dataclass

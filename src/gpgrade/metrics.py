@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import InputError
 
@@ -114,27 +113,43 @@ def roc_auc(scores, labels) -> float:
     """Area under the ROC curve via the midrank U statistic.
 
     Ties between scores count half, so the value equals trapezoidal
-    integration of the ROC curve over all distinct thresholds.
+    integration of the ROC curve over all distinct thresholds. A NaN or
+    infinite score raises InputError naming its row.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=bool)
     if scores.ndim != 1 or labels.ndim != 1 or scores.shape != labels.shape:
         raise InputError("scores and labels must be 1-d and equally long")
+    _require_finite("score", scores)
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise InputError("AUC needs at least one positive and one negative sample")
-    ranks = rankdata(scores)  # average ranks = midranks
+    # Midranks: each run of equal sorted scores shares the mean of its
+    # 1-based positions, first + (count + 1) / 2. They are half-integers, so
+    # the rank sum below is exact.
+    order = np.argsort(scores, kind="mergesort")
+    _, first, counts = np.unique(scores[order], return_index=True, return_counts=True)
+    ranks = np.empty(scores.size)
+    ranks[order] = np.repeat(first + (counts + 1) / 2.0, counts)
     rank_sum = float(ranks[labels].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
+def _require_finite(name: str, values: np.ndarray) -> None:
+    """Raise InputError naming the first entry of 1-d values that is NaN or infinite."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise InputError(f"{name} at row {bad[0]} is not finite: {float(values[bad[0]])!r}")
+
+
 def group_uncertainty_stats(referable, labels, std) -> dict[str, BoxStats]:
-    """Quartiles of posterior std per confusion group (TP/FP/TN/FN)."""
+    """Quartiles of posterior std per confusion group (TP/FP/TN/FN); std must be finite."""
     masks = _group_masks(referable, labels)
     std = np.asarray(std, dtype=np.float64)
     if std.shape != masks["TP"].shape:
         raise InputError(f"std shape {std.shape} does not match the labels")
+    _require_finite("std", std)
     stats = {}
     for group in _GROUPS:
         values = std[masks[group]]
@@ -170,9 +185,14 @@ def evaluate(referable, labels, mean, std) -> EvalReport:
     """Full evaluation of a decision batch against true referable labels.
 
     The AUC is taken over the posterior means (the continuous grade) and
-    is None when only one class is present.
+    is None when only one class is present. A NaN or infinite mean or std
+    raises InputError naming its row.
     """
     tp, fp, tn, fn = confusion(referable, labels)
+    mean = np.asarray(mean, dtype=np.float64)
+    if mean.shape != (tp + fp + tn + fn,):
+        raise InputError(f"mean shape {mean.shape} does not match the labels")
+    _require_finite("mean", mean)
     sensitivity, specificity = sens_spec(tp, fp, tn, fn)
     # The AUC needs at least one sample of each class.
     auc = roc_auc(mean, labels) if tp + fn and fp + tn else None

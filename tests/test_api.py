@@ -1,7 +1,11 @@
 """The public surface: a name joins or leaves ``gpgrade.__all__`` only on purpose."""
 
+import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import gpgrade
@@ -61,3 +65,31 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
         assert cli.main(shlex.split(line)[1:]) == 0
     exec(compile(example, "README.md", "exec"), {})
     assert "sensitivity" in capsys.readouterr().out
+
+
+# Runs in a fresh interpreter: import the CLI, run the arguments, and report
+# which of the heavy scipy subpackages each step left loaded.
+_IMPORT_PROBE = """
+import json, sys
+heavy = lambda: [m for m in ("scipy.stats", "scipy.optimize") if m in sys.modules]
+import gpgrade.cli
+after_import = heavy()
+status = gpgrade.cli.main(sys.argv[1:])
+print(json.dumps({"after_import": after_import, "status": status, "after_run": heavy()}))
+"""
+
+
+def test_cli_import_and_predict_skip_scipy_stats_and_optimize(tmp_path):
+    csv, model, out = tmp_path / "d.csv", tmp_path / "m.model", tmp_path / "p.csv"
+    assert cli.main(["synth", "--out", str(csv), "--n-per-grade", "4", "--dim", "3"]) == 0
+    assert cli.main(["train", "--train-csv", str(csv), "--model", str(model), "--restarts", "1"]) == 0
+    src = str(Path(gpgrade.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    args = ["predict", "--test-csv", str(csv), "--model", str(model), "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *args],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    report = json.loads(proc.stdout.splitlines()[-1])
+    assert report == {"after_import": [], "status": 0, "after_run": []}
+    assert out.is_file()

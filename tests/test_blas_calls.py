@@ -1,10 +1,14 @@
-"""Every matrix product in the package runs on scipy's BLAS.
+"""Every matrix product in the package runs on scipy's BLAS, and its imports stay lean.
 
 The numpy and scipy wheels each load their own OpenBLAS, each with its own
 worker threads. After a numpy product, numpy's workers keep spinning on
 the CPUs that scipy's LAPACK factorization runs on next, which slows it
 about twofold. The package therefore sends every BLAS call through
 ``scipy.linalg.blas``, and this test keeps numpy's products out.
+
+Importing ``scipy.stats`` costs about a second and ``scipy.optimize`` about
+a third of one, so no module imports ``scipy.stats`` at all and
+``scipy.optimize`` is imported only inside a function (for training).
 """
 
 import ast
@@ -63,3 +67,58 @@ def test_no_numpy_blas(path):
 )
 def test_guard_finds_numpy_products(snippet):
     assert numpy_blas_uses(snippet) != []
+
+
+def _imported_modules(node) -> list[str]:
+    """Dotted module names an import statement loads (``from scipy import stats`` -> scipy.stats)."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module:
+        return [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+    return []
+
+
+def heavy_scipy_imports(source: str) -> list[str]:
+    """Imports of scipy.stats anywhere, and of scipy.optimize outside a function."""
+    tree = ast.parse(source)
+    in_function = {
+        id(inner)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for inner in ast.walk(node)
+    }
+    found = []
+    for node in ast.walk(tree):
+        for module in _imported_modules(node):
+            top_level = id(node) not in in_function
+            if module.startswith("scipy.stats") or (
+                top_level and module.startswith("scipy.optimize")
+            ):
+                found.append(f"line {node.lineno}: {module}")
+    return found
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_heavy_scipy_imports(path):
+    assert heavy_scipy_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    [
+        "import scipy.stats",
+        "from scipy.stats import rankdata",
+        "from scipy import stats",
+        "def f():\n    from scipy.stats import rankdata",
+        "import scipy.optimize",
+        "from scipy.optimize import minimize",
+        "from scipy import optimize",
+        "try:\n    from scipy.optimize import minimize\nexcept ImportError:\n    pass",
+    ],
+)
+def test_guard_finds_heavy_scipy_imports(snippet):
+    assert heavy_scipy_imports(snippet) != []
+
+
+def test_guard_allows_optimize_inside_a_function():
+    assert heavy_scipy_imports("def f():\n    from scipy.optimize import minimize") == []

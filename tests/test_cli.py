@@ -418,6 +418,14 @@ class TestRejections:
         argv = ["predict", "--test-csv", test_csv, "--model", workspace["model"], "--out", out]
         self.assert_rejected(argv, out, capsys, "line 2")
 
+    def test_id_that_is_not_utf8(self, workspace, tmp_path, capsys):
+        lines = workspace["test"].read_bytes().splitlines(keepends=True)
+        test_csv = tmp_path / "test.csv"
+        test_csv.write_bytes(lines[0] + b"\xff" + lines[1][lines[1].index(b",") :])
+        out = tmp_path / "preds.csv"
+        argv = ["predict", "--test-csv", test_csv, "--model", workspace["model"], "--out", out]
+        self.assert_rejected(argv, out, capsys, "not UTF-8")
+
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     def test_query_row_too_large(self, workspace, tmp_path, capsys, command):
         dim = len(workspace["test"].read_text().splitlines()[0].split(",")) - 2

@@ -129,6 +129,21 @@ class TestLoadFeatureCsv:
         with pytest.raises(ParseError, match="line 3.*NUL"):
             load_feature_csv(path)
 
+    @pytest.mark.parametrize(
+        "line, match",
+        [
+            (b"a\xffb,2,0.5,1.5,2.5,3.5", "line 3.*not UTF-8"),
+            (b"r1,\xc3,0.5,1.5,2.5,3.5", "line 3.*non-integer grade"),
+            (b"r1,2,0.5,\xed\xa0\x80,2.5,3.5", "line 3.*non-numeric"),
+        ],
+    )
+    def test_bytes_that_are_not_utf8_name_the_line(self, tmp_path, line, match):
+        path = tmp_path / "d.csv"
+        write_csv(path, [row(0, 1)])
+        path.write_bytes(path.read_bytes() + line + b"\n")
+        with pytest.raises(ParseError, match=match):
+            load_feature_csv(path)
+
     def test_csv_module_error_names_the_line(self, tmp_path):
         path = tmp_path / "d.csv"
         write_csv(path, [row(0, 1), "x" * 200_000 + ",2,0.5,1.5,2.5,3.5"])
@@ -146,6 +161,28 @@ class TestWriteFeatureCsv:
         assert back_ids == ids
         np.testing.assert_array_equal(back_grades, grades)
         np.testing.assert_array_equal(back_X, X)
+
+    @pytest.mark.parametrize(
+        "ids, X, grades, match",
+        [
+            (["a,b", "c"], np.zeros((2, 2)), [1, 2], "row 0: id 'a,b'"),
+            (["a", 'q"'], np.zeros((2, 2)), [1, 2], "row 1: id"),
+            (["a", "b\nc"], np.zeros((2, 2)), [1, 2], "row 1: id"),
+            (["a", "b\rc"], np.zeros((2, 2)), [1, 2], "row 1: id"),
+            (["a", "b\0"], np.zeros((2, 2)), [1, 2], "row 1: id"),
+            (["a", "b\ud800"], np.zeros((2, 2)), [1, 2], "row 1: id.*not UTF-8"),
+            (["a", "c"], np.zeros((2, 2)), [1, 7], "row 1: grade 7 "),
+            (["a", "c"], np.zeros((2, 2)), [-1, 0], "row 0: grade -1 "),
+            (["a", "c"], np.zeros((2, 2)), [1.0, 2.5], "row 0: grade 1.0 "),
+            (["a", "c"], np.zeros((2, 2)), np.array([True, False]), "row 0: grade True "),
+            (["a", "c"], np.array([[0.0, 1.0], [np.nan, 0.0]]), [1, 2], "row 1: non-finite"),
+            (["a", "c"], np.array([[0.0, -np.inf], [0.0, 0.0]]), [1, 2], "row 0: non-finite"),
+        ],
+    )
+    def test_rejects_what_the_loader_rejects(self, tmp_path, ids, X, grades, match):
+        with pytest.raises(InputError, match=match):
+            write_feature_csv(ids, X, grades, tmp_path / "out.csv")
+        assert not (tmp_path / "out.csv").exists()
 
     def test_misaligned_inputs_rejected(self, tmp_path):
         ids, X, grades = synthesize_dataset([3] * 5, 4, 6.0, 1.0, 0)

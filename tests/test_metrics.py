@@ -110,6 +110,11 @@ class TestRocAuc:
         with pytest.raises(InputError):
             roc_auc([0.1, 0.2], [True, True])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_names_its_row(self, bad):
+        with pytest.raises(InputError, match=f"score at row 2 is not finite: {bad!r}"):
+            roc_auc([0.1, 0.2, bad, bad], [True, False, True, False])
+
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(42)
         scores = rng.normal(size=80)
@@ -228,6 +233,15 @@ class TestEvaluate:
         with pytest.raises(InputError):
             evaluate(
                 np.array([True, False]), np.array([True, False]), np.array([3.0]), np.full(2, 0.2)
+            )
+
+    @pytest.mark.parametrize("which", ["mean", "std"])
+    def test_non_finite_mean_or_std_names_its_row(self, which):
+        values = {"mean": np.array([3.0, 1.0, 2.0]), "std": np.full(3, 0.2)}
+        values[which][1] = np.nan
+        with pytest.raises(InputError, match=f"{which} at row 1 is not finite"):
+            evaluate(
+                np.array([True, False, True]), np.array([True, False, False]), **values
             )
 
     def test_to_dict_round_trips_through_json(self):
