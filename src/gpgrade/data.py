@@ -49,6 +49,16 @@ class NormStats:
     mean: np.ndarray
     std: np.ndarray
 
+    def __post_init__(self):
+        # apply_normalizer divides by std: a negative one would mirror a
+        # feature, and one of 0 or NaN would make it non-finite.
+        mean, std = np.asarray(self.mean), np.asarray(self.std)
+        if mean.ndim != 1 or mean.shape != std.shape:
+            raise InputError("normalizer mean and std must be 1-d and equally long")
+        finite = np.isfinite(mean).all() and np.isfinite(std).all()
+        if not (finite and (std >= STD_FLOOR).all()):
+            raise InputError(f"normalizer statistics must be finite, with std >= {STD_FLOOR}")
+
 
 def load_feature_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Parse a feature CSV in file order, validating every row.
@@ -338,8 +348,9 @@ def load_model(path) -> gp.GPModel:
 
     Raises ModelFormatError on a bad magic string, unknown format
     version, checksum mismatch, truncation, a header with missing,
-    mistyped or inconsistent entries, or when the recomputed factor/solve
-    digests deviate from the saved ones.
+    mistyped or inconsistent entries, normalizer statistics or training
+    rows that ``NormStats`` or ``gp.build_model`` reject, or when the
+    recomputed factor/solve digests deviate from the saved ones.
     """
     path = Path(path)
     if not path.is_file():
@@ -388,10 +399,10 @@ def load_model(path) -> gp.GPModel:
         )
     except InputError as exc:
         raise ModelFormatError(f"archive header entry {exc}") from None
-    normalizer = None
-    if header["has_normalizer"]:
-        normalizer = NormStats(mean=loaded["norm_mean"], std=loaded["norm_std"])
     try:
+        normalizer = None
+        if header["has_normalizer"]:
+            normalizer = NormStats(mean=loaded["norm_mean"], std=loaded["norm_std"])
         model = gp.build_model(
             loaded["X_train"],
             loaded["y_train"],

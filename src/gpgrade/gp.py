@@ -23,6 +23,7 @@ from .kernel import (
     kernel_matrix,
     pairwise_sq_dists,
     rbf_from_sq_dists,
+    row_sq_norms,
 )
 
 if TYPE_CHECKING:
@@ -113,18 +114,16 @@ def cholesky_with_jitter(K, noise: float = 0.0) -> tuple[np.ndarray, float]:
 
 
 def _validate_training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
-    X = np.ascontiguousarray(X, dtype=np.float64)
+    X, _ = row_sq_norms(X, "training")
     y = np.ascontiguousarray(y, dtype=np.float64)
-    if X.ndim != 2:
-        raise InputError(f"X must be 2-d, got ndim={X.ndim}")
     if y.ndim != 1:
         raise InputError(f"y must be 1-d, got ndim={y.ndim}")
     if X.shape[0] != y.shape[0]:
         raise InputError(f"X has {X.shape[0]} rows but y has {y.shape[0]} entries")
     if X.shape[0] < 2:
         raise InputError("at least 2 training samples are required")
-    if not np.isfinite(X).all() or not np.isfinite(y).all():
-        raise InputError("training data must be finite")
+    if not np.isfinite(y).all():
+        raise InputError("training targets must be finite")
     return X, y
 
 
@@ -179,7 +178,7 @@ def _evidence(S: np.ndarray, y: np.ndarray, hp: Hyperparams):
 def log_marginal_likelihood(X, y, hp: Hyperparams) -> tuple[float, np.ndarray]:
     """Evidence of (X, y) under ``hp`` and its gradient in log-space.
 
-    Gradient order matches Hyperparams.to_log_array: (log length-scale,
+    Gradient order matches the fields of Hyperparams: (log length-scale,
     log signal variance, log noise variance).
     """
     X, y = _validate_training_data(X, y)
@@ -195,7 +194,12 @@ def build_model(
 ) -> GPModel:
     """Assemble a GPModel at fixed hyperparameters (no optimization)."""
     X, y = _validate_training_data(X, y)
-    L, alpha, _ = _factorize(kernel_matrix(X, X, hp), hp, y)
+    return _freeze(X, y, kernel_matrix(X, X, hp), hp, normalizer, train_subset_seed)
+
+
+def _freeze(X, y, K, hp: Hyperparams, normalizer, train_subset_seed: int) -> GPModel:
+    """The GPModel of validated (X, y) at hp, factored from K = k(X, X)."""
+    L, alpha, _ = _factorize(K, hp, y)
     return GPModel(
         hp=hp,
         X_train=X,
@@ -247,7 +251,7 @@ def fit(
 
     upper = np.triu_indices(n, 1)
     median_dist = math.sqrt(float(np.median(S[upper])))
-    if median_dist <= 0.0:
+    if not 0.0 < median_dist < math.inf:
         median_dist = 1.0
     var_y = float(np.var(y))
     if var_y <= 0.0:
@@ -304,13 +308,9 @@ def fit(
     if not np.isfinite(best_lml) or best_lml <= -_BAD_OBJECTIVE / 2:
         raise NumericalError("evidence was non-finite at every restart")
 
-    return build_model(
-        X,
-        y,
-        Hyperparams.from_log_array(best_theta),
-        normalizer=normalizer,
-        train_subset_seed=seed,
-    )
+    # The final model reuses S: one distance pass per fit.
+    hp = Hyperparams.from_log_array(best_theta)
+    return _freeze(X, y, rbf_from_sq_dists(S, hp), hp, normalizer, seed)
 
 
 def predict(model: GPModel, X_query) -> tuple[np.ndarray, np.ndarray]:
@@ -320,23 +320,8 @@ def predict(model: GPModel, X_query) -> tuple[np.ndarray, np.ndarray]:
     pipeline layer is responsible for that. The reported variance includes
     the learned observation noise and is clamped at zero before the root.
     """
-    Xq = np.ascontiguousarray(X_query, dtype=np.float64)
-    if Xq.ndim != 2:
-        raise InputError(f"query matrix must be 2-d, got ndim={Xq.ndim}")
-    if Xq.shape[1] != model.X_train.shape[1]:
-        raise InputError(
-            f"query dimension {Xq.shape[1]} does not match model dimension "
-            f"{model.X_train.shape[1]}"
-        )
-    # A non-finite squared norm would overflow the distance expansion; this
-    # check is also what lets the solve below skip its finiteness passes.
-    with np.errstate(over="ignore"):
-        sq_norms = np.einsum("ij,ij->i", Xq, Xq)
-    bad = np.flatnonzero(~np.isfinite(sq_norms))
-    if bad.size:
-        raise InputError(
-            f"query row {int(bad[0])} is non-finite or too large: its squared norm overflows"
-        )
+    # Accepted rows give finite kernel blocks: the solve skips its finiteness passes.
+    Xq, _ = row_sq_norms(X_query, "query")
     sig2 = model.hp.signal_variance
     noise = model.hp.noise_variance
     mean = np.empty(Xq.shape[0])

@@ -64,12 +64,6 @@ class Hyperparams:
         """Noise variance with the positivity floor applied."""
         return max(math.exp(self.log_noise_variance), NOISE_VARIANCE_FLOOR)
 
-    def to_log_array(self) -> np.ndarray:
-        return np.array(
-            [self.log_length_scale, self.log_signal_variance, self.log_noise_variance],
-            dtype=np.float64,
-        )
-
     @classmethod
     def from_log_array(cls, theta) -> "Hyperparams":
         theta = np.asarray(theta, dtype=np.float64)
@@ -78,13 +72,23 @@ class Hyperparams:
         return cls(float(theta[0]), float(theta[1]), float(theta[2]))
 
 
-def _as_matrix(A, name: str) -> np.ndarray:
+def row_sq_norms(A, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """A as a C-ordered float64 matrix, and the squared norms of its rows.
+
+    Raises InputError unless A is a nonempty 2-d array, naming the first row
+    whose squared norm is not finite, which ``pairwise_sq_dists`` cannot use.
+    """
     A = np.ascontiguousarray(A, dtype=np.float64)
-    if A.ndim != 2:
-        raise InputError(f"{name} must be a 2-d array, got ndim={A.ndim}")
-    if A.size == 0:
-        raise InputError(f"{name} must be nonempty")
-    return A
+    if A.ndim != 2 or A.size == 0:
+        raise InputError(f"{name} rows must form a nonempty 2-d array, got shape {A.shape}")
+    with np.errstate(over="ignore"):
+        sq_norms = np.einsum("ij,ij->i", A, A)
+    bad = np.flatnonzero(~np.isfinite(sq_norms))
+    if bad.size:
+        raise InputError(
+            f"{name} row {int(bad[0])} is non-finite or too large: its squared norm overflows"
+        )
+    return A, sq_norms
 
 
 def pairwise_sq_dists(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
@@ -95,42 +99,44 @@ def pairwise_sq_dists(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     ``A``) the result is exactly symmetric with an exactly zero diagonal:
     the upper triangle is computed once and mirrored.
 
+    The expansion is summed at a quarter of its scale and scaled back, both
+    exact in binary, so rows whose squared norms ``row_sq_norms`` accepts
+    cannot overflow it; a distance beyond the float range is inf.
+
     The products run on scipy's BLAS, the OpenBLAS its LAPACK uses, so
     numpy's separate thread pool never wakes. They read Fortran-ordered
-    transpose views (no copy) and apply the exact factor -2 themselves,
+    transpose views (no copy) and apply the exact factor -1/2 themselves,
     because numpy cannot scale their transposed results in place.
     """
     self_gram = B is None or B is A
-    A = _as_matrix(A, "A")
-    if self_gram:
-        sq_norms = np.einsum("ij,ij->i", A, A)
-        # Only the upper triangle of -2 A A^T is filled; the rest is dropped.
-        S = sq_norms[:, None] + sq_norms[None, :] + blas.dsyrk(-2.0, A.T, trans=1, lower=1).T
+    A, a_norms = row_sq_norms(A, "A")
+    a_norms *= 0.25
+    with np.errstate(over="ignore"):
+        if self_gram:
+            # Only the upper triangle of -A A^T / 2 is filled; the rest is dropped.
+            S = a_norms[:, None] + a_norms[None, :] + blas.dsyrk(-0.5, A.T, trans=1, lower=1).T
+            np.maximum(S, 0.0, out=S)
+            upper = np.triu(S, 1)
+            upper *= 4.0
+            return upper + upper.T
+        B, b_norms = row_sq_norms(B, "B")
+        if A.shape[1] != B.shape[1]:
+            raise InputError(f"feature dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
+        S = a_norms[:, None] + 0.25 * b_norms[None, :] + blas.dgemm(-0.5, B.T, A.T, trans_a=1).T
         np.maximum(S, 0.0, out=S)
-        upper = np.triu(S, 1)
-        return upper + upper.T
-    B = _as_matrix(B, "B")
-    if A.shape[1] != B.shape[1]:
-        raise InputError(
-            f"feature dimension mismatch: {A.shape[1]} vs {B.shape[1]}"
-        )
-    S = (
-        np.einsum("ij,ij->i", A, A)[:, None]
-        + np.einsum("ij,ij->i", B, B)[None, :]
-        + blas.dgemm(-2.0, B.T, A.T, trans_a=1).T
-    )
-    np.maximum(S, 0.0, out=S)
-    return S
+        return np.multiply(S, 4.0, out=S)
 
 
 def rbf_from_sq_dists(S: np.ndarray, hp: Hyperparams) -> np.ndarray:
     """Kernel values for a precomputed squared-distance matrix.
 
     Built in one new array, in the operation order of
-    ``s2 * exp(-0.5 * S / l**2)`` so the values are bitwise the same.
+    ``s2 * exp(-0.5 * S / l**2)`` so the values are bitwise the same. A
+    quotient beyond the float range is -inf, whose exponential is 0.
     """
     K = np.multiply(S, -0.5)
-    K /= hp.length_scale**2
+    with np.errstate(over="ignore"):
+        K /= hp.length_scale**2
     np.exp(K, out=K)
     K *= hp.signal_variance
     return K

@@ -116,11 +116,10 @@ def roc_auc(scores, labels) -> float:
     integration of the ROC curve over all distinct thresholds. A NaN or
     infinite score raises InputError naming its row.
     """
-    scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=bool)
-    if scores.ndim != 1 or labels.ndim != 1 or scores.shape != labels.shape:
-        raise InputError("scores and labels must be 1-d and equally long")
-    _require_finite("score", scores)
+    if labels.ndim != 1:
+        raise InputError(f"labels must be 1-d, got shape {labels.shape}")
+    scores = _finite_vector("score", scores, labels.size)
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -136,20 +135,21 @@ def roc_auc(scores, labels) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-def _require_finite(name: str, values: np.ndarray) -> None:
-    """Raise InputError naming the first entry of 1-d values that is NaN or infinite."""
+def _finite_vector(name: str, values, n: int) -> np.ndarray:
+    """values as n floats; InputError on another shape or naming a NaN or infinite entry."""
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape != (n,):
+        raise InputError(f"{name} shape {values.shape} does not match the {n} labels")
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise InputError(f"{name} at row {bad[0]} is not finite: {float(values[bad[0]])!r}")
+    return values
 
 
 def group_uncertainty_stats(referable, labels, std) -> dict[str, BoxStats]:
     """Quartiles of posterior std per confusion group (TP/FP/TN/FN); std must be finite."""
     masks = _group_masks(referable, labels)
-    std = np.asarray(std, dtype=np.float64)
-    if std.shape != masks["TP"].shape:
-        raise InputError(f"std shape {std.shape} does not match the labels")
-    _require_finite("std", std)
+    std = _finite_vector("std", std, masks["TP"].size)
     stats = {}
     for group in _GROUPS:
         values = std[masks[group]]
@@ -189,10 +189,7 @@ def evaluate(referable, labels, mean, std) -> EvalReport:
     raises InputError naming its row.
     """
     tp, fp, tn, fn = confusion(referable, labels)
-    mean = np.asarray(mean, dtype=np.float64)
-    if mean.shape != (tp + fp + tn + fn,):
-        raise InputError(f"mean shape {mean.shape} does not match the labels")
-    _require_finite("mean", mean)
+    mean = _finite_vector("mean", mean, tp + fp + tn + fn)
     sensitivity, specificity = sens_spec(tp, fp, tn, fn)
     # The AUC needs at least one sample of each class.
     auc = roc_auc(mean, labels) if tp + fn and fp + tn else None

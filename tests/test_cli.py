@@ -481,6 +481,24 @@ class TestRejections:
         self.assert_rejected(argv, out, capsys, str(out))
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "value, match", [(",", "at least one value"), ("0.5,high", "bad --std-thresholds")]
+    )
+    def test_unusable_threshold_list(self, workspace, tmp_path, capsys, value, match):
+        out = tmp_path / "s.csv"
+        argv = ["sweep", "--test-csv", workspace["test"], "--model", workspace["model"]]
+        argv += ["--out", out, f"--std-thresholds={value}"]
+        self.assert_rejected(argv, out, capsys, match)
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_archive_without_normalizer(self, workspace, tmp_path, capsys, command):
+        trained = data.load_model(workspace["model"])
+        model = tmp_path / "m.model"
+        data.save_model(gp.build_model(trained.X_train, trained.y_train, trained.hp), model)
+        out = tmp_path / "out"
+        argv = [command, "--test-csv", workspace["test"], "--model", model, "--out", out]
+        self.assert_rejected(argv, out, capsys, "no normalization statistics")
+
     def test_archive_header_without_arrays(self, workspace, tmp_path, capsys):
         from test_data import rewrite_header
 

@@ -21,7 +21,7 @@ from gpgrade import (
     synthesize_dataset,
     write_feature_csv,
 )
-from gpgrade.data import MODEL_MAGIC
+from gpgrade.data import MODEL_MAGIC, STD_FLOOR, NormStats
 from gpgrade.errors import ModelFormatError, ParseError
 from gpgrade.kernel import Hyperparams, pairwise_sq_dists
 
@@ -77,6 +77,12 @@ class TestLoadFeatureCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError, match="no such file"):
             load_feature_csv(tmp_path / "absent.csv")
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"")
+        with pytest.raises(ParseError, match="line 1: empty file"):
+            load_feature_csv(path)
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -184,6 +190,11 @@ class TestWriteFeatureCsv:
             write_feature_csv(ids, X, grades, tmp_path / "out.csv")
         assert not (tmp_path / "out.csv").exists()
 
+    def test_no_rows_rejected(self, tmp_path):
+        with pytest.raises(InputError, match="no records to write"):
+            write_feature_csv([], np.zeros((0, 2)), [], tmp_path / "out.csv")
+        assert not (tmp_path / "out.csv").exists()
+
     def test_misaligned_inputs_rejected(self, tmp_path):
         ids, X, grades = synthesize_dataset([3] * 5, 4, 6.0, 1.0, 0)
         with pytest.raises(ValueError):
@@ -259,6 +270,28 @@ class TestNormalizer:
         stats = fit_normalizer(np.vstack([X, [1e150] * 4]))
         assert np.isfinite(stats.mean).all() and np.isfinite(stats.std).all()
         assert np.isfinite(apply_normalizer(stats, X)).all()
+
+    @pytest.mark.parametrize(
+        "mean, std",
+        [
+            (np.zeros(3), np.ones(2)),
+            (np.zeros((1, 2)), np.ones((1, 2))),
+            (np.zeros(2), np.array([1.0, -1.0])),
+            (np.zeros(2), np.array([1.0, 0.0])),
+            (np.zeros(2), np.array([1.0, 0.5 * STD_FLOOR])),
+            (np.zeros(2), np.array([np.nan, 1.0])),
+            (np.zeros(2), np.array([np.inf, 1.0])),
+            (np.array([0.0, np.nan]), np.ones(2)),
+            (np.array([-np.inf, 0.0]), np.ones(2)),
+        ],
+        ids=[
+            "lengths differ", "2-d", "std -1", "std 0", "std below the floor",
+            "std NaN", "std inf", "mean NaN", "mean -inf",
+        ],
+    )
+    def test_statistics_that_cannot_scale_rejected(self, mean, std):
+        with pytest.raises(InputError, match="normalizer"):
+            NormStats(mean=mean, std=std)
 
     def test_dimension_mismatch(self):
         _, X, _ = synthesize_dataset([2] * 5, 4, 6.0, 1.0, 3)
@@ -423,22 +456,48 @@ class TestModelArchive:
         assert (tmp_path / "a.model").read_bytes() == (tmp_path / "b.model").read_bytes()
 
 
-def rewrite_header(path, edit):
-    """Apply ``edit`` to an archive's JSON header and re-seal the checksum."""
+def reseal(path, edit):
+    """Replace an archive's payload with ``edit(payload)`` and re-seal the checksum."""
     blob = path.read_bytes()
     prefix = len(MODEL_MAGIC) + 4
-    payload = blob[prefix + 32 + 8 :]
-    (header_len,) = struct.unpack_from("<Q", payload, 0)
-    header = json.loads(payload[8 : 8 + header_len])
-    edit(header)
-    header_bytes = json.dumps(header).encode("utf-8")
-    payload = struct.pack("<Q", len(header_bytes)) + header_bytes + payload[8 + header_len :]
+    payload = edit(blob[prefix + 32 + 8 :])
     path.write_bytes(
         blob[:prefix]
         + hashlib.sha256(payload).digest()
         + struct.pack("<Q", len(payload))
         + payload
     )
+
+
+def rewrite_header(path, edit):
+    """Apply ``edit`` to an archive's JSON header and re-seal the checksum."""
+
+    def edit_payload(payload):
+        (header_len,) = struct.unpack_from("<Q", payload, 0)
+        header = json.loads(payload[8 : 8 + header_len])
+        edit(header)
+        header_bytes = json.dumps(header).encode("utf-8")
+        return struct.pack("<Q", len(header_bytes)) + header_bytes + payload[8 + header_len :]
+
+    reseal(path, edit_payload)
+
+
+def rewrite_array(path, name, edit):
+    """Apply ``edit`` in place to the archive array ``name`` and re-seal the checksum."""
+
+    def edit_payload(payload):
+        (header_len,) = struct.unpack_from("<Q", payload, 0)
+        offset = 8 + header_len
+        for spec in json.loads(payload[8:offset])["arrays"]:
+            size = math.prod(spec["shape"])
+            if spec["name"] == name:
+                array = np.frombuffer(payload, "<f8", size, offset).reshape(spec["shape"]).copy()
+                edit(array)
+                return payload[:offset] + array.tobytes() + payload[offset + 8 * size :]
+            offset += 8 * size
+        raise KeyError(name)
+
+    reseal(path, edit_payload)
 
 
 def shape_of(name, shape):
@@ -499,4 +558,65 @@ class TestArchiveHeader:
         save_model(model, path)
         rewrite_header(path, edit)
         with pytest.raises(ModelFormatError):
+            load_model(path)
+
+
+def set_entry(index, value):
+    def edit(array):
+        array[index] = value
+
+    return edit
+
+
+# Array edits a resealed archive must be rejected for, with the message expected.
+BAD_ARRAYS = {
+    "std -1": ("norm_std", set_entry(1, -1.0), "normalizer statistics"),
+    "std 0": ("norm_std", set_entry(1, 0.0), "normalizer statistics"),
+    "std NaN": ("norm_std", set_entry(1, np.nan), "normalizer statistics"),
+    "std inf": ("norm_std", set_entry(1, np.inf), "normalizer statistics"),
+    "mean NaN": ("norm_mean", set_entry(0, np.nan), "normalizer statistics"),
+    "mean inf": ("norm_mean", set_entry(0, -np.inf), "normalizer statistics"),
+    "row 1e200": ("X_train", set_entry((0, 0), 1e200), "training row 0 is non-finite or too large"),
+    "row inf": ("X_train", set_entry((3, 1), np.inf), "training row 3 is non-finite"),
+    "row near the float limit": ("X_train", set_entry((0, 0), 1.3e154), "digest"),
+    "target NaN": ("y_train", set_entry(2, np.nan), "training targets must be finite"),
+}
+
+
+class TestResealedArchive:
+    """Archives whose payload was altered and whose checksum was recomputed."""
+
+    @pytest.fixture
+    def path(self, tmp_path):
+        model, _ = trained_model(seed=9)
+        path = tmp_path / "m.model"
+        save_model(model, path)
+        return path
+
+    @pytest.mark.parametrize("name, edit, match", BAD_ARRAYS.values(), ids=BAD_ARRAYS.keys())
+    def test_bad_array_rejected(self, path, name, edit, match):
+        rewrite_array(path, name, edit)
+        with pytest.raises(ModelFormatError, match=match):
+            load_model(path)
+
+    def test_unchanged_arrays_load(self, path):
+        rewrite_array(path, "norm_std", lambda array: None)
+        assert load_model(path).normalizer.std.min() >= STD_FLOOR
+
+    @pytest.mark.parametrize(
+        "header, match",
+        [(b"{not json", "unreadable archive header"), (b"[1, 2]", "not a JSON object")],
+    )
+    def test_header_that_is_not_a_json_object(self, path, header, match):
+        def replace_header(payload):
+            (header_len,) = struct.unpack_from("<Q", payload, 0)
+            return struct.pack("<Q", len(header)) + header + payload[8 + header_len :]
+
+        reseal(path, replace_header)
+        with pytest.raises(ModelFormatError, match=match):
+            load_model(path)
+
+    def test_truncated_array_data(self, path):
+        reseal(path, lambda payload: payload[:-8])
+        with pytest.raises(ModelFormatError, match="array data incomplete"):
             load_model(path)

@@ -1,5 +1,6 @@
 """Property tests: the feature CSV round trip, the flip rule's monotonicity,
-midrank AUC against scipy's ranks, and corrupted archives and query rows."""
+midrank AUC against scipy's ranks, corrupted and resealed archives, and query
+rows."""
 
 import functools
 import math
@@ -130,6 +131,30 @@ def test_corrupted_archive_raises_only_format_or_input_errors(tmp_path_factory, 
     path.write_bytes(bytes(blob))
     with pytest.raises((ModelFormatError, InputError)):
         load_model(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_resealed_archive_is_rejected_or_predicts_finite_values(tmp_path_factory, data):
+    """One payload byte flipped, then the checksum recomputed to match."""
+    from test_data import reseal
+
+    def flip(payload):
+        payload = bytearray(payload)
+        payload[data.draw(st.integers(0, len(payload) - 1), label="at")] ^= data.draw(
+            st.integers(1, 255), label="xor"
+        )
+        return bytes(payload)
+
+    path = tmp_path_factory.getbasetemp() / "resealed.model"
+    path.write_bytes(archive_bytes())
+    reseal(path, flip)
+    try:
+        model = load_model(path)
+    except InputError:  # ModelFormatError included
+        return
+    mean, std = predict(model, model.X_train)
+    assert np.isfinite(mean).all() and np.isfinite(std).all()
 
 
 query_values = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from gpgrade import (
     predict,
 )
 from gpgrade import gp as gp_module
+from gpgrade import kernel as kernel_module
 from gpgrade.data import save_model
 from gpgrade.gp import cholesky_with_jitter, log_marginal_likelihood
 from gpgrade.kernel import NOISE_VARIANCE_FLOOR, kernel_matrix, pairwise_sq_dists
@@ -34,6 +36,11 @@ def sample_from_prior(hp, n, D, seed, x_scale=1.5):
     L, _ = cholesky_with_jitter(kernel_matrix(X, X, hp), hp.noise_variance)
     y = L @ rng.normal(size=n)
     return X, y
+
+
+def log_array(hp):
+    """The three log fields of hp, in the optimizer's parameter order."""
+    return np.array(astuple(hp), dtype=np.float64)
 
 
 NOISES = (0.0, 0.5)
@@ -104,6 +111,18 @@ class TestCholeskyWithJitter:
             with pytest.raises(InputError):
                 cholesky_with_jitter(np.zeros((2, 3)), noise)
 
+    @pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
+    def test_rejects_what_is_not_a_matrix(self, shape):
+        with pytest.raises(InputError, match="expected a square matrix"):
+            cholesky_with_jitter(np.ones(shape))
+
+    @pytest.mark.parametrize(
+        "K, noise", [([[1.0, np.nan], [np.nan, 1.0]], 0.0), (np.eye(2), np.inf)], ids=["K", "noise"]
+    )
+    def test_rejects_non_finite_input(self, K, noise):
+        with pytest.raises(InputError, match="must be finite"):
+            cholesky_with_jitter(np.array(K), noise)
+
 
 class TestLogMarginalLikelihood:
     def test_two_identical_points_closed_form(self):
@@ -154,6 +173,54 @@ class TestLogMarginalLikelihood:
     def test_single_point_rejected(self):
         with pytest.raises(InputError):
             log_marginal_likelihood(np.zeros((1, 2)), np.zeros(1), hp_of())
+
+
+def overflowing_rows(value):
+    """Four finite training rows; the squared norm of rows 1 and 3 is not finite."""
+    X = np.eye(4, 3)
+    X[1, 2] = X[3, 0] = value
+    return X
+
+
+TRAINERS = {
+    "build_model": lambda X, y: build_model(X, y, hp_of()),
+    "fit": lambda X, y: fit(X, y, restarts=1),
+    "log_marginal_likelihood": lambda X, y: log_marginal_likelihood(X, y, hp_of()),
+}
+
+TOO_LARGE = "training row 1 is non-finite or too large"
+
+BAD_TRAINING_DATA = {
+    "X 1-d": (np.zeros(4), np.zeros(4), "training rows must form a nonempty 2-d array"),
+    "X empty": (np.zeros((0, 2)), np.zeros(0), "training rows must form a nonempty 2-d array"),
+    "y 2-d": (np.zeros((3, 2)), np.zeros((3, 1)), "y must be 1-d"),
+    "lengths differ": (np.zeros((3, 2)), np.zeros(4), "X has 3 rows but y has 4 entries"),
+    "one row": (np.zeros((1, 2)), np.zeros(1), "at least 2 training samples"),
+    "target NaN": (np.eye(3), np.array([0.0, np.nan, 1.0]), "training targets must be finite"),
+    "target inf": (np.eye(3), np.array([0.0, 1.0, -np.inf]), "training targets must be finite"),
+    "row NaN": (overflowing_rows(np.nan), np.arange(4.0), TOO_LARGE),
+    "row inf": (overflowing_rows(-np.inf), np.arange(4.0), TOO_LARGE),
+    "row 1e200": (overflowing_rows(1e200), np.arange(4.0), TOO_LARGE),
+    "row 1.7e308": (overflowing_rows(1.7e308), np.arange(4.0), TOO_LARGE),
+}
+
+
+@pytest.mark.parametrize("train", TRAINERS.values(), ids=TRAINERS.keys())
+@pytest.mark.parametrize("X, y, match", BAD_TRAINING_DATA.values(), ids=BAD_TRAINING_DATA.keys())
+def test_bad_training_data_is_an_input_error(train, X, y, match):
+    with pytest.raises(InputError, match=match):
+        train(X, y)
+
+
+def test_rows_near_the_float_limit_build_and_predict():
+    """Finite squared norms above half the float range: their sums would overflow."""
+    big = 1.3e154
+    X = np.array([[big, 0.0], [0.0, 1.0], [-big, 0.0], [0.0, 0.0]])
+    model = build_model(X, np.arange(4.0), hp_of(1.0, 1.0, 0.1))
+    mean, std = predict(model, np.vstack([X, [[big, 1.0]]]))
+    assert np.isfinite(mean).all() and np.isfinite(std).all()
+    assert mean[0] == pytest.approx(0.0, abs=1e-12)
+    assert mean[2] == pytest.approx(2.0 / 1.1, rel=1e-12)
 
 
 def dense_inverse_evidence(X, y, hp):
@@ -276,7 +343,7 @@ class TestFit:
         hp_star = hp_of(2.0, 2.0, 0.1)
         X, y = sample_from_prior(hp_star, n=100, D=5, seed=3)
         model = fit(X, y, restarts=3, seed=3)
-        err = np.abs(model.hp.to_log_array() - hp_star.to_log_array())
+        err = np.abs(log_array(model.hp) - log_array(hp_star))
         assert (err < 0.5).all()
 
     def test_constant_targets_reach_constant_mean(self):
@@ -350,6 +417,66 @@ class TestFit:
         assert len(nfev) == 3
         assert len(factorizations) == sum(nfev) + 1
 
+    def test_one_distance_pass_per_fit(self, monkeypatch):
+        """The final model is built from the distances the search used."""
+        X, y = sample_from_prior(hp_of(1.5, 2.0, 0.1), n=40, D=3, seed=22)
+        calls = []
+        pairwise = kernel_module.pairwise_sq_dists
+
+        def counting_pairwise(*args):
+            calls.append(args)
+            return pairwise(*args)
+
+        monkeypatch.setattr(gp_module, "pairwise_sq_dists", counting_pairwise)
+        monkeypatch.setattr(kernel_module, "pairwise_sq_dists", counting_pairwise)
+        fit(X, y, restarts=3, seed=22)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "evidence", [(np.nan, np.zeros(3)), NumericalError("no factor")], ids=["nan", "raises"]
+    )
+    def test_evidence_that_fails_at_every_restart(self, monkeypatch, evidence):
+        def failing_evidence(S, y, hp):
+            if isinstance(evidence, Exception):
+                raise evidence
+            return evidence
+
+        monkeypatch.setattr(gp_module, "_evidence", failing_evidence)
+        X, y = sample_from_prior(hp_of(), n=10, D=2, seed=1)
+        with pytest.raises(NumericalError, match="non-finite at every restart"):
+            fit(X, y, restarts=2, seed=1)
+
+    def test_identical_rows_start_around_unit_length_scale(self, monkeypatch):
+        """Every pairwise distance is 0, so the median falls back to 1."""
+        calls = record_searches(monkeypatch)
+        X = np.full((12, 3), 0.25)
+        y = np.random.default_rng(2).normal(size=12)
+        model = fit(X, y, restarts=3, seed=2)
+        assert len(calls) == 3
+        for x0, _ in calls:
+            assert math.log(0.5) <= x0[0] <= math.log(2.0)
+        mean, std = predict(model, X[:1])
+        assert mean[0] == pytest.approx(y.mean(), abs=0.05)
+        assert np.isfinite(std).all()
+
+    def test_rows_farther_apart_than_the_float_range(self, monkeypatch):
+        """The median distance is inf: the starts fall back to it being 1.
+
+        The evidence gradient is then NaN at every point the search tries
+        (K * S is 0 * inf for the pairs that far apart), so the fit ends in
+        NumericalError rather than in an uncaught OverflowError.
+        """
+        calls = record_searches(monkeypatch)
+        big = 1.3e154
+        X = np.array([[big, 0.0], [-big, 0.0], [0.0, big], [0.0, -big], [0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(NumericalError, match="non-finite at every restart"):
+                fit(X, np.arange(5.0), restarts=2, seed=3)
+        assert len(calls) == 2
+        for x0, _ in calls:
+            assert math.log(0.5) <= x0[0] <= math.log(2.0)
+
     def test_rejects_bad_config(self):
         X = np.zeros((4, 2))
         y = np.zeros(4)
@@ -401,7 +528,7 @@ class TestTwoStageFit:
         assert len(calls) == 5
         guard, polish = calls[3][1], calls[4][1]
         assert -polish.fun < -guard.fun - 10.0
-        np.testing.assert_array_equal(model.hp.to_log_array(), guard.x)
+        np.testing.assert_array_equal(log_array(model.hp), guard.x)
         assert model.log_evidence == pytest.approx(-guard.fun, rel=1e-9)
 
     def test_subsample_and_first_start_are_those_of_one_stage(self, two_stage, monkeypatch):
@@ -423,8 +550,8 @@ class TestTwoStageFit:
 
     def test_same_seed_gives_identical_hyperparameters(self, two_stage):
         X, y = sample_from_prior(self.HP, n=100, D=3, seed=31)
-        first = fit(X, y, restarts=3, seed=31).hp.to_log_array()
-        second = fit(X, y, restarts=3, seed=31).hp.to_log_array()
+        first = log_array(fit(X, y, restarts=3, seed=31).hp)
+        second = log_array(fit(X, y, restarts=3, seed=31).hp)
         assert first.tobytes() == second.tobytes()
 
     def test_one_factorization_per_optimizer_evaluation(self, two_stage, monkeypatch):
@@ -497,6 +624,12 @@ class TestPredict:
         model = build_model(np.zeros((3, 2)), np.zeros(3), hp_of())
         with pytest.raises(InputError):
             predict(model, np.zeros((2, 5)))
+
+    @pytest.mark.parametrize("shape", [(2,), (0, 2), (1, 1, 2)])
+    def test_query_that_is_not_a_nonempty_matrix(self, shape):
+        model = build_model(np.eye(2), np.zeros(2), hp_of())
+        with pytest.raises(InputError, match="query rows must form a nonempty 2-d array"):
+            predict(model, np.zeros(shape))
 
     def test_std_never_exceeds_prior(self):
         rng = np.random.default_rng(20)

@@ -1,6 +1,8 @@
 """Hyperparameter, pairwise-distance and gram-assembly tests."""
 
 import math
+import warnings
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from gpgrade.kernel import (
     kernel_matrix,
     pairwise_sq_dists,
     rbf_from_sq_dists,
+    row_sq_norms,
 )
 
 
@@ -35,8 +38,13 @@ def hp_of(length_scale=1.0, signal_variance=1.0, noise_variance=1.0):
 class TestHyperparams:
     def test_log_roundtrip(self):
         hp = Hyperparams(0.3, -1.2, -5.0)
-        again = Hyperparams.from_log_array(hp.to_log_array())
+        again = Hyperparams.from_log_array(np.array(astuple(hp)))
         assert again == hp
+
+    @pytest.mark.parametrize("shape", [(2,), (4,), (1, 3)])
+    def test_from_log_array_needs_three_values(self, shape):
+        with pytest.raises(InputError, match="expected 3 log-parameters"):
+            Hyperparams.from_log_array(np.zeros(shape))
 
     def test_exponentiated_values(self):
         hp = hp_of(2.0, 3.0, 0.5)
@@ -143,11 +151,65 @@ class TestPairwiseSqDists:
                 expect = ((A[:, None, :] - A[None, :, :]) ** 2).sum(axis=2)
                 np.testing.assert_allclose(S, expect, rtol=1e-12, atol=1e-12)
 
+    def test_rejects_rows_whose_squared_norm_overflows(self):
+        A = np.zeros((3, 2))
+        A[1, 0] = 1e200
+        for B in (None, np.zeros((2, 2))):
+            with pytest.raises(InputError, match="^A row 1 "):
+                pairwise_sq_dists(A, B)
+        with pytest.raises(InputError, match="^B row 1 "):
+            pairwise_sq_dists(np.zeros((2, 2)), A)
+
+    def test_large_finite_norms_do_not_overflow_the_expansion(self):
+        """Squared norms above half the float range: sums of two would overflow.
+
+        Identical rows are 0 apart, opposite rows are farther apart than
+        the largest float, and every other distance keeps its value.
+        """
+        big = 1.3e154  # squared: 1.69e308, within the float range
+        A = np.array([[big, 0.0], [big, 0.0], [-big, 0.0], [0.0, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            S = pairwise_sq_dists(A)
+            cross = pairwise_sq_dists(A, A.copy())
+        assert S[0, 1] == 0.0 and S[0, 2] == np.inf and S[3, 3] == 0.0
+        assert S[0, 3] == pytest.approx(big * big, rel=1e-15)
+        np.testing.assert_array_equal(cross[~np.eye(4, dtype=bool)], S[~np.eye(4, dtype=bool)])
+
     def test_never_negative(self):
         rng = np.random.default_rng(2)
         A = rng.normal(size=(20, 4)) * 1e-8
         S = pairwise_sq_dists(A, A + 1e-12)
         assert (S >= 0.0).all()
+
+
+class TestRowSqNorms:
+    """The one rule for feature rows: a nonempty matrix, every squared norm finite."""
+
+    def test_returns_a_c_ordered_float64_matrix_and_its_norms(self):
+        A = np.asfortranarray(np.arange(6, dtype=np.int64).reshape(3, 2))
+        B, sq_norms = row_sq_norms(A, "A")
+        assert B.dtype == np.float64 and B.flags.c_contiguous
+        np.testing.assert_array_equal(B, A)
+        np.testing.assert_array_equal(sq_norms, [1.0, 13.0, 41.0])
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2), (0, 3), (3, 0)])
+    def test_rejects_what_is_not_a_nonempty_matrix(self, shape):
+        with pytest.raises(InputError, match="rows must form a nonempty 2-d array"):
+            row_sq_norms(np.zeros(shape), "A")
+
+    @pytest.mark.parametrize("value", [1e155, -1e200, 1.7e308, np.inf, np.nan])
+    def test_names_the_first_row_whose_squared_norm_overflows(self, value):
+        A = np.ones((4, 3))
+        A[2, 1] = A[3, 0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InputError, match="^query row 2 is non-finite or too large"):
+                row_sq_norms(A, "query")
+
+    def test_squared_norm_at_the_float_limit_is_accepted(self):
+        _, sq_norms = row_sq_norms([[1.3e154, 0.0], [0.0, 1.3e154]], "A")
+        assert np.isfinite(sq_norms).all()
 
 
 class TestRbfFromSqDists:
@@ -162,6 +224,13 @@ class TestRbfFromSqDists:
             K = rbf_from_sq_dists(S, hp)
             assert K.tobytes() == expected.tobytes()
             assert not np.shares_memory(K, S)
+
+    def test_distance_over_a_tiny_length_scale_gives_zero(self):
+        S = np.array([[0.0, 1e306], [np.inf, 4.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            K = rbf_from_sq_dists(S, hp_of(length_scale=1e-3, signal_variance=2.0))
+        assert K[0, 0] == 2.0 and K[0, 1] == 0.0 and K[1, 0] == 0.0 and K[1, 1] == 0.0
 
 
 class TestKernelMatrix:

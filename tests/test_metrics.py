@@ -110,6 +110,20 @@ class TestRocAuc:
         with pytest.raises(InputError):
             roc_auc([0.1, 0.2], [True, True])
 
+    @pytest.mark.parametrize(
+        "scores, labels, match",
+        [
+            ([0.1, 0.2, 0.3], [True, False], "score shape"),
+            ([0.1], [True, False], "score shape"),
+            ([[0.1, 0.2]], [True, False], "score shape"),
+            ([0.1, 0.2], [[True, False]], "labels must be 1-d"),
+        ],
+        ids=["more scores", "fewer scores", "2-d scores", "2-d labels"],
+    )
+    def test_scores_and_labels_of_other_shapes_rejected(self, scores, labels, match):
+        with pytest.raises(InputError, match=match):
+            roc_auc(scores, labels)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_score_names_its_row(self, bad):
         with pytest.raises(InputError, match=f"score at row 2 is not finite: {bad!r}"):
