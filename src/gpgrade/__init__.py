@@ -29,9 +29,7 @@ from .metrics import (
     BoxStats,
     EvalReport,
     box_stats_table,
-    confusion,
     evaluate,
-    sens_spec,
 )
 
 __version__ = "0.1.0"
@@ -54,7 +52,6 @@ __all__ = [
     "binarize",
     "box_stats_table",
     "build_model",
-    "confusion",
     "evaluate",
     "fit",
     "fit_normalizer",
@@ -62,7 +59,6 @@ __all__ = [
     "load_model",
     "predict",
     "save_model",
-    "sens_spec",
     "synthesize_dataset",
     "write_feature_csv",
 ]

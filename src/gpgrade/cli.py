@@ -189,11 +189,9 @@ def cmd_sweep(args) -> int:
     lines = ["std_threshold,tp,fp,tn,fn,sensitivity,specificity,n_flipped\n"]
     for t in thresholds:
         referable, flipped = diagnosis.apply_uncertainty_flip(base, std, t)
-        tp, fp, tn, fn = metrics.confusion(referable, labels)
-        sens, spec = metrics.sens_spec(tp, fp, tn, fn)
-        sens_s = "undefined" if sens is None else repr(sens)
-        spec_s = "undefined" if spec is None else repr(spec)
-        lines.append(f"{t!r},{tp},{fp},{tn},{fn},{sens_s},{spec_s},{int(flipped.sum())}\n")
+        r = metrics.evaluate(referable, labels, mean, std)
+        row = (t, r.tp, r.fp, r.tn, r.fn, r.sensitivity, r.specificity, int(flipped.sum()))
+        lines.append(",".join(map(metrics._fmt, row)) + "\n")
     data._atomic_write(args.out, "".join(lines))
     print(f"wrote {len(thresholds)} sweep rows to {args.out}")
     return 0

@@ -26,9 +26,17 @@ def _check_threshold(name: str, value: float) -> None:
 
 
 def binarize(mean, grade_threshold: float = GRADE_THRESHOLD_DEFAULT) -> np.ndarray:
-    """Boolean referable mask: the posterior mean is >= the grade threshold."""
+    """Boolean referable mask: the posterior mean is >= the grade threshold.
+
+    A NaN mean raises InputError naming its row; it would compare false and
+    silently decide "negative".
+    """
     _check_threshold("grade threshold", grade_threshold)
-    return np.asarray(mean, dtype=np.float64) >= grade_threshold
+    mean = np.asarray(mean, dtype=np.float64)
+    bad = np.flatnonzero(np.isnan(mean))
+    if bad.size:
+        raise InputError(f"prediction mean at row {bad[0]} is NaN")
+    return mean >= grade_threshold
 
 
 def apply_uncertainty_flip(
@@ -38,7 +46,8 @@ def apply_uncertainty_flip(
 
     Returns boolean ``(referable, flipped)`` arrays, where ``flipped``
     marks the rows this call turned positive. Positives pass through
-    unchanged, so applying the rule to its own output changes nothing.
+    unchanged, so applying the rule to its own output changes nothing. A
+    negative or NaN std raises InputError naming its row.
     """
     _check_threshold("std threshold", std_threshold)
     referable = np.asarray(referable, dtype=bool)
@@ -47,7 +56,9 @@ def apply_uncertainty_flip(
         raise InputError(
             f"referable shape {referable.shape} does not match std shape {std.shape}"
         )
-    if (std < 0).any():
-        raise InputError("prediction std must be >= 0")
+    bad = np.flatnonzero(~(std >= 0))  # negative or NaN
+    if bad.size:
+        value = float(std.flat[bad[0]])
+        raise InputError(f"prediction std at row {bad[0]} must be >= 0, got {value!r}")
     flipped = ~referable & (std > std_threshold)
     return referable | flipped, flipped

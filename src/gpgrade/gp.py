@@ -250,7 +250,8 @@ def fit(
     n = X.shape[0]
 
     upper = np.triu_indices(n, 1)
-    median_dist = math.sqrt(float(np.median(S[upper])))
+    with np.errstate(over="ignore"):  # two middle distances at the float maximum average to inf
+        median_dist = math.sqrt(float(np.median(S[upper])))
     if not 0.0 < median_dist < math.inf:
         median_dist = 1.0
     var_y = float(np.var(y))

@@ -24,6 +24,10 @@ from .errors import InputError
 # noise toward zero.
 NOISE_VARIANCE_FLOOR = 1e-8
 
+# Quarter-scale squared distances are capped here, so that scaled back a
+# distance beyond the float range is the float maximum, not inf.
+_QUARTER_MAX = np.finfo(np.float64).max / 4
+
 
 @dataclass(frozen=True)
 class Hyperparams:
@@ -101,7 +105,8 @@ def pairwise_sq_dists(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
 
     The expansion is summed at a quarter of its scale and scaled back, both
     exact in binary, so rows whose squared norms ``row_sq_norms`` accepts
-    cannot overflow it; a distance beyond the float range is inf.
+    cannot overflow it; a distance beyond the float range is capped at the
+    float maximum, so the kernel value there is 0 and K * S stays finite.
 
     The products run on scipy's BLAS, the OpenBLAS its LAPACK uses, so
     numpy's separate thread pool never wakes. They read Fortran-ordered
@@ -115,7 +120,7 @@ def pairwise_sq_dists(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
         if self_gram:
             # Only the upper triangle of -A A^T / 2 is filled; the rest is dropped.
             S = a_norms[:, None] + a_norms[None, :] + blas.dsyrk(-0.5, A.T, trans=1, lower=1).T
-            np.maximum(S, 0.0, out=S)
+            np.clip(S, 0.0, _QUARTER_MAX, out=S)
             upper = np.triu(S, 1)
             upper *= 4.0
             return upper + upper.T
@@ -123,7 +128,7 @@ def pairwise_sq_dists(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
         if A.shape[1] != B.shape[1]:
             raise InputError(f"feature dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
         S = a_norms[:, None] + 0.25 * b_norms[None, :] + blas.dgemm(-0.5, B.T, A.T, trans_a=1).T
-        np.maximum(S, 0.0, out=S)
+        np.clip(S, 0.0, _QUARTER_MAX, out=S)
         return np.multiply(S, 4.0, out=S)
 
 

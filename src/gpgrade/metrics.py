@@ -1,9 +1,10 @@
-"""Confusion analysis, sensitivity/specificity, ROC-AUC, and grouped uncertainty stats.
+"""One scorer for a batch of referral decisions: ``evaluate``.
 
-AUC is computed from the continuous posterior means via the rank
-statistic with midrank tie handling, which equals trapezoidal ROC
-integration. Undefined ratios (an empty class) are reported as explicit
-``None`` markers, never as silent zeros.
+It counts the confusion groups (TP/FP/TN/FN), takes sensitivity and
+specificity, the ROC-AUC of the posterior means (the midrank U statistic,
+which equals trapezoidal ROC integration), and the posterior-std
+quartiles of each group. Undefined ratios (an empty class) are reported
+as explicit ``None`` markers, never as silent zeros.
 """
 
 from __future__ import annotations
@@ -20,6 +21,11 @@ from .errors import InputError
 QUARTILE_METHOD = "linear"
 
 _GROUPS = ("TP", "FP", "TN", "FN")
+
+
+def _fmt(value) -> str:
+    """A report value as text; an undefined ratio (None) stays explicit."""
+    return "undefined" if value is None else repr(value)
 
 
 @dataclass(frozen=True)
@@ -57,56 +63,17 @@ class EvalReport:
 
     def to_text(self) -> str:
         """Key-value report, one metric per line; undefined stays explicit."""
-
-        def fmt(value):
-            return "undefined" if value is None else repr(value)
-
         lines = [
             f"n {self.n}",
             f"tp {self.tp}",
             f"fp {self.fp}",
             f"tn {self.tn}",
             f"fn {self.fn}",
-            f"sensitivity {fmt(self.sensitivity)}",
-            f"specificity {fmt(self.specificity)}",
-            f"auc {fmt(self.auc)}",
+            f"sensitivity {_fmt(self.sensitivity)}",
+            f"specificity {_fmt(self.specificity)}",
+            f"auc {_fmt(self.auc)}",
         ]
         return "\n".join(lines) + "\n"
-
-
-def _group_masks(referable, labels) -> dict[str, np.ndarray]:
-    """One boolean mask per confusion group, with referable as the positive class."""
-    referable = np.asarray(referable, dtype=bool)
-    labels = np.asarray(labels, dtype=bool)
-    if referable.ndim != 1 or referable.shape != labels.shape:
-        raise InputError(
-            f"referable {referable.shape} and labels {labels.shape} must be "
-            "1-d and equally long"
-        )
-    if referable.size == 0:
-        raise InputError("cannot evaluate an empty batch")
-    return {
-        "TP": referable & labels,
-        "FP": referable & ~labels,
-        "TN": ~referable & ~labels,
-        "FN": ~referable & labels,
-    }
-
-
-def confusion(referable, labels) -> tuple[int, int, int, int]:
-    """Counts (tp, fp, tn, fn) of a referable mask against true labels."""
-    masks = _group_masks(referable, labels)
-    tp, fp, tn, fn = (int(np.count_nonzero(masks[g])) for g in _GROUPS)
-    return tp, fp, tn, fn
-
-
-def sens_spec(
-    tp: int, fp: int, tn: int, fn: int
-) -> tuple[float | None, float | None]:
-    """Sensitivity and specificity; None when the defining class is empty."""
-    sensitivity = tp / (tp + fn) if (tp + fn) > 0 else None
-    specificity = tn / (tn + fp) if (tn + fp) > 0 else None
-    return sensitivity, specificity
 
 
 def roc_auc(scores, labels) -> float:
@@ -146,33 +113,19 @@ def _finite_vector(name: str, values, n: int) -> np.ndarray:
     return values
 
 
-def group_uncertainty_stats(referable, labels, std) -> dict[str, BoxStats]:
-    """Quartiles of posterior std per confusion group (TP/FP/TN/FN); std must be finite."""
-    masks = _group_masks(referable, labels)
-    std = _finite_vector("std", std, masks["TP"].size)
-    stats = {}
-    for group in _GROUPS:
-        values = std[masks[group]]
-        if values.size == 0:
-            stats[group] = BoxStats(count=0)
-            continue
-        q = np.quantile(values, [0.0, 0.25, 0.5, 0.75, 1.0], method=QUARTILE_METHOD)
-        stats[group] = BoxStats(
-            count=int(values.size),
-            min=float(q[0]),
-            q1=float(q[1]),
-            median=float(q[2]),
-            q3=float(q[3]),
-            max=float(q[4]),
-        )
-    return stats
+def _box_stats(values: np.ndarray) -> BoxStats:
+    """Quartile summary of one group's posterior stds; count 0 for an empty group."""
+    if values.size == 0:
+        return BoxStats(count=0)
+    q = np.quantile(values, [0.0, 0.25, 0.5, 0.75, 1.0], method=QUARTILE_METHOD)
+    return BoxStats(int(values.size), *(float(v) for v in q))
 
 
 def box_stats_table(group_stats: dict[str, BoxStats]) -> str:
     """Plain-text TSV table of the group quartiles, for external plotting."""
     lines = ["group\tcount\tmin\tq1\tmedian\tq3\tmax"]
     for group in _GROUPS:
-        stats = group_stats.get(group, BoxStats(count=0))
+        stats = group_stats[group]
         cells = [group, str(stats.count)] + [
             "" if v is None else repr(v)
             for v in (stats.min, stats.q1, stats.median, stats.q3, stats.max)
@@ -182,24 +135,33 @@ def box_stats_table(group_stats: dict[str, BoxStats]) -> str:
 
 
 def evaluate(referable, labels, mean, std) -> EvalReport:
-    """Full evaluation of a decision batch against true referable labels.
+    """Score a decision batch against true referable labels, in one pass.
 
-    The AUC is taken over the posterior means (the continuous grade) and
-    is None when only one class is present. A NaN or infinite mean or std
-    raises InputError naming its row.
+    Referable is the positive class. Sensitivity (specificity) is None when
+    no label is positive (negative). The AUC is taken over the posterior
+    means (the continuous grade) and is None unless both classes are
+    present. A NaN or infinite mean or std raises InputError naming its row.
     """
-    tp, fp, tn, fn = confusion(referable, labels)
-    mean = _finite_vector("mean", mean, tp + fp + tn + fn)
-    sensitivity, specificity = sens_spec(tp, fp, tn, fn)
-    # The AUC needs at least one sample of each class.
-    auc = roc_auc(mean, labels) if tp + fn and fp + tn else None
+    referable = np.asarray(referable, dtype=bool)
+    labels = np.asarray(labels, dtype=bool)
+    if referable.ndim != 1 or referable.shape != labels.shape:
+        raise InputError(
+            f"referable {referable.shape} and labels {labels.shape} must be "
+            "1-d and equally long"
+        )
+    if referable.size == 0:
+        raise InputError("cannot evaluate an empty batch")
+    mean = _finite_vector("mean", mean, labels.size)
+    std = _finite_vector("std", std, labels.size)
+    masks = (referable & labels, referable & ~labels, ~referable & ~labels, ~referable & labels)
+    tp, fp, tn, fn = (int(np.count_nonzero(m)) for m in masks)
     return EvalReport(
         tp=tp,
         fp=fp,
         tn=tn,
         fn=fn,
-        sensitivity=sensitivity,
-        specificity=specificity,
-        auc=auc,
-        group_stats=group_uncertainty_stats(referable, labels, std),
+        sensitivity=tp / (tp + fn) if tp + fn else None,
+        specificity=tn / (tn + fp) if tn + fp else None,
+        auc=roc_auc(mean, labels) if tp + fn and tn + fp else None,
+        group_stats={g: _box_stats(std[m]) for g, m in zip(_GROUPS, masks)},
     )

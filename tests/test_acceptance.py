@@ -28,7 +28,7 @@ from gpgrade import (
 )
 from gpgrade.gp import cholesky_with_jitter, log_marginal_likelihood
 from gpgrade.kernel import kernel_matrix, pairwise_sq_dists
-from gpgrade.metrics import group_uncertainty_stats, roc_auc
+from gpgrade.metrics import roc_auc
 
 
 def check(capsys, number, ok, detail):
@@ -256,7 +256,7 @@ def test_criterion_7_uncertainty_ordering(capsys):
 
         model = fit(X_train, corrupted, restarts=4, seed=seed)
         mean, std = predict(model, X_test)
-        stats = group_uncertainty_stats(binarize(mean), y_test >= 2, std)
+        stats = evaluate(binarize(mean), y_test >= 2, mean, std).group_stats
         if (
             stats["FN"].median > stats["TN"].median
             and stats["FP"].median > stats["TP"].median

@@ -29,7 +29,6 @@ PUBLIC_NAMES = [
     "binarize",
     "box_stats_table",
     "build_model",
-    "confusion",
     "evaluate",
     "fit",
     "fit_normalizer",
@@ -37,7 +36,6 @@ PUBLIC_NAMES = [
     "load_model",
     "predict",
     "save_model",
-    "sens_spec",
     "synthesize_dataset",
     "write_feature_csv",
 ]

@@ -349,6 +349,34 @@ class TestSweep:
                 fn += 1
         assert (tp, fp, tn, fn) == tuple(int(row[k]) for k in ("tp", "fp", "tn", "fn"))
 
+    @pytest.mark.parametrize("grades", ["all", "0-1 only"])
+    def test_rows_agree_with_evaluate(self, workspace, tmp_path, grades):
+        """Each sweep row scores as ``evaluate`` does at that threshold; with
+        no referable labels the sensitivity is undefined in both."""
+        test_csv = workspace["test"]
+        if grades == "0-1 only":
+            test_csv = tmp_path / "low.csv"
+            synth = ["synth", "--out", test_csv, "--seed", 1, "--n-per-grade", "20,20,0,0,0"]
+            assert run(synth) == 0
+        common = ["--test-csv", test_csv, "--model", workspace["model"]]
+        thresholds = ["0.3", "0.84", "1e9"]
+        sweep_out = tmp_path / "sweep.csv"
+        sweep = ["sweep", *common, "--out", sweep_out, "--std-thresholds", ",".join(thresholds)]
+        assert run(sweep) == 0
+        rows = read_csv_rows(sweep_out)
+        assert len(rows) == len(thresholds)
+        for t, row in zip(thresholds, rows):
+            out = tmp_path / f"report-{t}.json"
+            assert run(["evaluate", *common, "--out", out, "--std-threshold", t]) == 0
+            doc = json.loads(out.read_text())
+            for key in ("tp", "fp", "tn", "fn", "n_flipped"):
+                assert int(row[key]) == doc[key], (t, key)
+            for key in ("sensitivity", "specificity"):
+                expected = "undefined" if doc[key] is None else repr(doc[key])
+                assert row[key] == expected, (t, key)
+            if grades == "0-1 only":
+                assert row["sensitivity"] == "undefined"
+
     def test_empty_threshold_list_exits_one(self, workspace, tmp_path):
         code = run(
             [

@@ -25,8 +25,13 @@ class TestBinarize:
         assert binarize(np.array([2.5]), grade_threshold=2.5).tolist() == [True]
 
     def test_negative_std_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="std at row 0 must be >= 0, got -0.1"):
             apply_uncertainty_flip(binarize(np.array([1.0])), np.array([-0.1]))
+
+    def test_nan_mean_rejected_naming_its_row(self):
+        """NaN compares false, so it would silently decide "negative"."""
+        with pytest.raises(InputError, match="prediction mean at row 0 is NaN"):
+            binarize(np.array([np.nan, 2.0]))
 
     def test_raising_threshold_never_creates_positives(self):
         mean = np.array([1.2])
@@ -98,6 +103,12 @@ class TestUncertaintyFlip:
         assert referable[flipped].all()
         assert (mean[flipped] < 1.5).all()
         assert (std[flipped] > 0.84).all()
+
+    @pytest.mark.parametrize("referable", [False, True])
+    def test_nan_std_rejected_naming_its_row(self, referable):
+        """NaN > threshold is False, so a negative would silently stay unflipped."""
+        with pytest.raises(InputError, match="prediction std at row 1 must be >= 0, got nan"):
+            apply_uncertainty_flip(np.array([True, referable]), np.array([0.1, np.nan]))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InputError):

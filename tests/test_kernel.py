@@ -164,7 +164,8 @@ class TestPairwiseSqDists:
         """Squared norms above half the float range: sums of two would overflow.
 
         Identical rows are 0 apart, opposite rows are farther apart than
-        the largest float, and every other distance keeps its value.
+        the largest float and capped at it, and every other distance keeps
+        its value.
         """
         big = 1.3e154  # squared: 1.69e308, within the float range
         A = np.array([[big, 0.0], [big, 0.0], [-big, 0.0], [0.0, 1.0]])
@@ -172,7 +173,8 @@ class TestPairwiseSqDists:
             warnings.simplefilter("error")
             S = pairwise_sq_dists(A)
             cross = pairwise_sq_dists(A, A.copy())
-        assert S[0, 1] == 0.0 and S[0, 2] == np.inf and S[3, 3] == 0.0
+        fmax = np.finfo(np.float64).max
+        assert S[0, 1] == 0.0 and S[0, 2] == fmax and S[3, 3] == 0.0
         assert S[0, 3] == pytest.approx(big * big, rel=1e-15)
         np.testing.assert_array_equal(cross[~np.eye(4, dtype=bool)], S[~np.eye(4, dtype=bool)])
 

@@ -1,20 +1,12 @@
-"""Metric tests: confusion counts, ratios, rank AUC, grouped uncertainty."""
+"""Metric tests: evaluate's confusion counts, ratios, rank AUC and grouped uncertainty."""
 
 import json
 
 import numpy as np
 import pytest
 
-from gpgrade import (
-    BoxStats,
-    InputError,
-    binarize,
-    box_stats_table,
-    confusion,
-    evaluate,
-    sens_spec,
-)
-from gpgrade.metrics import group_uncertainty_stats, roc_auc
+from gpgrade import BoxStats, InputError, binarize, box_stats_table, evaluate
+from gpgrade.metrics import roc_auc
 
 
 def brute_force_auc(scores, labels):
@@ -35,19 +27,19 @@ class TestConfusion:
     def test_perfect_classifier(self):
         referable = np.array([True] * 3 + [False] * 2)
         labels = np.array([True] * 3 + [False] * 2)
-        assert confusion(referable, labels) == (3, 0, 2, 0)
+        assert counts(evaluate_batch(referable, labels)) == (3, 0, 2, 0)
 
     def test_inverted_classifier(self):
         referable = np.array([False] * 3 + [True] * 2)
         labels = np.array([True] * 3 + [False] * 2)
-        assert confusion(referable, labels) == (0, 2, 0, 3)
+        assert counts(evaluate_batch(referable, labels)) == (0, 2, 0, 3)
 
     def test_matches_brute_force_tally_at_screening_scale(self):
         """Label mix shaped like a large screening test partition."""
         labels = [False] * (7407 + 689) + [True] * 694
         rng = np.random.default_rng(40)
         referable = [label ^ bool(rng.random() < 0.15) for label in labels]
-        tp, fp, tn, fn = confusion(np.array(referable), np.array(labels))
+        tp, fp, tn, fn = counts(evaluate_batch(referable, labels))
         assert all(type(count) is int for count in (tp, fp, tn, fn))
         expect_tp = sum(1 for r, l in zip(referable, labels) if r and l)
         expect_fp = sum(1 for r, l in zip(referable, labels) if r and not l)
@@ -60,38 +52,39 @@ class TestConfusion:
         rng = np.random.default_rng(41)
         referable = rng.integers(0, 2, size=50).astype(bool)
         labels = rng.integers(0, 2, size=50).astype(bool)
-        base = confusion(referable, labels)
+        base = evaluate_batch(referable, labels)
         order = rng.permutation(50)
-        shuffled = confusion(referable[order], labels[order])
-        assert base == shuffled
+        shuffled = evaluate_batch(referable[order], labels[order])
+        assert counts(base) == counts(shuffled)
 
     def test_length_mismatch(self):
-        with pytest.raises(InputError):
-            confusion(np.array([True]), np.array([True, False]))
+        with pytest.raises(InputError, match="must be 1-d and equally long"):
+            evaluate(np.array([True]), np.array([True, False]), np.ones(2), np.ones(2))
 
     def test_empty(self):
-        with pytest.raises(InputError):
-            confusion(np.array([], dtype=bool), np.array([], dtype=bool))
+        with pytest.raises(InputError, match="empty batch"):
+            evaluate_batch([], [])
 
 
 class TestSensSpec:
     def test_direct_ratios(self):
-        sens, spec = sens_spec(90, 10, 80, 20)
-        assert sens == pytest.approx(90 / 110)
-        assert spec == pytest.approx(80 / 90)
+        report = evaluate_counts(90, 10, 80, 20)
+        assert report.sensitivity == pytest.approx(90 / 110)
+        assert report.specificity == pytest.approx(80 / 90)
 
     def test_perfect_counts(self):
-        assert sens_spec(7, 0, 9, 0) == (1.0, 1.0)
+        report = evaluate_counts(7, 0, 9, 0)
+        assert (report.sensitivity, report.specificity) == (1.0, 1.0)
 
     def test_no_positives_is_undefined(self):
-        sens, spec = sens_spec(0, 0, 5, 0)
-        assert sens is None
-        assert spec == 1.0
+        report = evaluate_counts(0, 0, 5, 0)
+        assert report.sensitivity is None
+        assert report.specificity == 1.0
 
     def test_no_negatives_is_undefined(self):
-        sens, spec = sens_spec(5, 0, 0, 0)
-        assert sens == 1.0
-        assert spec is None
+        report = evaluate_counts(5, 0, 0, 0)
+        assert report.sensitivity == 1.0
+        assert report.specificity is None
 
 
 class TestRocAuc:
@@ -160,7 +153,7 @@ class TestGroupUncertaintyStats:
         referable = np.array([True, True, False, False])
         std = np.array([0.11, 0.22, 0.33, 0.44])
         labels = np.array([True, False, False, True])
-        stats = group_uncertainty_stats(referable, labels, std)
+        stats = group_stats(referable, labels, std)
         for group, std in (("TP", 0.11), ("FP", 0.22), ("TN", 0.33), ("FN", 0.44)):
             s = stats[group]
             assert s.count == 1
@@ -169,23 +162,24 @@ class TestGroupUncertaintyStats:
     def test_hand_quartiles(self):
         negatives = np.zeros(5, dtype=bool)
         std = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        s = group_uncertainty_stats(negatives, negatives, std)["TN"]
+        s = group_stats(negatives, negatives, std)["TN"]
         assert (s.min, s.q1, s.median, s.q3, s.max) == (1.0, 2.0, 3.0, 4.0, 5.0)
 
     def test_empty_group_reports_count_zero(self):
-        stats = group_uncertainty_stats(np.array([True]), np.array([True]), np.array([0.5]))
+        stats = group_stats(np.array([True]), np.array([True]), np.array([0.5]))
         assert stats["FP"] == BoxStats(count=0)
         assert stats["FP"].median is None
+        assert list(stats) == ["TP", "FP", "TN", "FN"]
 
     def test_quartile_ordering(self):
         rng = np.random.default_rng(45)
         negatives = np.zeros(33, dtype=bool)
-        s = group_uncertainty_stats(negatives, negatives, rng.uniform(0, 1, size=33))["TN"]
+        s = group_stats(negatives, negatives, rng.uniform(0, 1, size=33))["TN"]
         assert s.min <= s.q1 <= s.median <= s.q3 <= s.max
 
     def test_std_length_mismatch(self):
-        with pytest.raises(InputError):
-            group_uncertainty_stats(np.array([True]), np.array([True]), np.array([0.1, 0.2]))
+        with pytest.raises(InputError, match="std shape"):
+            group_stats(np.array([True]), np.array([True]), np.array([0.1, 0.2]))
 
     def test_noisy_batch_ranks_misses_above_correct_rejections(self):
         """Predictions whose error grows with their own std put high-std
@@ -199,7 +193,7 @@ class TestGroupUncertaintyStats:
             stds.append(std)
             means.append(grade + std * float(rng.normal()))
         labels = np.array(grades) >= 2
-        stats = group_uncertainty_stats(binarize(means), labels, np.array(stds))
+        stats = evaluate(binarize(means), labels, means, np.array(stds)).group_stats
         assert stats["FN"].count > 0
         assert stats["FN"].median > stats["TN"].median
 
@@ -208,7 +202,7 @@ class TestBoxStatsTable:
     def test_tsv_layout(self):
         negatives = np.zeros(5, dtype=bool)
         std = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-        table = box_stats_table(group_uncertainty_stats(negatives, negatives, std))
+        table = box_stats_table(group_stats(negatives, negatives, std))
         lines = table.strip().split("\n")
         assert lines[0] == "group\tcount\tmin\tq1\tmedian\tq3\tmax"
         assert len(lines) == 5
@@ -275,6 +269,24 @@ class TestEvaluate:
 
 def evaluate_batch(referable, labels):
     """evaluate() with mean 3.0 per positive decision, 0.5 per negative, std 0.2."""
-    referable = np.array(referable)
+    referable = np.array(referable, dtype=bool)
     mean = np.where(referable, 3.0, 0.5)
-    return evaluate(referable, np.array(labels), mean, np.full(referable.size, 0.2))
+    return evaluate(referable, np.array(labels, dtype=bool), mean, np.full(referable.size, 0.2))
+
+
+def evaluate_counts(tp, fp, tn, fn):
+    """evaluate_batch() of a batch holding the given confusion counts."""
+    referable = [True] * (tp + fp) + [False] * (tn + fn)
+    labels = [True] * tp + [False] * (fp + tn) + [True] * fn
+    report = evaluate_batch(referable, labels)
+    assert counts(report) == (tp, fp, tn, fn)
+    return report
+
+
+def counts(report):
+    return report.tp, report.fp, report.tn, report.fn
+
+
+def group_stats(referable, labels, std):
+    """evaluate()'s per-group std quartiles, with a zero mean per label."""
+    return evaluate(referable, labels, np.zeros(np.shape(labels)), std).group_stats
