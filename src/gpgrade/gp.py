@@ -1,10 +1,11 @@
 """Exact Gaussian-process regression with evidence-based hyperparameter fitting.
 
 Standard Cholesky formulation: the training system (K + noise*I) alpha = y
-is factorized once per hyperparameter setting, the log marginal likelihood
-and its analytic log-space gradients drive an L-BFGS-B search (with
-restarts), and prediction reads the posterior mean and standard deviation
-off the retained factor.
+is factorized once per hyperparameter setting. The log marginal likelihood,
+with the signal variance profiled out in closed form, and its analytic
+log-space gradients drive an L-BFGS-B search (with restarts) over the
+length-scale and the noise-to-signal ratio, and prediction reads the
+posterior mean and standard deviation off the retained factor.
 """
 
 from __future__ import annotations
@@ -127,9 +128,9 @@ def _validate_training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def _factorize(K: np.ndarray, hp: Hyperparams, y: np.ndarray):
+def _factorize(K: np.ndarray, noise: float, y: np.ndarray):
     """Factor L of K + (noise + jitter)*I, alpha solving that system, and the jitter."""
-    L, jitter = cholesky_with_jitter(K, hp.noise_variance)
+    L, jitter = cholesky_with_jitter(K, noise)
     return L, cho_solve((L, True), y, check_finite=False), jitter
 
 
@@ -142,37 +143,70 @@ def _lml_from_factor(L: np.ndarray, alpha: np.ndarray, y: np.ndarray) -> float:
     )
 
 
-def _evidence(S: np.ndarray, y: np.ndarray, hp: Hyperparams):
-    """Log marginal likelihood and its gradient, from the inputs' squared distances S."""
-    K = rbf_from_sq_dists(S, hp)
-    L, alpha, jitter = _factorize(K, hp, y)
-    lml = _lml_from_factor(L, alpha, y)
+def _evidence_terms(S: np.ndarray, y: np.ndarray, hp: Hyperparams, noise: float) -> tuple:
+    """(y^T a, log det(Ky) / 2, a^T D a, tr(Ky^-1 D), a^T a, tr(Ky^-1), nu) for Ky = K + nu*I.
 
-    # Each gradient entry is 0.5 * (alpha^T D alpha - tr(Ky^-1 D)) for the
-    # derivative D of Ky by that log-parameter. Length-scale: D = K*S / l^2
-    # has an exactly zero diagonal and dpotri fills only the lower triangle
-    # of Ky^-1, so the trace is twice that triangle's inner product with K*S
-    # (einsum on the C-ordered transpose view; threaded BLAS ddot costs
-    # milliseconds per call to wake). Signal variance: D = K = Ky - nu*I with
-    # nu = noise + jitter gives y^T alpha - nu alpha^T alpha and
-    # n - nu tr(Ky^-1), so no terms of size s2/jitter cancel.
+    K is the kernel of hp on S, nu = noise + jitter, a = Ky^-1 y and D = K*S / l^2
+    is dK/dlog l. D has a zero diagonal and dpotri fills only the lower triangle
+    of Ky^-1, so tr(Ky^-1 D) is twice that triangle's inner product with K*S
+    (einsum on the transpose view; threaded BLAS ddot costs ms per call to wake).
+    """
+    K = rbf_from_sq_dists(S, hp)
+    L, alpha, jitter = _factorize(K, noise, y)
+    half_logdet = float(np.sum(np.log(np.diag(L))))
     Ky_inv, info = lapack.dpotri(L, lower=1, overwrite_c=1)
     if info != 0:
         raise NumericalError(f"inverting the training system failed (dpotri info {info})")
     KS = np.multiply(K, S, out=K)
-    alpha_sq = blas.ddot(alpha, alpha)
-    inv_trace = float(np.trace(Ky_inv))
-    nu = hp.noise_variance + jitter
-    noise_deriv = hp.noise_variance if hp.noise_variance > NOISE_VARIANCE_FLOOR else 0.0
-    grad = 0.5 * np.array(
-        [
-            (blas.ddot(alpha, blas.dgemv(1.0, KS.T, alpha, trans=1))
-             - 2.0 * np.einsum("ij,ij->", Ky_inv.T, KS)) / hp.length_scale**2,
-            blas.ddot(y, alpha) - y.shape[0] - nu * (alpha_sq - inv_trace),
-            (alpha_sq - inv_trace) * noise_deriv,
-        ]
-    )
-    return lml, grad
+    l2 = hp.length_scale**2
+    a_D_a = blas.ddot(alpha, blas.dgemv(1.0, KS.T, alpha, trans=1)) / l2
+    tr_D = 2.0 * np.einsum("ij,ij->", Ky_inv.T, KS) / l2
+    return (blas.ddot(y, alpha), half_logdet, a_D_a, tr_D, blas.ddot(alpha, alpha),
+            float(np.trace(Ky_inv)), noise + jitter)
+
+
+def _lml_and_gradient(terms: tuple, n: int, noise_deriv: float):
+    """Evidence and its gradient by (log l, log s2, log noise), from ``_evidence_terms``.
+
+    Entry k is 0.5 * (alpha^T D_k alpha - tr(Ky^-1 D_k)) for the derivative
+    D_k of Ky. Signal variance: D = K = Ky - nu*I, so no terms of size
+    s2/jitter cancel. Noise: D = noise_deriv * I, 0 where the floor clamps it.
+    """
+    y_alpha, half_logdet, a_D_a, tr_D, a_a, tr_inv, nu = terms
+    lml = -0.5 * y_alpha - half_logdet - 0.5 * n * _LOG_2PI
+    grad = [a_D_a - tr_D, y_alpha - n - nu * (a_a - tr_inv), (a_a - tr_inv) * noise_deriv]
+    return lml, 0.5 * np.array(grad)
+
+
+def _evidence(S: np.ndarray, y: np.ndarray, hp: Hyperparams):
+    """Log marginal likelihood and its gradient, from the inputs' squared distances S."""
+    noise = hp.noise_variance
+    noise_deriv = noise if noise > NOISE_VARIANCE_FLOOR else 0.0
+    return _lml_and_gradient(_evidence_terms(S, y, hp, noise), y.shape[0], noise_deriv)
+
+
+def _profiled_evidence(S: np.ndarray, y: np.ndarray, theta):
+    """(lml, gradient, Hyperparams) at theta = (log l, log r), r = noise / s2, and the best s2.
+
+    For Ky = s2 * (K~ + r*I), K~ of unit variance, the evidence peaks at
+    s2 = y^T (K~ + r*I)^-1 y / n with a zero s2 derivative, so one factorization
+    gives the value and the l and noise entries. Where the floor clamps r * s2,
+    both are the floored noise's, from a second factorization (chain rule via s2).
+    """
+    log_l, log_r = (float(t) for t in theta)
+    r, n = math.exp(log_r), y.shape[0]
+    terms = _evidence_terms(S, y, Hyperparams(log_l, 0.0, 0.0), r)
+    y_alpha, half_logdet, a_D_a, tr_D, a_a, tr_inv, nu = terms
+    s2 = max(y_alpha / n, np.finfo(float).tiny)  # all-zero targets: no optimum, finite log
+    hp = Hyperparams(log_l, math.log(s2), log_r + math.log(s2))
+    if r * s2 > NOISE_VARIANCE_FLOOR:  # the same sums for Ky scaled by s2
+        scaled = (y_alpha / s2, half_logdet + 0.5 * n * math.log(s2), a_D_a / s2, tr_D,
+                  a_a / s2 / s2, tr_inv / s2, nu * s2)
+        lml, grad = _lml_and_gradient(scaled, n, r * s2)
+        return lml, grad[[0, 2]], hp
+    lml, grad = _evidence(S, y, hp)
+    dlog_s2 = np.array([a_D_a, r * a_a]) / (-n * s2)
+    return lml, np.array([grad[0], 0.0]) + grad[1] * dlog_s2, hp
 
 
 def log_marginal_likelihood(X, y, hp: Hyperparams) -> tuple[float, np.ndarray]:
@@ -199,7 +233,7 @@ def build_model(
 
 def _freeze(X, y, K, hp: Hyperparams, normalizer, train_subset_seed: int) -> GPModel:
     """The GPModel of validated (X, y) at hp, factored from K = k(X, X)."""
-    L, alpha, _ = _factorize(K, hp, y)
+    L, alpha, _ = _factorize(K, hp.noise_variance, y)
     return GPModel(
         hp=hp,
         X_train=X,
@@ -224,9 +258,11 @@ def fit(
 
     Any finite targets are regressed. If there are more rows than
     ``max_train``, a uniform random subset is drawn with ``seed`` (recorded
-    on the model). Each restart starts the length-scale from a seeded draw
-    around the median pairwise distance; the best optimum across restarts
-    wins and is never worse than any initialization point.
+    on the model). The searches run over theta = (log l, log r), r = noise / s2,
+    with the signal variance s2 at its closed-form optimum for each theta.
+    Each restart starts from r = 0.1 and a seeded length-scale draw around the
+    median pairwise distance; the best point any search evaluates wins, so it
+    is never worse than any initialization point.
 
     From 2,000 training rows on, with two or more restarts, the restarts
     search a seeded 500-row subset, and the full set is searched only from
@@ -254,44 +290,29 @@ def fit(
         median_dist = math.sqrt(float(np.median(S[upper])))
     if not 0.0 < median_dist < math.inf:
         median_dist = 1.0
-    var_y = float(np.var(y))
-    if var_y <= 0.0:
-        var_y = 1.0
-    log_sig0 = math.log(var_y)
-    log_noise0 = math.log(0.1 * var_y)
     low, high = math.log(0.5 * median_dist), math.log(2.0 * median_dist)
-    starts = [np.array([rng.uniform(low, high), log_sig0, log_noise0]) for _ in range(restarts)]
+    starts = [np.array([rng.uniform(low, high), math.log(0.1)]) for _ in range(restarts)]
 
     def search(S, y, theta0, options=LBFGS_OPTIONS):
-        """L-BFGS-B on the evidence of (S, y) from theta0: its optimum and its start."""
-        evidences = []  # evidence at each point the optimizer tries, in call order
+        """(lml, theta, Hyperparams) at each point L-BFGS-B evaluates from theta0."""
+        evaluated = []
 
         def negative_evidence(theta):
             try:
-                hp = Hyperparams.from_log_array(theta)
-                lml, grad = _evidence(S, y, hp)
+                lml, grad, hp = _profiled_evidence(S, y, theta)
             except (InputError, NumericalError, OverflowError, FloatingPointError):
-                lml, grad = -_BAD_OBJECTIVE, np.zeros(3)
-            if not np.isfinite(lml) or not np.isfinite(grad).all():
-                lml, grad = -_BAD_OBJECTIVE, np.zeros(3)
-            evidences.append(lml)
+                lml = math.nan
+            if not math.isfinite(lml) or not np.isfinite(grad).all():
+                lml, grad, hp = -_BAD_OBJECTIVE, np.zeros(2), None
+            evaluated.append((lml, np.array(theta), hp))
             return -lml, -grad
 
-        result = minimize(
-            negative_evidence,
-            theta0,
-            jac=True,
-            method="L-BFGS-B",
-            options=options,
-        )
-        # L-BFGS-B evaluates theta0 first. It never worsens its own start,
-        # but keep the initialization as a candidate in case it fails
-        # outright.
-        return [(-result.fun, result.x), (evidences[0], theta0)]
+        minimize(negative_evidence, theta0, jac=True, method="L-BFGS-B", options=options)
+        return evaluated
 
-    def best(candidates):
-        """(lml, theta) of the highest evidence; the earliest wins ties."""
-        return max(candidates, key=lambda c: c[0])
+    def best(evaluated):
+        """(lml, theta, Hyperparams) of the highest evidence; the earliest wins ties."""
+        return max(evaluated, key=lambda point: point[0])
 
     if n >= _TWO_STAGE_MIN_N and restarts >= 2:
         # The restarts search a subset drawn by a child generator of the seed.
@@ -300,17 +321,16 @@ def fit(
         sub_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
         sub = np.sort(sub_rng.choice(n, size=_COARSE_SUBSET_N, replace=False))
         S_sub, y_sub = S[np.ix_(sub, sub)], y[sub]
-        _, polish0 = best([c for theta0 in starts for c in search(S_sub, y_sub, theta0)])
-        candidates = search(S, y, starts[0]) + search(S, y, polish0, _POLISH_OPTIONS)
+        _, polish0, _ = best([p for theta0 in starts for p in search(S_sub, y_sub, theta0)])
+        evaluated = search(S, y, starts[0]) + search(S, y, polish0, _POLISH_OPTIONS)
     else:
-        candidates = [c for theta0 in starts for c in search(S, y, theta0)]
-    best_lml, best_theta = best(candidates)
+        evaluated = [p for theta0 in starts for p in search(S, y, theta0)]
+    best_lml, _, hp = best(evaluated)
 
-    if not np.isfinite(best_lml) or best_lml <= -_BAD_OBJECTIVE / 2:
+    if best_lml <= -_BAD_OBJECTIVE / 2:
         raise NumericalError("evidence was non-finite at every restart")
 
     # The final model reuses S: one distance pass per fit.
-    hp = Hyperparams.from_log_array(best_theta)
     return _freeze(X, y, rbf_from_sq_dists(S, hp), hp, normalizer, seed)
 
 

@@ -315,6 +315,63 @@ class TestDenseInverseEvidence:
         assert abs(grad[1] - ref_grad[1]) <= 5e-8 * abs(ref_grad[1])
 
 
+def profiled_fd_errors(S, y, theta, step):
+    """Relative error of each profiled-gradient entry against a central difference."""
+    _, grad, _ = gp_module._profiled_evidence(S, y, theta)
+    errors = []
+    for i in range(2):
+        plus, minus = theta.copy(), theta.copy()
+        plus[i] += step
+        minus[i] -= step
+        up, _, _ = gp_module._profiled_evidence(S, y, plus)
+        down, _, _ = gp_module._profiled_evidence(S, y, minus)
+        fd = (up - down) / (2.0 * step)
+        errors.append(abs(grad[i] - fd) / max(abs(fd), 1e-12))
+    return grad, errors
+
+
+class TestProfiledEvidence:
+    """The search objective: evidence at (log l, log r), r = noise / s2, with s2 in closed form."""
+
+    @pytest.mark.parametrize("y_scale", [1.0, 1e-5], ids=["above floor", "floored"])
+    def test_gradient_matches_finite_differences(self, y_scale):
+        """The inputs of TestLogMarginalLikelihood; scaled by 1e-5, s2 * r is below the floor."""
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(10, 3))
+        y = y_scale * rng.normal(size=10)
+        S, theta = pairwise_sq_dists(X), np.array([0.1, math.log(0.3)])
+        _, _, hp = gp_module._profiled_evidence(S, y, theta)
+        assert (math.exp(hp.log_noise_variance) > NOISE_VARIANCE_FLOOR) == (y_scale == 1.0)
+        _, errors = profiled_fd_errors(S, y, theta, 1e-5)
+        assert max(errors) < 1e-4
+
+    @pytest.mark.parametrize("length_scale", [1.0, 2.0, 3.0])
+    def test_gradient_matches_finite_differences_with_jitter(self, length_scale):
+        """The inputs and hyperparameters of TestDenseInverseEvidence.test_jitter_escalation.
+
+        There r = 1e-8 / 2**30, so the unit-variance system needs jitter and
+        s2 * r is below the floor. The systems are ill-conditioned, and the
+        rounding noise of a central difference grows as 1/step: at l = 3 the
+        length-scale entry is off by 2.9e-4, 2.7e-5 and 2.7e-6 at steps 1e-5,
+        1e-4 and 1e-3. So the step is 1e-3. r is below the resolution of the
+        unit diagonal, 1 + r == 1, so the computed evidence does not move with
+        it: the difference is exactly 0, and the analytic entry must be
+        negligible.
+        """
+        rng = np.random.default_rng(33)
+        X = 0.25 * rng.integers(-8, 9, size=(200, 6))
+        y = rng.normal(size=200)
+        X[1::40] = X[0::40]
+        y[1::40] = y[0::40]
+        theta = np.array([math.log(length_scale), math.log(NOISE_VARIANCE_FLOOR / 2.0**30)])
+        unit_kernel = kernel_matrix(X, X, hp_of(length_scale))
+        _, jitter = cholesky_with_jitter(unit_kernel, math.exp(theta[1]))
+        assert jitter > 0.0
+        grad, errors = profiled_fd_errors(pairwise_sq_dists(X), y, theta, 1e-3)
+        assert errors[0] < 1e-4
+        assert abs(grad[1]) < 1e-12
+
+
 class TestBuildModel:
     def test_factor_reconstructs_training_system(self):
         rng = np.random.default_rng(13)
@@ -433,15 +490,17 @@ class TestFit:
         assert len(calls) == 1
 
     @pytest.mark.parametrize(
-        "evidence", [(np.nan, np.zeros(3)), NumericalError("no factor")], ids=["nan", "raises"]
+        "evidence",
+        [(np.nan, np.zeros(2), None), NumericalError("no factor")],
+        ids=["nan", "raises"],
     )
     def test_evidence_that_fails_at_every_restart(self, monkeypatch, evidence):
-        def failing_evidence(S, y, hp):
+        def failing_evidence(S, y, theta):
             if isinstance(evidence, Exception):
                 raise evidence
             return evidence
 
-        monkeypatch.setattr(gp_module, "_evidence", failing_evidence)
+        monkeypatch.setattr(gp_module, "_profiled_evidence", failing_evidence)
         X, y = sample_from_prior(hp_of(), n=10, D=2, seed=1)
         with pytest.raises(NumericalError, match="non-finite at every restart"):
             fit(X, y, restarts=2, seed=1)
@@ -475,6 +534,35 @@ class TestFit:
         for x0, _ in calls:
             assert math.log(0.5) <= x0[0] <= math.log(2.0)
 
+    @pytest.mark.parametrize("n", [60, 100], ids=["one stage", "two stages"])
+    def test_fit_ends_at_a_profile_optimum(self, two_stage, monkeypatch, n):
+        """At the fitted point the evidence is flat along log s2 at fixed r."""
+        values = record_evidence(monkeypatch)
+        X, y = sample_from_prior(hp_of(1.5, 2.0, 0.1), n=n, D=3, seed=40)
+        model = fit(X, y, restarts=3, seed=40)
+        _, grad = log_marginal_likelihood(model.X_train, model.y_train, model.hp)
+        assert abs(grad[1] + grad[2]) < 1e-4
+        best = max(lml for rows, lml in values if rows == n)
+        assert model.log_evidence == pytest.approx(best, rel=1e-9)
+
+    def test_all_zero_targets_fit_a_finite_model(self):
+        X = np.random.default_rng(4).normal(size=(20, 3))
+        model = fit(X, np.zeros(20), restarts=2, seed=4)
+        assert math.isfinite(model.log_evidence)
+        mean, std = predict(model, X[:3])
+        np.testing.assert_array_equal(mean, 0.0)
+        assert np.isfinite(std).all()
+
+    def test_noise_free_targets_hold_the_noise_at_the_floor(self, monkeypatch):
+        """The search maximizes the evidence of the floored noise that fit freezes."""
+        values = record_evidence(monkeypatch)
+        X = np.linspace(0.0, 3.0, 25)[:, None]
+        model = fit(X, np.sin(X[:, 0]), restarts=3, seed=0)
+        assert math.exp(model.hp.log_noise_variance) < NOISE_VARIANCE_FLOOR
+        assert model.hp.noise_variance >= NOISE_VARIANCE_FLOOR
+        assert math.isfinite(model.log_evidence)
+        assert model.log_evidence == max(lml for _, lml in values)
+
     def test_rejects_bad_config(self):
         X = np.zeros((4, 2))
         y = np.zeros(4)
@@ -491,6 +579,20 @@ def two_stage(monkeypatch):
     """Shrink the two-stage constants so that a 100-row fit searches in two stages."""
     monkeypatch.setattr(gp_module, "_TWO_STAGE_MIN_N", 80)
     monkeypatch.setattr(gp_module, "_COARSE_SUBSET_N", 40)
+
+
+def record_evidence(monkeypatch):
+    """(rows, evidence) at every point the searches evaluate, in call order."""
+    values = []
+    profiled = gp_module._profiled_evidence
+
+    def recording(S, y, theta):
+        lml, grad, hp = profiled(S, y, theta)
+        values.append((y.shape[0], lml))
+        return lml, grad, hp
+
+    monkeypatch.setattr(gp_module, "_profiled_evidence", recording)
+    return values
 
 
 def record_searches(monkeypatch, steer=None):
@@ -519,14 +621,16 @@ class TestTwoStageFit:
         # Every subset search starts at a length-scale of e^8, far past the
         # data, where the evidence is flat in it: the subset optimum stays
         # there and so does a polish from it.
-        far = np.array([8.0, 0.0, 0.0])
+        far = np.array([8.0, math.log(0.1)])
         calls = record_searches(monkeypatch, lambda i, x0: far if i < 3 else x0)
         X, y = sample_from_prior(self.HP, n=100, D=3, seed=seed)
         model = fit(X, y, restarts=3, seed=seed)
         assert len(calls) == 5
         guard, polish = calls[3][1], calls[4][1]
         assert -polish.fun < -guard.fun - 10.0
-        np.testing.assert_array_equal(log_array(model.hp), guard.x)
+        assert model.hp.log_length_scale == guard.x[0]
+        log_ratio = model.hp.log_noise_variance - model.hp.log_signal_variance
+        assert log_ratio == pytest.approx(guard.x[1], abs=1e-12)
         assert model.log_evidence == pytest.approx(-guard.fun, rel=1e-9)
 
     def test_subsample_and_first_start_are_those_of_one_stage(self, two_stage, monkeypatch):
@@ -541,8 +645,7 @@ class TestTwoStageFit:
         S = pairwise_sq_dists(X[idx])
         median_dist = math.sqrt(float(np.median(S[np.triu_indices(100, 1)])))
         log_l0 = rng.uniform(math.log(0.5 * median_dist), math.log(2.0 * median_dist))
-        var_y = float(np.var(y[idx]))
-        theta0 = np.array([log_l0, math.log(var_y), math.log(0.1 * var_y)])
+        theta0 = np.array([log_l0, math.log(0.1)])
         np.testing.assert_array_equal(calls[0][0], theta0)  # first subset search
         np.testing.assert_array_equal(calls[3][0], theta0)  # full-set guard
 
