@@ -17,8 +17,15 @@ from . import data, diagnosis, gp, metrics
 from .errors import InputError, NumericalError
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises InputError on a bad flag or subcommand: exit 1, not argparse's 2."""
+
+    def error(self, message):
+        raise InputError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gpgrade",
         description=(
             "Gaussian-process grade regression over feature CSVs, with "
@@ -207,9 +214,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -261,13 +261,14 @@ def fit(
     on the model). The searches run over theta = (log l, log r), r = noise / s2,
     with the signal variance s2 at its closed-form optimum for each theta.
     Each restart starts from r = 0.1 and a seeded length-scale draw around the
-    median pairwise distance; the best point any search evaluates wins, so it
-    is never worse than any initialization point.
+    median pairwise distance. Each search returns the best point it evaluates,
+    never worse than its start, and the best of those records wins.
 
-    From 2,000 training rows on, with two or more restarts, the restarts
-    search a seeded 500-row subset, and the full set is searched only from
-    the first start (a guard against a subset-only basin) and, with a tighter
-    stop, from the best subset optimum. Other fits search it once per restart.
+    One loop runs a search from each start. It searches every training row,
+    or, from 2,000 rows on with two or more restarts, a seeded 500-row subset.
+    Only in that case are its results replaced by two searches of the full
+    set: from the first start (a guard against a subset-only basin) and, with
+    a tighter stop, from the best subset optimum.
     """
     X, y = _validate_training_data(X, y)
     if max_train < 2:
@@ -294,40 +295,37 @@ def fit(
     starts = [np.array([rng.uniform(low, high), math.log(0.1)]) for _ in range(restarts)]
 
     def search(S, y, theta0, options=LBFGS_OPTIONS):
-        """(lml, theta, Hyperparams) at each point L-BFGS-B evaluates from theta0."""
-        evaluated = []
+        """(lml, theta, Hyperparams) of the best computable point L-BFGS-B evaluates from
+        theta0, the earliest of ties; Hyperparams is None if no point was computable."""
+        record = (-math.inf, np.array(theta0), None)
 
         def negative_evidence(theta):
+            nonlocal record
             try:
                 lml, grad, hp = _profiled_evidence(S, y, theta)
             except (InputError, NumericalError, OverflowError, FloatingPointError):
                 lml = math.nan
             if not math.isfinite(lml) or not np.isfinite(grad).all():
-                lml, grad, hp = -_BAD_OBJECTIVE, np.zeros(2), None
-            evaluated.append((lml, np.array(theta), hp))
+                lml, grad = -_BAD_OBJECTIVE, np.zeros(2)
+            elif lml > record[0]:
+                record = (lml, np.array(theta), hp)
             return -lml, -grad
 
         minimize(negative_evidence, theta0, jac=True, method="L-BFGS-B", options=options)
-        return evaluated
+        return record
 
-    def best(evaluated):
-        """(lml, theta, Hyperparams) of the highest evidence; the earliest wins ties."""
-        return max(evaluated, key=lambda point: point[0])
-
+    S_rows, y_rows = S, y
     if n >= _TWO_STAGE_MIN_N and restarts >= 2:
-        # The restarts search a subset drawn by a child generator of the seed.
-        # The full set is then searched from the first start, which guards
-        # against a basin only the subset has, and from the best subset optimum.
+        # A subset drawn by a child generator of the seed.
         sub_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
         sub = np.sort(sub_rng.choice(n, size=_COARSE_SUBSET_N, replace=False))
-        S_sub, y_sub = S[np.ix_(sub, sub)], y[sub]
-        _, polish0, _ = best([p for theta0 in starts for p in search(S_sub, y_sub, theta0)])
-        evaluated = search(S, y, starts[0]) + search(S, y, polish0, _POLISH_OPTIONS)
-    else:
-        evaluated = [p for theta0 in starts for p in search(S, y, theta0)]
-    best_lml, _, hp = best(evaluated)
-
-    if best_lml <= -_BAD_OBJECTIVE / 2:
+        S_rows, y_rows = S[np.ix_(sub, sub)], y[sub]
+    records = [search(S_rows, y_rows, theta0) for theta0 in starts]
+    if S_rows is not S:  # a guard against a basin only the subset has, and a polish
+        polish0 = max(records, key=lambda record: record[0])[1]
+        records = [search(S, y, starts[0]), search(S, y, polish0, _POLISH_OPTIONS)]
+    _, _, hp = max(records, key=lambda record: record[0])
+    if hp is None:
         raise NumericalError("evidence was non-finite at every restart")
 
     # The final model reuses S: one distance pass per fit.

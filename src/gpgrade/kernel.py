@@ -68,13 +68,6 @@ class Hyperparams:
         """Noise variance with the positivity floor applied."""
         return max(math.exp(self.log_noise_variance), NOISE_VARIANCE_FLOOR)
 
-    @classmethod
-    def from_log_array(cls, theta) -> "Hyperparams":
-        theta = np.asarray(theta, dtype=np.float64)
-        if theta.shape != (3,):
-            raise InputError(f"expected 3 log-parameters, got shape {theta.shape}")
-        return cls(float(theta[0]), float(theta[1]), float(theta[2]))
-
 
 def row_sq_norms(A, name: str) -> tuple[np.ndarray, np.ndarray]:
     """A as a C-ordered float64 matrix, and the squared norms of its rows.

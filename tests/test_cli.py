@@ -131,6 +131,13 @@ class TestTrain:
         assert code == 2
         assert "numerical error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["--help"], ["train", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            run(argv)
+        assert exit_info.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: gpgrade")
+
 
 class TestPredict:
     def test_writes_one_row_per_record(self, workspace, tmp_path):
@@ -420,6 +427,26 @@ class TestRejections:
         argv = [command, "--test-csv", workspace["test"], "--model", workspace["model"]]
         argv += ["--out", out, f"{flag}={value}"]
         self.assert_rejected(argv, out, capsys, "must be finite")
+
+    @pytest.mark.parametrize(
+        "argv, match",
+        [
+            (["train", "--train-csv", "TRAIN", "--model", "OUT", "--seed", "abc"], "'abc'"),
+            (["train", "--model", "OUT"], "required: --train-csv"),
+            (["train", "--train-csv", "TRAIN", "--model", "OUT", "--bogus"], "--bogus"),
+            (["frobnicate", "--out", "OUT"], "invalid choice: 'frobnicate'"),
+            (["synth", "--out", "OUT", "--dim", "2.5"], "invalid int value"),
+            (["predict", "--out", "OUT", "--std-threshold", "high"], "invalid float value"),
+            ([], "required: command"),
+        ],
+        ids=["bad-int", "missing-flag", "unknown-flag", "unknown-command", "float-for-int",
+             "bad-float", "no-command"],
+    )
+    def test_malformed_command_line(self, workspace, tmp_path, capsys, argv, match):
+        """argparse's own errors exit 1 like any bad input, not 2 like a numerical failure."""
+        out = tmp_path / "out"
+        argv = [{"OUT": out, "TRAIN": workspace["train"]}.get(a, a) for a in argv]
+        self.assert_rejected(argv, out, capsys, match)
 
     @pytest.mark.parametrize(
         "flag, value, match",

@@ -150,15 +150,15 @@ class TestLogMarginalLikelihood:
         X = rng.normal(size=(10, 3))
         y = rng.normal(size=10)
         theta = np.array([0.1, -0.2, -1.0])
-        _, grad = log_marginal_likelihood(X, y, Hyperparams.from_log_array(theta))
+        _, grad = log_marginal_likelihood(X, y, Hyperparams(*theta))
         step = 1e-5
         for i in range(3):
             plus = theta.copy()
             plus[i] += step
             minus = theta.copy()
             minus[i] -= step
-            up, _ = log_marginal_likelihood(X, y, Hyperparams.from_log_array(plus))
-            down, _ = log_marginal_likelihood(X, y, Hyperparams.from_log_array(minus))
+            up, _ = log_marginal_likelihood(X, y, Hyperparams(*plus))
+            down, _ = log_marginal_likelihood(X, y, Hyperparams(*minus))
             fd = (up - down) / (2.0 * step)
             assert abs(grad[i] - fd) / max(abs(fd), 1e-12) < 1e-4
 
@@ -504,6 +504,65 @@ class TestFit:
         X, y = sample_from_prior(hp_of(), n=10, D=2, seed=1)
         with pytest.raises(NumericalError, match="non-finite at every restart"):
             fit(X, y, restarts=2, seed=1)
+
+    @pytest.mark.parametrize("slope", [0.0, 1.0], ids=["zero gradient", "gradient"])
+    @pytest.mark.parametrize("n", [60, 100], ids=["one stage", "two stages"])
+    def test_tied_evidence_freezes_the_first_start(self, two_stage, monkeypatch, n, slope):
+        """Every point ties, so the earliest point evaluated wins: the first restart's start.
+
+        With a zero gradient each search stops at its start; with a gradient
+        that the flat value never bears out, it evaluates more tied points.
+        """
+
+        def flat(S, y, theta):
+            hp = Hyperparams(float(theta[0]), 0.0, float(theta[1]))
+            return -1.0, np.array([slope, 0.0]), hp
+
+        monkeypatch.setattr(gp_module, "_profiled_evidence", flat)
+        calls = record_searches(monkeypatch)
+        X, y = sample_from_prior(hp_of(1.5, 2.0, 0.1), n=n, D=3, seed=42)
+        model = fit(X, y, restarts=3, seed=42)
+        assert len({x0[0] for x0, _ in calls[:3]}) == 3
+        first = calls[0][0]
+        assert model.hp == Hyperparams(first[0], 0.0, first[1])
+
+    @pytest.mark.parametrize("finite_lml", [False, True], ids=["raises", "nan gradient"])
+    @pytest.mark.parametrize("n", [60, 100], ids=["one stage", "two stages"])
+    def test_evidence_that_fails_early_in_every_search(
+        self, two_stage, monkeypatch, n, finite_lml
+    ):
+        """Failed points are passed over: the best computable point is frozen.
+
+        The first search fails at its start, so it ends with no computable
+        point. Every other search fails at its first trial step, its second
+        evaluation, and goes on from there. That step raises, or, under
+        ``finite_lml``, has a higher evidence than any other but a NaN gradient.
+        """
+        calls = record_searches(monkeypatch)
+        searches, computed = [], []
+        profiled = gp_module._profiled_evidence
+
+        def failing_early(S, y, theta):
+            search = len(calls)  # a search is recorded once it has finished
+            searches.append(search)
+            if search == 0:
+                raise NumericalError("no factor")
+            lml, grad, hp = profiled(S, y, theta)
+            if searches.count(search) == 2:
+                if not finite_lml:
+                    raise NumericalError("no factor")
+                return 0.0, np.full(2, np.nan), hp
+            computed.append((y.shape[0], lml, hp))
+            return lml, grad, hp
+
+        monkeypatch.setattr(gp_module, "_profiled_evidence", failing_early)
+        X, y = sample_from_prior(hp_of(1.5, 2.0, 0.1), n=n, D=3, seed=41)
+        model = fit(X, y, restarts=3, seed=41)
+        evaluations = [searches.count(i) for i in range(len(calls))]
+        assert evaluations[0] == 1 and min(evaluations[1:]) > 2
+        lml, hp = max(((lml, hp) for rows, lml, hp in computed if rows == n), key=lambda p: p[0])
+        assert model.hp == hp
+        assert model.log_evidence == pytest.approx(lml, rel=1e-9)
 
     def test_identical_rows_start_around_unit_length_scale(self, monkeypatch):
         """Every pairwise distance is 0, so the median falls back to 1."""

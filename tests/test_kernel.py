@@ -38,13 +38,8 @@ def hp_of(length_scale=1.0, signal_variance=1.0, noise_variance=1.0):
 class TestHyperparams:
     def test_log_roundtrip(self):
         hp = Hyperparams(0.3, -1.2, -5.0)
-        again = Hyperparams.from_log_array(np.array(astuple(hp)))
+        again = Hyperparams(*np.array(astuple(hp)))
         assert again == hp
-
-    @pytest.mark.parametrize("shape", [(2,), (4,), (1, 3)])
-    def test_from_log_array_needs_three_values(self, shape):
-        with pytest.raises(InputError, match="expected 3 log-parameters"):
-            Hyperparams.from_log_array(np.zeros(shape))
 
     def test_exponentiated_values(self):
         hp = hp_of(2.0, 3.0, 0.5)
