@@ -158,7 +158,11 @@ def cmd_evaluate(args) -> int:
     }
     data._atomic_write(args.out, json.dumps(document, indent=2, sort_keys=True) + "\n")
     box_path = args.out.with_name(args.out.stem + ".boxstats.txt")
-    data._atomic_write(box_path, metrics.box_stats_table(report.group_stats))
+    try:
+        data._atomic_write(box_path, metrics.box_stats_table(report.group_stats))
+    except InputError:
+        args.out.unlink()  # a report without its box stats is a partial artifact
+        raise
     sys.stdout.write(report.to_text())
     print(f"report written to {args.out}")
     print(f"box stats written to {box_path}")

@@ -4,10 +4,11 @@ On-disk formats:
 
 * Feature CSV: header ``id,grade,f0,...,f{D-1}``, UTF-8, decimal-point
   reals, no quoting. Grades are integers 0..4.
-* Model archive: a single binary file: ``GPGMODEL`` magic, uint32
-  format version, sha256 payload checksum, then a JSON header followed by
-  raw little-endian float64 array buffers. Writes are deterministic for
-  identical inputs.
+* Model archive: a single binary file. A little-endian prefix of the
+  8-byte ``GPGMODEL`` magic, the uint32 format version, the 32-byte sha256
+  of the payload and the uint64 payload length, then the payload: a uint64
+  header length, a JSON header and raw little-endian float64 array buffers.
+  Writes are deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -33,6 +34,8 @@ STD_FLOOR = 1e-8
 
 MODEL_MAGIC = b"GPGMODEL"
 MODEL_FORMAT_VERSION = 1
+# The archive prefix: magic, format version, payload sha256, payload length.
+_PREFIX = struct.Struct("<8sI32sQ")
 
 # Tolerance when comparing recomputed factor/solve digests on load.
 _DIGEST_RTOL = 1e-10
@@ -82,17 +85,9 @@ def load_feature_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
             header = next(reader)
         except StopIteration:
             raise ParseError("empty file: missing header", line=1) from None
-        if len(header) < 3 or header[0] != "id" or header[1] != "grade":
-            raise ParseError(
-                "malformed header: expected 'id,grade,f0,...'", line=1
-            )
         dim = len(header) - 2
-        expected_names = [f"f{i}" for i in range(dim)]
-        if header[2:] != expected_names:
-            raise ParseError(
-                "malformed header: feature columns must be named f0..f{D-1}",
-                line=1,
-            )
+        if dim < 1 or header != _csv_header(dim):
+            raise ParseError("malformed header: expected 'id,grade,f0,...,f{D-1}'", line=1)
         for lineno, row in enumerate(reader, start=2):
             if len(row) != dim + 2:
                 raise ParseError(
@@ -126,6 +121,10 @@ def load_feature_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     return ids, np.stack(rows), np.array(grades)
 
 
+def _csv_header(dim: int) -> list[str]:
+    return ["id", "grade", *(f"f{i}" for i in range(dim))]
+
+
 def _csv_rows(fh):
     """The csv.reader rows of fh, raising the reader's own errors as ParseError."""
     reader = csv.reader(fh)
@@ -138,17 +137,23 @@ def _csv_rows(fh):
 def write_feature_csv(ids, X, grades, path) -> None:
     """Write rows in the feature CSV format (atomic, deterministic).
 
-    Rejects what ``load_feature_csv`` would reject, naming the first bad
-    row: an id holding a NUL, comma, quote, CR, LF or a lone surrogate
-    (not encodable as UTF-8), a grade that is not an integer 0..4, or a
-    non-finite feature value.
+    Rejects, naming their shapes, inputs other than n ids, n grades and an
+    (n, D) matrix with n, D >= 1. Rejects what ``load_feature_csv`` would
+    reject, naming the first bad row: an id holding a NUL, comma, quote,
+    CR, LF or a lone surrogate (not encodable as UTF-8), a grade that is
+    not an integer 0..4, or a non-finite feature value.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if len(ids) == 0:
+    X, grades = np.asarray(X, dtype=np.float64), np.asarray(grades)
+    n = len(ids)
+    if X.ndim != 2 or X.shape[1] < 1 or X.shape[0] != n or grades.shape != (n,):
+        raise InputError(
+            f"expected n ids, n grades and an (n, D >= 1) feature matrix, got "
+            f"{n} ids, grades of shape {grades.shape} and X of shape {X.shape}"
+        )
+    if n == 0:
         raise InputError("no records to write")
-    lines = ["id,grade," + ",".join(f"f{i}" for i in range(X.shape[1])) + "\n"]
-    rows = zip(ids, np.asarray(grades).tolist(), X.tolist(), strict=True)
-    for row, (id_, grade, features) in enumerate(rows):
+    lines = [",".join(_csv_header(X.shape[1])) + "\n"]
+    for row, (id_, grade, features) in enumerate(zip(ids, grades.tolist(), X.tolist())):
         if _UNSAFE_ID_CHARS.search(str(id_)):
             raise InputError(f"row {row}: id {id_!r} contains {_UNSAFE_ID_TEXT}")
         if type(grade) is not int or not 0 <= grade <= 4:
@@ -286,21 +291,12 @@ def save_model(model: gp.GPModel, path) -> None:
             {"name": name, "shape": list(arr.shape)} for name, arr in arrays
         ],
     }
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode(
-        "utf-8"
-    )
-    buffers = b"".join(
-        np.ascontiguousarray(arr, dtype="<f8").tobytes() for _, arr in arrays
-    )
+    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    buffers = b"".join(np.ascontiguousarray(arr, dtype="<f8").tobytes() for _, arr in arrays)
     payload = struct.pack("<Q", len(header_bytes)) + header_bytes + buffers
-    blob = (
-        MODEL_MAGIC
-        + struct.pack("<I", MODEL_FORMAT_VERSION)
-        + hashlib.sha256(payload).digest()
-        + struct.pack("<Q", len(payload))
-        + payload
-    )
-    _atomic_write(path, blob)
+    checksum = hashlib.sha256(payload).digest()
+    prefix = _PREFIX.pack(MODEL_MAGIC, MODEL_FORMAT_VERSION, checksum, len(payload))
+    _atomic_write(path, prefix + payload)
 
 
 # Allowed JSON types of each archive header entry that load_model reads.
@@ -348,28 +344,23 @@ def load_model(path) -> gp.GPModel:
 
     Raises ModelFormatError on a bad magic string, unknown format
     version, checksum mismatch, truncation, a header with missing,
-    mistyped or inconsistent entries, normalizer statistics or training
-    rows that ``NormStats`` or ``gp.build_model`` reject, or when the
-    recomputed factor/solve digests deviate from the saved ones.
+    mistyped or inconsistent entries, hyperparameters, normalizer
+    statistics or training rows that ``Hyperparams``, ``NormStats`` or
+    ``gp.build_model`` reject, or when the recomputed factor/solve digests
+    deviate from the saved ones.
     """
     path = Path(path)
     if not path.is_file():
         raise InputError(f"no such file: {path}")
     blob = path.read_bytes()
-    offset = len(MODEL_MAGIC)
-    if blob[:offset] != MODEL_MAGIC:
+    if blob[: len(MODEL_MAGIC)] != MODEL_MAGIC:
         raise ModelFormatError(f"{path} is not a model archive")
-    if len(blob) < offset + 4 + 32 + 8:
+    if len(blob) < _PREFIX.size:
         raise ModelFormatError("truncated archive: header incomplete")
-    (version,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
+    _, version, checksum, payload_len = _PREFIX.unpack_from(blob)
     if version != MODEL_FORMAT_VERSION:
         raise ModelFormatError(f"unsupported model format version {version}")
-    checksum = blob[offset : offset + 32]
-    offset += 32
-    (payload_len,) = struct.unpack_from("<Q", blob, offset)
-    offset += 8
-    payload = blob[offset : offset + payload_len]
+    payload = blob[_PREFIX.size : _PREFIX.size + payload_len]
     if len(payload) != payload_len:
         raise ModelFormatError("truncated archive: payload incomplete")
     if hashlib.sha256(payload).digest() != checksum:
@@ -397,9 +388,6 @@ def load_model(path) -> gp.GPModel:
             header["log_signal_variance"],
             header["log_noise_variance"],
         )
-    except InputError as exc:
-        raise ModelFormatError(f"archive header entry {exc}") from None
-    try:
         normalizer = None
         if header["has_normalizer"]:
             normalizer = NormStats(mean=loaded["norm_mean"], std=loaded["norm_std"])

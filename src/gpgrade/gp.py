@@ -37,8 +37,8 @@ JITTER_LEVELS = (0.0, 1e-10, 1e-8, 1e-6, 1e-4)
 _LOG_2PI = math.log(2.0 * math.pi)
 
 # Objective value reported to the optimizer when the evidence is not
-# computable at a trial point; large enough to reject the point, finite
-# so L-BFGS-B keeps going.
+# computable at a trial point and no point of its search has been yet;
+# large enough to reject the point, finite so L-BFGS-B keeps going.
 _BAD_OBJECTIVE = 1e25
 
 _PREDICT_BLOCK = 2048
@@ -262,7 +262,9 @@ def fit(
     with the signal variance s2 at its closed-form optimum for each theta.
     Each restart starts from r = 0.1 and a seeded length-scale draw around the
     median pairwise distance. Each search returns the best point it evaluates,
-    never worse than its start, and the best of those records wins.
+    never worse than its start, and the best of those records wins. A point
+    whose evidence is not computable reads as that best value minus its
+    distance from the best point, so the search backs off and goes on.
 
     One loop runs a search from each start. It searches every training row,
     or, from 2,000 rows on with two or more restarts, a seeded 500-row subset.
@@ -305,11 +307,16 @@ def fit(
                 lml, grad, hp = _profiled_evidence(S, y, theta)
             except (InputError, NumericalError, OverflowError, FloatingPointError):
                 lml = math.nan
-            if not math.isfinite(lml) or not np.isfinite(grad).all():
-                lml, grad = -_BAD_OBJECTIVE, np.zeros(2)
-            elif lml > record[0]:
-                record = (lml, np.array(theta), hp)
-            return -lml, -grad
+            if math.isfinite(lml) and np.isfinite(grad).all():
+                if lml > record[0]:
+                    record = (lml, np.array(theta), hp)
+                return -lml, -grad
+            if record[2] is None:
+                return _BAD_OBJECTIVE, np.zeros(2)
+            # Worse than the best point by the distance to it: the line search backs off.
+            step = theta - record[1]
+            distance = math.hypot(*step)
+            return distance - record[0], step / (distance or 1.0)
 
         minimize(negative_evidence, theta0, jac=True, method="L-BFGS-B", options=options)
         return record

@@ -536,6 +536,19 @@ class TestRejections:
         self.assert_rejected(argv, out, capsys, str(out))
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("blocked", ["r.json", "r.boxstats.txt"])
+    def test_evaluate_leaves_neither_file_when_one_cannot_be_written(
+        self, workspace, tmp_path, capsys, blocked
+    ):
+        (tmp_path / blocked).mkdir()
+        argv = ["evaluate", "--test-csv", workspace["test"], "--model", workspace["model"]]
+        argv += ["--out", tmp_path / "r.json"]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and blocked in err
+        assert [path.name for path in tmp_path.iterdir()] == [blocked]
+        assert list((tmp_path / blocked).iterdir()) == []
+
     @pytest.mark.parametrize(
         "value, match", [(",", "at least one value"), ("0.5,high", "bad --std-thresholds")]
     )

@@ -197,8 +197,24 @@ class TestWriteFeatureCsv:
 
     def test_misaligned_inputs_rejected(self, tmp_path):
         ids, X, grades = synthesize_dataset([3] * 5, 4, 6.0, 1.0, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             write_feature_csv(ids[:-1], X, grades, tmp_path / "out.csv")
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize(
+        "ids, X, grades, match",
+        [
+            (["a", "b"], np.zeros(2), [1, 2], r"2 ids, .* X of shape \(2,\)"),
+            (["a", "b"], np.zeros((2, 2, 1)), [1, 2], r"X of shape \(2, 2, 1\)"),
+            (["a", "b"], np.zeros((2, 2)), [1, 2, 3], r"2 ids, grades of shape \(3,\)"),
+            (["a", "b"], np.zeros((3, 2)), [1, 2], r"2 ids, .* X of shape \(3, 2\)"),
+            (["a", "b"], np.zeros((2, 0)), [1, 2], r"X of shape \(2, 0\)"),
+        ],
+        ids=["1-d X", "3-d X", "grades longer", "rows longer", "no feature columns"],
+    )
+    def test_shapes_that_do_not_describe_a_file_rejected(self, tmp_path, ids, X, grades, match):
+        with pytest.raises(InputError, match=match):
+            write_feature_csv(ids, X, grades, tmp_path / "out.csv")
         assert not (tmp_path / "out.csv").exists()
 
 

@@ -564,6 +564,26 @@ class TestFit:
         assert model.hp == hp
         assert model.log_evidence == pytest.approx(lml, rel=1e-9)
 
+    @pytest.mark.parametrize("failing", [(2,), (2, 3)], ids=["second", "second and third"])
+    def test_failed_trial_steps_do_not_stop_a_search(self, monkeypatch, failing):
+        """A search backs off from a failed step and ends where the unwrapped fit does."""
+        X, y = sample_from_prior(hp_of(1.5, 2.0, 0.1), n=60, D=3, seed=41)
+        unwrapped = fit(X, y, restarts=3, seed=41).log_evidence
+        calls = record_searches(monkeypatch)
+        searches = []
+        profiled = gp_module._profiled_evidence
+
+        def failing_steps(S, y, theta):
+            searches.append(len(calls))  # a search is recorded once it has finished
+            if searches.count(searches[-1]) in failing:
+                raise NumericalError("no factor")
+            return profiled(S, y, theta)
+
+        monkeypatch.setattr(gp_module, "_profiled_evidence", failing_steps)
+        model = fit(X, y, restarts=3, seed=41)
+        assert len(calls) == 3
+        assert model.log_evidence == pytest.approx(unwrapped, rel=1e-9)
+
     def test_identical_rows_start_around_unit_length_scale(self, monkeypatch):
         """Every pairwise distance is 0, so the median falls back to 1."""
         calls = record_searches(monkeypatch)
