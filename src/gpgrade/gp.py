@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import blas, cho_solve, lapack, solve_triangular
+from scipy.linalg import blas, cho_solve, lapack
 
 from .errors import InputError, NumericalError
 from .kernel import (
@@ -342,22 +342,23 @@ def fit(
 def predict(model: GPModel, X_query) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and standard deviation at each query row, as arrays.
 
-    Queries must already be normalized with the model's statistics; the
-    pipeline layer is responsible for that. The reported variance includes
-    the learned observation noise and is clamped at zero before the root.
+    Queries must already be normalized with the model's statistics (the
+    pipeline's job). The variance, read off L^-1 Kq^T with L inverted once per
+    call, includes the learned observation noise and is clamped at zero.
     """
-    # Accepted rows give finite kernel blocks: the solve skips its finiteness passes.
     Xq, _ = row_sq_norms(X_query, "query")
-    sig2 = model.hp.signal_variance
-    noise = model.hp.noise_variance
+    L_inv, info = lapack.dtrtri(model.chol_L, lower=1)
+    if info != 0:
+        raise NumericalError(f"the training factor is singular: diagonal {info - 1} is zero")
+    prior = model.hp.signal_variance + model.hp.noise_variance
     mean = np.empty(Xq.shape[0])
     std = np.empty(Xq.shape[0])
     for start in range(0, Xq.shape[0], _PREDICT_BLOCK):
         block = slice(start, start + _PREDICT_BLOCK)
         Kq = kernel_matrix(Xq[block], model.X_train, model.hp)
         mean[block] = blas.dgemv(1.0, Kq.T, model.alpha, trans=1)
-        W = solve_triangular(model.chol_L, Kq.T, lower=True, check_finite=False)
-        var = sig2 + noise - np.einsum("ij,ij->j", W, W)
+        W = blas.dtrmm(1.0, L_inv, Kq.T, lower=1, overwrite_b=1)  # in Kq's own buffer
+        var = prior - np.einsum("ij,ij->j", W, W)
         np.clip(var, 0.0, None, out=var)
         std[block] = np.sqrt(var)
     return mean, std

@@ -28,6 +28,9 @@ NOISE_VARIANCE_FLOOR = 1e-8
 # distance beyond the float range is the float maximum, not inf.
 _QUARTER_MAX = np.finfo(np.float64).max / 4
 
+# Width of the column strips the self distances are mirrored in (256 rows: 16 KB of cache lines).
+_MIRROR_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class Hyperparams:
@@ -102,50 +105,56 @@ def pairwise_sq_dists(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     float maximum, so the kernel value there is 0 and K * S stays finite.
 
     The products run on scipy's BLAS, the OpenBLAS its LAPACK uses, so
-    numpy's separate thread pool never wakes. They read Fortran-ordered
-    transpose views (no copy) and apply the exact factor -1/2 themselves,
-    because numpy cannot scale their transposed results in place.
+    numpy's separate thread pool never wakes. Each reads Fortran-ordered
+    transpose views (no copy), applies the exact factor -1/2 itself and is
+    added into the norm sum: one buffer, clipped, scaled and (self path) mirrored in place.
     """
     self_gram = B is None or B is A
     A, a_norms = row_sq_norms(A, "A")
-    a_norms *= 0.25
     with np.errstate(over="ignore"):
         if self_gram:
-            # Only the upper triangle of -A A^T / 2 is filled; the rest is dropped.
-            S = a_norms[:, None] + a_norms[None, :] + blas.dsyrk(-0.5, A.T, trans=1, lower=1).T
+            # Only the upper triangle of -A A^T / 2 is filled; the mirror overwrites the rest.
+            S = np.add.outer(0.25 * a_norms, 0.25 * a_norms)
+            S += blas.dsyrk(-0.5, A.T, trans=1, lower=1).T
             np.clip(S, 0.0, _QUARTER_MAX, out=S)
-            upper = np.triu(S, 1)
-            upper *= 4.0
-            return upper + upper.T
+            S *= 4.0
+            for i in range(0, S.shape[0], _MIRROR_BLOCK):
+                cols = slice(i, i + _MIRROR_BLOCK)
+                tile = np.triu(S[cols, cols], 1)
+                S[cols, cols] = tile + tile.T
+                S[cols.stop :, cols] = S[cols, cols.stop :].T
+            return S
         B, b_norms = row_sq_norms(B, "B")
         if A.shape[1] != B.shape[1]:
             raise InputError(f"feature dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
-        S = a_norms[:, None] + 0.25 * b_norms[None, :] + blas.dgemm(-0.5, B.T, A.T, trans_a=1).T
+        S = np.add.outer(0.25 * a_norms, 0.25 * b_norms)
+        S += blas.dgemm(-0.5, B.T, A.T, trans_a=1).T
         np.clip(S, 0.0, _QUARTER_MAX, out=S)
         return np.multiply(S, 4.0, out=S)
 
 
-def rbf_from_sq_dists(S: np.ndarray, hp: Hyperparams) -> np.ndarray:
+def rbf_from_sq_dists(S: np.ndarray, hp: Hyperparams, out: np.ndarray | None = None) -> np.ndarray:
     """Kernel values for a precomputed squared-distance matrix.
 
-    Built in one new array, in the operation order of
-    ``s2 * exp(-0.5 * S / l**2)`` so the values are bitwise the same. A
-    quotient beyond the float range is -inf, whose exponential is 0.
+    Built in ``out`` (which may be S) or a new array, in the operation order
+    of ``s2 * exp(-0.5 * S / l**2)`` so the values are bitwise the same, but
+    s2 = 1 is not multiplied. A quotient past the float range is -inf, so its value is 0.
     """
-    K = np.multiply(S, -0.5)
+    K = np.multiply(S, -0.5, out=out)
     with np.errstate(over="ignore"):
         K /= hp.length_scale**2
     np.exp(K, out=K)
-    K *= hp.signal_variance
+    if hp.signal_variance != 1.0:
+        K *= hp.signal_variance
     return K
 
 
 def kernel_matrix(A, B, hp: Hyperparams) -> np.ndarray:
-    """Gram matrix K[i, j] = k(A[i], B[j]).
+    """Gram matrix K[i, j] = k(A[i], B[j]), built in the buffer of the distances.
 
     Pass the same array object for both arguments to get the training
     gram matrix; that path guarantees exact symmetry and an exact
     ``signal_variance`` diagonal.
     """
-    return rbf_from_sq_dists(pairwise_sq_dists(A, B), hp)
-
+    S = pairwise_sq_dists(A, B)
+    return rbf_from_sq_dists(S, hp, out=S)

@@ -6,9 +6,10 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
+from scipy.linalg import blas, cho_solve, solve_triangular
 
 from gpgrade import (
+    GPModel,
     Hyperparams,
     InputError,
     NumericalError,
@@ -760,7 +761,56 @@ class TestTwoStageFit:
         assert model.X_train.shape == (n, 3)
 
 
+def floor_noise_model(jitter):
+    """A 200-row model at the noise floor; with jitter, duplicated dyadic rows at s2 = 2**30,
+    which the factorization cannot take without it (see test_jitter_escalation)."""
+    rng = np.random.default_rng(34)
+    if not jitter:
+        X = rng.normal(size=(200, 5))
+        return build_model(X, rng.normal(size=200), hp_of(1.5, 1.5, NOISE_VARIANCE_FLOOR)), rng
+    X = 0.25 * rng.integers(-8, 9, size=(200, 6))
+    y = rng.normal(size=200)
+    X[1::40] = X[0::40]
+    y[1::40] = y[0::40]
+    hp = Hyperparams(0.0, 30.0 * math.log(2.0), math.log(NOISE_VARIANCE_FLOOR))
+    assert cholesky_with_jitter(kernel_matrix(X, X, hp), hp.noise_variance)[1] > 0.0
+    return build_model(X, y, hp), rng
+
+
+def triangular_solve_prediction(model, Xq):
+    """Mean and (unclamped) variance of one query block by a triangular solve on the factor."""
+    Kq = kernel_matrix(Xq, model.X_train, model.hp)
+    mean = blas.dgemv(1.0, Kq.T, model.alpha, trans=1)
+    W = solve_triangular(model.chol_L, Kq.T, lower=True)
+    prior = model.hp.signal_variance + model.hp.noise_variance
+    return mean, prior - np.einsum("ij,ij->j", W, W)
+
+
 class TestPredict:
+    @pytest.mark.parametrize("jitter", [False, True])
+    def test_inverse_factor_matches_a_triangular_solve(self, jitter):
+        """Variances through L^-1 are as accurate as a solve even on ill-conditioned factors."""
+        model, rng = floor_noise_model(jitter)
+        X = model.X_train
+        Xq = np.vstack([X[:40], X[:40] + 0.25, rng.normal(size=(40, X.shape[1]))])
+        before = [model.chol_L.tobytes(), model.alpha.tobytes(), model.X_train.tobytes()]
+        mean, std = predict(model, Xq)
+        ref_mean, ref_var = triangular_solve_prediction(model, Xq)
+        assert mean.tobytes() == ref_mean.tobytes()
+        prior = model.hp.signal_variance + model.hp.noise_variance
+        assert np.abs(std**2 - np.maximum(ref_var, 0.0)).max() <= 1e-10 * prior
+        again = predict(model, Xq)
+        assert again[0].tobytes() == mean.tobytes() and again[1].tobytes() == std.tobytes()
+        assert [model.chol_L.tobytes(), model.alpha.tobytes(), model.X_train.tobytes()] == before
+
+    def test_singular_factor_is_a_numerical_error(self):
+        model = build_model(np.eye(8), np.arange(8.0), hp_of())
+        L = model.chol_L.copy()
+        L[5, 5] = 0.0
+        singular = GPModel(model.hp, model.X_train, model.y_train, L, model.alpha)
+        with pytest.raises(NumericalError, match="diagonal 5 "):
+            predict(singular, np.zeros((2, 8)))
+
     def test_interpolates_training_point_at_noise_floor(self):
         hp = Hyperparams(0.0, 0.0, math.log(1e-12))
         X = np.array([[0.0, 0.0], [1.5, 0.0], [0.0, 1.5]])

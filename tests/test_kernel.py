@@ -6,8 +6,10 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
+from scipy.linalg import blas
 
 from gpgrade import Hyperparams, InputError
+from gpgrade import kernel as kernel_module
 from gpgrade.kernel import (
     NOISE_VARIANCE_FLOOR,
     kernel_matrix,
@@ -180,6 +182,58 @@ class TestPairwiseSqDists:
         assert (S >= 0.0).all()
 
 
+def out_of_place_sq_dists(A, B=None):
+    """The distances by the out-of-place formulas: quarter-scale norm sums plus
+    the BLAS product, clip, x4, then upper + upper^T on the self path."""
+    quarter = np.einsum("ij,ij->i", A, A) / 4
+    cap = np.finfo(np.float64).max / 4
+    if B is None:
+        S = quarter[:, None] + quarter[None, :] + blas.dsyrk(-0.5, A.T, trans=1, lower=1).T
+        upper = np.triu(np.clip(S, 0.0, cap), 1) * 4.0
+        return upper + upper.T
+    b_quarter = np.einsum("ij,ij->i", B, B) / 4
+    S = quarter[:, None] + b_quarter[None, :] + blas.dgemm(-0.5, B.T, A.T, trans_a=1).T
+    return np.clip(S, 0.0, cap) * 4.0
+
+
+MIRROR_SIZES = [
+    kernel_module._MIRROR_BLOCK - 1,
+    kernel_module._MIRROR_BLOCK,
+    kernel_module._MIRROR_BLOCK + 1,
+    2 * kernel_module._MIRROR_BLOCK + 1,
+]
+
+
+class TestAssemblyBits:
+    """Distances and kernel blocks are built in place in one buffer, and must
+    keep the out-of-place formulas' bits: training archives depend on them.
+
+    D = 700 rules out accumulating the product into the norm sum inside
+    dgemm (beta = 1), which agreed bit for bit up to D = 64 but not there.
+    """
+
+    @pytest.mark.parametrize("n", MIRROR_SIZES)
+    @pytest.mark.parametrize("D", [1, 3, 64, 700])
+    def test_distances_and_kernels_keep_their_bits(self, D, n):
+        rng = np.random.default_rng(1000 * D + n)
+        A = rng.normal(size=(n, D))
+        B = rng.normal(size=(n + 5, D))
+        S = pairwise_sq_dists(A)
+        assert S.tobytes() == out_of_place_sq_dists(A).tobytes()
+        assert np.array_equal(S, S.T)
+        assert not np.diag(S).any()
+        assert pairwise_sq_dists(A, B).tobytes() == out_of_place_sq_dists(A, B).tobytes()
+        for s2 in (1.0, 1.7):
+            hp = hp_of(length_scale=math.sqrt(D), signal_variance=s2)
+            l = hp.length_scale
+            for Bk, dists in ((A, out_of_place_sq_dists(A)), (B, out_of_place_sq_dists(A, B))):
+                K = kernel_matrix(A, Bk, hp)
+                assert K.tobytes() == (hp.signal_variance * np.exp(-0.5 * dists / l**2)).tobytes()
+            K = kernel_matrix(A, A, hp)
+            assert np.array_equal(K, K.T)
+            assert np.array_equal(np.diag(K), np.full(n, hp.signal_variance))
+
+
 class TestRowSqNorms:
     """The one rule for feature rows: a nonempty matrix, every squared norm finite."""
 
@@ -221,6 +275,9 @@ class TestRbfFromSqDists:
             K = rbf_from_sq_dists(S, hp)
             assert K.tobytes() == expected.tobytes()
             assert not np.shares_memory(K, S)
+            into = S.copy()
+            assert rbf_from_sq_dists(into, hp, out=into) is into
+            assert into.tobytes() == expected.tobytes()
 
     def test_distance_over_a_tiny_length_scale_gives_zero(self):
         S = np.array([[0.0, 1e306], [np.inf, 4.0]])
