@@ -41,17 +41,23 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--restarts", type=int, default=3)
     train.add_argument("--seed", type=int, default=0)
 
-    predict = sub.add_parser("predict", help="write per-sample predictions")
-    predict.add_argument("--test-csv", required=True, type=Path)
-    predict.add_argument("--model", required=True, type=Path)
-    predict.add_argument("--out", required=True, type=Path)
-    _add_threshold_flags(predict)
+    # predict, evaluate and sweep score a test CSV against a model the same way.
+    scoring = argparse.ArgumentParser(add_help=False)
+    scoring.add_argument("--test-csv", required=True, type=Path)
+    scoring.add_argument("--model", required=True, type=Path)
+    scoring.add_argument("--out", required=True, type=Path)
+    scoring.add_argument(
+        "--grade-threshold", type=float, default=diagnosis.GRADE_THRESHOLD_DEFAULT
+    )
 
-    evaluate = sub.add_parser("evaluate", help="predict and score against labels")
-    evaluate.add_argument("--test-csv", required=True, type=Path)
-    evaluate.add_argument("--model", required=True, type=Path)
-    evaluate.add_argument("--out", required=True, type=Path, help="JSON report path")
-    _add_threshold_flags(evaluate)
+    predict = sub.add_parser("predict", parents=[scoring], help="write per-sample predictions")
+    evaluate = sub.add_parser(
+        "evaluate", parents=[scoring], help="predict and score against labels"
+    )
+    for command in (predict, evaluate):
+        command.add_argument(
+            "--std-threshold", type=float, default=diagnosis.STD_THRESHOLD_DEFAULT
+        )
 
     synth = sub.add_parser("synth", help="generate a synthetic feature CSV")
     synth.add_argument("--out", required=True, type=Path)
@@ -66,13 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--noise", type=float, default=1.0)
 
     sweep = sub.add_parser(
-        "sweep", help="sensitivity/specificity over a grid of flip thresholds"
-    )
-    sweep.add_argument("--test-csv", required=True, type=Path)
-    sweep.add_argument("--model", required=True, type=Path)
-    sweep.add_argument("--out", required=True, type=Path)
-    sweep.add_argument(
-        "--grade-threshold", type=float, default=diagnosis.GRADE_THRESHOLD_DEFAULT
+        "sweep", parents=[scoring], help="sensitivity/specificity over a grid of flip thresholds"
     )
     sweep.add_argument(
         "--std-thresholds",
@@ -82,27 +82,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_threshold_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--grade-threshold", type=float, default=diagnosis.GRADE_THRESHOLD_DEFAULT
-    )
-    sub.add_argument(
-        "--std-threshold", type=float, default=diagnosis.STD_THRESHOLD_DEFAULT
-    )
-
-
-def _load_and_predict(model_path: Path, csv_path: Path):
-    """Ids, true referable labels (grades 2..4), posterior means and stds."""
-    model = data.load_model(model_path)
+def _load_and_predict(args):
+    """Ids, true referable labels (grades 2..4), means, stds, and decisions before the flip."""
+    model = data.load_model(args.model)
     if model.normalizer is None:
         raise InputError("model archive has no normalization statistics")
-    ids, X, grades = data.load_feature_csv(csv_path)
+    ids, X, grades = data.load_feature_csv(args.test_csv)
     mean, std = gp.predict(model, data.apply_normalizer(model.normalizer, X))
-    return ids, grades >= 2, mean, std
-
-
-def _format_bool(flag: bool) -> str:
-    return "true" if flag else "false"
+    return ids, grades >= 2, mean, std, diagnosis.binarize(mean, args.grade_threshold)
 
 
 def cmd_train(args) -> int:
@@ -130,25 +117,21 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    ids, _, mean, std = _load_and_predict(args.model, args.test_csv)
-    referable, flipped = diagnosis.apply_uncertainty_flip(
-        diagnosis.binarize(mean, args.grade_threshold), std, args.std_threshold
-    )
+    ids, _, mean, std, base = _load_and_predict(args)
+    referable, flipped = diagnosis.apply_uncertainty_flip(base, std, args.std_threshold)
     lines = ["id,mean,std,referable,flipped\n"]
     for id_, m, s, r, f in zip(
         ids, mean.tolist(), std.tolist(), referable.tolist(), flipped.tolist()
     ):
-        lines.append(f"{id_},{m!r},{s!r},{_format_bool(r)},{_format_bool(f)}\n")
+        lines.append(f"{id_},{m!r},{s!r},{str(r).lower()},{str(f).lower()}\n")
     data._atomic_write(args.out, "".join(lines))
     print(f"wrote {len(ids)} predictions to {args.out}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    _, labels, mean, std = _load_and_predict(args.model, args.test_csv)
-    referable, flipped = diagnosis.apply_uncertainty_flip(
-        diagnosis.binarize(mean, args.grade_threshold), std, args.std_threshold
-    )
+    _, labels, mean, std, base = _load_and_predict(args)
+    referable, flipped = diagnosis.apply_uncertainty_flip(base, std, args.std_threshold)
     report = metrics.evaluate(referable, labels, mean, std)
     document = {
         "grade_threshold": args.grade_threshold,
@@ -195,8 +178,7 @@ def cmd_sweep(args) -> int:
         raise InputError(f"bad --std-thresholds value {args.std_thresholds!r}") from None
     if not thresholds:
         raise InputError("--std-thresholds needs at least one value")
-    _, labels, mean, std = _load_and_predict(args.model, args.test_csv)
-    base = diagnosis.binarize(mean, args.grade_threshold)
+    _, labels, mean, std, base = _load_and_predict(args)
     lines = ["std_threshold,tp,fp,tn,fn,sensitivity,specificity,n_flipped\n"]
     for t in thresholds:
         referable, flipped = diagnosis.apply_uncertainty_flip(base, std, t)

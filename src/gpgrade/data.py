@@ -79,7 +79,11 @@ def load_feature_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     ids: list[str] = []
     rows: list[np.ndarray] = []
     grades: list[int] = []
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+    try:
+        fh = open(path, newline="", encoding="utf-8", errors="surrogateescape")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+    with fh:
         reader = _csv_rows(fh)
         try:
             header = next(reader)
@@ -250,14 +254,20 @@ def _atomic_write(path, content: str | bytes) -> None:
     path = Path(path)
     if isinstance(content, str):
         content = content.encode("utf-8")
-    tmp = path.with_name(path.name + ".tmp")
+    # A fresh name, created exclusively, so no existing path is overwritten or
+    # removed; the mode follows the umask as a plain open's does.
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    created = False
     try:
-        tmp.write_bytes(content)
+        with open(tmp, "xb") as fh:
+            created = True
+            fh.write(content)
         os.replace(tmp, path)
+        created = False
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc.strerror or exc}") from None
     finally:
-        if tmp.exists():
+        if created:
             tmp.unlink()
 
 
@@ -352,7 +362,10 @@ def load_model(path) -> gp.GPModel:
     path = Path(path)
     if not path.is_file():
         raise InputError(f"no such file: {path}")
-    blob = path.read_bytes()
+    try:
+        blob = path.read_bytes()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
     if blob[: len(MODEL_MAGIC)] != MODEL_MAGIC:
         raise ModelFormatError(f"{path} is not a model archive")
     if len(blob) < _PREFIX.size:

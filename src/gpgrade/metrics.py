@@ -62,18 +62,9 @@ class EvalReport:
         return {"n": self.n, **asdict(self), "quartile_method": QUARTILE_METHOD}
 
     def to_text(self) -> str:
-        """Key-value report, one metric per line; undefined stays explicit."""
-        lines = [
-            f"n {self.n}",
-            f"tp {self.tp}",
-            f"fp {self.fp}",
-            f"tn {self.tn}",
-            f"fn {self.fn}",
-            f"sensitivity {_fmt(self.sensitivity)}",
-            f"specificity {_fmt(self.specificity)}",
-            f"auc {_fmt(self.auc)}",
-        ]
-        return "\n".join(lines) + "\n"
+        """The scalar entries of to_dict, one ``key value`` line each; undefined stays explicit."""
+        skip = ("group_stats", "quartile_method")
+        return "".join(f"{k} {_fmt(v)}\n" for k, v in self.to_dict().items() if k not in skip)
 
 
 def roc_auc(scores, labels) -> float:

@@ -1,7 +1,11 @@
 """End-to-end command-line tests, run in-process through cli.main."""
 
 import csv
+import errno
 import json
+import re
+import stat
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +43,18 @@ def workspace(tmp_path_factory):
         == 0
     )
     return {"root": root, "train": train_csv, "test": test_csv, "model": model}
+
+
+# Every flag of each subcommand, in usage order. predict, evaluate and sweep
+# share the first four.
+SCORING_FLAGS = ["--test-csv", "--model", "--out", "--grade-threshold"]
+FLAGS = {
+    "train": ["--train-csv", "--model", "--max-train", "--restarts", "--seed"],
+    "predict": [*SCORING_FLAGS, "--std-threshold"],
+    "evaluate": [*SCORING_FLAGS, "--std-threshold"],
+    "sweep": [*SCORING_FLAGS, "--std-thresholds"],
+    "synth": ["--out", "--seed", "--n-per-grade", "--dim", "--separation", "--noise"],
+}
 
 
 def read_csv_rows(path):
@@ -131,12 +147,16 @@ class TestTrain:
         assert code == 2
         assert "numerical error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("argv", [["--help"], ["train", "--help"]])
+    @pytest.mark.parametrize("argv", [["--help"]] + [[command, "--help"] for command in FLAGS])
     def test_help_exits_zero(self, capsys, argv):
         with pytest.raises(SystemExit) as exit_info:
             run(argv)
         assert exit_info.value.code == 0
-        assert capsys.readouterr().out.startswith("usage: gpgrade")
+        out = capsys.readouterr().out
+        assert out.startswith("usage: gpgrade")
+        if argv[0] in FLAGS:
+            usage = out.split("\n\n")[0]
+            assert re.findall(r"--[a-z-]+", usage) == FLAGS[argv[0]]
 
 
 class TestPredict:
@@ -420,12 +440,15 @@ class TestRejections:
             ("evaluate", "--grade-threshold", "nan"),
             ("sweep", "--std-thresholds", "0.5,nan"),
             ("sweep", "--std-thresholds", "inf"),
+            ("sweep", "--grade-threshold", "nan"),
         ],
     )
     def test_non_finite_threshold(self, workspace, tmp_path, capsys, command, flag, value):
         out = tmp_path / "out"
         argv = [command, "--test-csv", workspace["test"], "--model", workspace["model"]]
         argv += ["--out", out, f"{flag}={value}"]
+        if command == "sweep" and flag != "--std-thresholds":
+            argv += ["--std-thresholds", "0.5"]
         self.assert_rejected(argv, out, capsys, "must be finite")
 
     @pytest.mark.parametrize(
@@ -459,6 +482,31 @@ class TestRejections:
     def test_bad_synth_argument(self, tmp_path, capsys, flag, value, match):
         out = tmp_path / "synth.csv"
         self.assert_rejected(["synth", "--out", out, f"{flag}={value}"], out, capsys, match)
+
+    @pytest.mark.parametrize("command, unreadable", [("train", "train"), ("predict", "model")])
+    def test_unreadable_input(self, workspace, tmp_path, capsys, monkeypatch, command, unreadable):
+        """An input that exists but cannot be opened is an input error, not a traceback.
+
+        The denial is simulated: running as root, ``chmod 000`` would not stop a read.
+        """
+        blocked = workspace[unreadable]
+
+        def denied(real):
+            def call(path, *args, **kwargs):
+                if Path(path) == blocked:
+                    raise PermissionError(errno.EACCES, "Permission denied", str(path))
+                return real(path, *args, **kwargs)
+
+            return call
+
+        monkeypatch.setattr(data, "open", denied(open), raising=False)
+        monkeypatch.setattr(Path, "read_bytes", denied(Path.read_bytes))
+        out = tmp_path / "out"
+        if command == "train":
+            argv = ["train", "--train-csv", blocked, "--model", out]
+        else:
+            argv = ["predict", "--test-csv", workspace["test"], "--model", blocked, "--out", out]
+        self.assert_rejected(argv, out, capsys, f"cannot read {blocked}: Permission denied")
 
     def test_negative_train_seed(self, workspace, tmp_path, capsys):
         out = tmp_path / "m.model"
@@ -576,3 +624,33 @@ class TestRejections:
         out = tmp_path / "r.json"
         argv = ["evaluate", "--test-csv", workspace["test"], "--model", model, "--out", out]
         self.assert_rejected(argv, out, capsys, "'arrays'")
+
+
+class TestAtomicWrite:
+    """An existing ``<out>.tmp`` is left alone: outputs go through a fresh temp name."""
+
+    @pytest.mark.parametrize("kind", ["directory", "file"])
+    def test_stale_temp_name_is_untouched(self, tmp_path, capsys, kind):
+        clean = tmp_path / "clean.csv"
+        assert run(["synth", "--out", clean, "--n-per-grade", 3]) == 0
+        work = tmp_path / "work"
+        work.mkdir()
+        stale = work / "preds.csv.tmp"
+        if kind == "directory":
+            stale.mkdir()
+            (stale / "inside").write_text("keep")
+        else:
+            stale.write_text("someone else's file")
+        before = {p.relative_to(work): p.read_bytes() for p in work.rglob("*") if p.is_file()}
+        out = work / "preds.csv"
+        assert run(["synth", "--out", out, "--n-per-grade", 3]) == 0
+        assert capsys.readouterr().err == ""
+        assert out.read_bytes() == clean.read_bytes()
+        assert stale.is_dir() == (kind == "directory")
+        after = {p.relative_to(work): p.read_bytes() for p in work.rglob("*") if p.is_file()}
+        assert after == {**before, Path("preds.csv"): clean.read_bytes()}
+        assert sorted(p.name for p in work.iterdir()) == ["preds.csv", "preds.csv.tmp"]
+        plain = tmp_path / "plain"
+        with open(plain, "w"):
+            pass
+        assert stat.S_IMODE(out.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode)
