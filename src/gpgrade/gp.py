@@ -48,9 +48,10 @@ LBFGS_OPTIONS = {"maxiter": 200, "ftol": 1e-6, "gtol": 1e-5}
 
 # From this many training rows (the size it was timed and quality-checked
 # at), with two or more restarts, fit runs the restarts on a random subset of
-# _COARSE_SUBSET_N rows and then searches the full set only twice. The polish
-# from the best subset optimum has no other restart to make up for an early
-# stop, so it stops on a 100x smaller relative decrease.
+# _COARSE_SUBSET_N rows, then searches the full set twice: a guard from the
+# first start, and a polish from the better (by full-set evidence) of its end
+# and the best subset optimum. The polish has no other restart to make up for
+# an early stop, so it stops on a 100x smaller relative decrease.
 _TWO_STAGE_MIN_N = 2000
 _COARSE_SUBSET_N = 500
 _POLISH_OPTIONS = {**LBFGS_OPTIONS, "ftol": 1e-8}
@@ -270,7 +271,9 @@ def fit(
     or, from 2,000 rows on with two or more restarts, a seeded 500-row subset.
     Only in that case are its results replaced by two searches of the full
     set: from the first start (a guard against a subset-only basin) and, with
-    a tighter stop, from the best subset optimum.
+    a tighter stop, from the better by full-set evidence of the guard's end
+    and the best subset optimum (one evaluation at the latter ranks them).
+    No full-set point is evaluated twice in one fit.
     """
     X, y = _validate_training_data(X, y)
     if max_train < 2:
@@ -296,6 +299,19 @@ def fit(
     low, high = math.log(0.5 * median_dist), math.log(2.0 * median_dist)
     starts = [np.array([rng.uniform(low, high), math.log(0.1)]) for _ in range(restarts)]
 
+    full_set = {}  # full-set evaluations by theta, kept for the rest of the fit
+
+    def evidence(S, y, theta):
+        """(lml, gradient, Hyperparams) at theta; lml is nan where it is not computable."""
+        memo = full_set if y.shape[0] == n else {}  # subset points are not kept
+        key = theta.tobytes()
+        if key not in memo:
+            try:
+                memo[key] = _profiled_evidence(S, y, theta)
+            except (InputError, NumericalError, OverflowError, FloatingPointError):
+                memo[key] = (math.nan, None, None)
+        return memo[key]
+
     def search(S, y, theta0, options=LBFGS_OPTIONS):
         """(lml, theta, Hyperparams) of the best computable point L-BFGS-B evaluates from
         theta0, the earliest of ties; Hyperparams is None if no point was computable."""
@@ -303,10 +319,7 @@ def fit(
 
         def negative_evidence(theta):
             nonlocal record
-            try:
-                lml, grad, hp = _profiled_evidence(S, y, theta)
-            except (InputError, NumericalError, OverflowError, FloatingPointError):
-                lml = math.nan
+            lml, grad, hp = evidence(S, y, theta)
             if math.isfinite(lml) and np.isfinite(grad).all():
                 if lml > record[0]:
                     record = (lml, np.array(theta), hp)
@@ -329,8 +342,10 @@ def fit(
         S_rows, y_rows = S[np.ix_(sub, sub)], y[sub]
     records = [search(S_rows, y_rows, theta0) for theta0 in starts]
     if S_rows is not S:  # a guard against a basin only the subset has, and a polish
-        polish0 = max(records, key=lambda record: record[0])[1]
-        records = [search(S, y, starts[0]), search(S, y, polish0, _POLISH_OPTIONS)]
+        guard = search(S, y, starts[0])
+        best = max(records, key=lambda record: record[0])[1]
+        polish0 = best if evidence(S, y, best)[0] > guard[0] else guard[1]
+        records = [guard, search(S, y, polish0, _POLISH_OPTIONS)]
     _, _, hp = max(records, key=lambda record: record[0])
     if hp is None:
         raise NumericalError("evidence was non-finite at every restart")

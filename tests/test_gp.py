@@ -691,27 +691,74 @@ def record_searches(monkeypatch, steer=None):
     return calls
 
 
+def first_start(rng, X):
+    """The first restart's theta for training rows X, drawn from rng the way fit draws it."""
+    S = pairwise_sq_dists(X)
+    median_dist = math.sqrt(float(np.median(S[np.triu_indices(X.shape[0], 1)])))
+    log_l0 = rng.uniform(math.log(0.5 * median_dist), math.log(2.0 * median_dist))
+    return np.array([log_l0, math.log(0.1)])
+
+
+def best_subset_x(calls):
+    """The end of the best of the three subset searches in ``record_searches`` calls."""
+    return min((result for _, result in calls[:3]), key=lambda result: result.fun).x
+
+
 class TestTwoStageFit:
     """Restarts on a subset, then a guard restart and a polish on the full set."""
 
     HP = hp_of(1.5, 2.0, 0.1)
 
+    FAR = np.array([8.0, math.log(0.1)])
+
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_guard_catches_a_polish_stuck_in_a_poor_basin(self, two_stage, monkeypatch, seed):
         # Every subset search starts at a length-scale of e^8, far past the
         # data, where the evidence is flat in it: the subset optimum stays
-        # there and so does a polish from it.
-        far = np.array([8.0, math.log(0.1)])
-        calls = record_searches(monkeypatch, lambda i, x0: far if i < 3 else x0)
+        # there, so the polish starts from the guard's end instead.
+        calls = record_searches(monkeypatch, lambda i, x0: self.FAR if i < 3 else x0)
         X, y = sample_from_prior(self.HP, n=100, D=3, seed=seed)
         model = fit(X, y, restarts=3, seed=seed)
         assert len(calls) == 5
-        guard, polish = calls[3][1], calls[4][1]
-        assert -polish.fun < -guard.fun - 10.0
-        assert model.hp.log_length_scale == guard.x[0]
-        log_ratio = model.hp.log_noise_variance - model.hp.log_signal_variance
-        assert log_ratio == pytest.approx(guard.x[1], abs=1e-12)
-        assert model.log_evidence == pytest.approx(-guard.fun, rel=1e-9)
+        guard = calls[3][1]
+        np.testing.assert_array_equal(calls[3][0], first_start(np.random.default_rng(seed), X))
+        np.testing.assert_array_equal(calls[4][0], guard.x)
+        far_lml = gp_module._profiled_evidence(pairwise_sq_dists(X), y, self.FAR)[0]
+        assert model.log_evidence >= -guard.fun - 1e-9 * abs(guard.fun)
+        assert model.log_evidence > far_lml + 10.0
+
+    # Not seed 3: its best subset optimum sits at the noise floor, below the far guard's end.
+    @pytest.mark.parametrize("seed", [1, 2, 4])
+    def test_polish_starts_at_the_best_subset_optimum_when_the_guard_ends_far(
+        self, two_stage, monkeypatch, seed
+    ):
+        calls = record_searches(monkeypatch, lambda i, x0: self.FAR if i == 3 else x0)
+        X, y = sample_from_prior(self.HP, n=100, D=3, seed=seed)
+        model = fit(X, y, restarts=3, seed=seed)
+        assert len(calls) == 5
+        np.testing.assert_array_equal(calls[4][0], best_subset_x(calls))
+        assert model.log_evidence > -calls[3][1].fun + 10.0
+
+    def test_polish_starts_at_the_guard_if_the_ranking_evaluation_fails(
+        self, two_stage, monkeypatch
+    ):
+        # The guard ends far, so only the failure keeps the polish from the subset optimum.
+        calls = record_searches(monkeypatch, lambda i, x0: self.FAR if i == 3 else x0)
+        profiled, failed = gp_module._profiled_evidence, []
+
+        def failing_between_guard_and_polish(S, y, theta):
+            if len(calls) == 4 and not failed:
+                failed.append(theta.copy())
+                raise NumericalError("not positive definite")
+            return profiled(S, y, theta)
+
+        monkeypatch.setattr(gp_module, "_profiled_evidence", failing_between_guard_and_polish)
+        X, y = sample_from_prior(self.HP, n=100, D=3, seed=1)
+        model = fit(X, y, restarts=3, seed=1)
+        assert len(calls) == 5
+        np.testing.assert_array_equal(failed[0], best_subset_x(calls))
+        np.testing.assert_array_equal(calls[4][0], calls[3][1].x)
+        assert model.log_evidence >= -calls[3][1].fun - 1e-9 * abs(calls[3][1].fun)
 
     def test_subsample_and_first_start_are_those_of_one_stage(self, two_stage, monkeypatch):
         calls = record_searches(monkeypatch)
@@ -722,10 +769,7 @@ class TestTwoStageFit:
         rng = np.random.default_rng(30)
         idx = np.sort(rng.choice(120, size=100, replace=False))
         np.testing.assert_array_equal(model.X_train, X[idx])
-        S = pairwise_sq_dists(X[idx])
-        median_dist = math.sqrt(float(np.median(S[np.triu_indices(100, 1)])))
-        log_l0 = rng.uniform(math.log(0.5 * median_dist), math.log(2.0 * median_dist))
-        theta0 = np.array([log_l0, math.log(0.1)])
+        theta0 = first_start(rng, X[idx])
         np.testing.assert_array_equal(calls[0][0], theta0)  # first subset search
         np.testing.assert_array_equal(calls[3][0], theta0)  # full-set guard
 
@@ -735,8 +779,10 @@ class TestTwoStageFit:
         second = log_array(fit(X, y, restarts=3, seed=31).hp)
         assert first.tobytes() == second.tobytes()
 
-    def test_one_factorization_per_optimizer_evaluation(self, two_stage, monkeypatch):
-        calls = record_searches(monkeypatch)
+    @pytest.mark.parametrize("far", [range(3), [3]], ids=["guard-wins", "subset-wins"])
+    def test_one_factorization_per_optimizer_evaluation(self, two_stage, monkeypatch, far):
+        """The ranking evaluation and the polish's first point cost one factorization."""
+        calls = record_searches(monkeypatch, lambda i, x0: self.FAR if i in far else x0)
         shapes = []
         cholesky = gp_module.cholesky_with_jitter
 
@@ -751,6 +797,8 @@ class TestTwoStageFit:
         assert len(nfev) == 3 + 2
         assert len(shapes) == sum(nfev) + 1
         assert shapes.count((40, 40)) == sum(nfev[:3])
+        polish0 = calls[3][1].x if far == range(3) else best_subset_x(calls)
+        np.testing.assert_array_equal(calls[4][0], polish0)
 
     @pytest.mark.parametrize("n, restarts", [(100, 1), (79, 3)])
     def test_one_search_per_restart_otherwise(self, two_stage, monkeypatch, n, restarts):
