@@ -88,7 +88,8 @@ def _load_and_predict(args):
     if model.normalizer is None:
         raise InputError("model archive has no normalization statistics")
     ids, X, grades = data.load_feature_csv(args.test_csv)
-    mean, std = gp.predict(model, data.apply_normalizer(model.normalizer, X))
+    X = data.apply_normalizer(model.normalizer, X)  # the raw rows are freed before predicting
+    mean, std = gp.predict(model, X)
     return ids, grades >= 2, mean, std, diagnosis.binarize(mean, args.grade_threshold)
 
 

@@ -272,11 +272,8 @@ def _atomic_write(path, content: str | bytes) -> None:
 
 
 def _model_digests(model: gp.GPModel) -> dict:
-    L, alpha = model.chol_L.ravel(order="K"), model.alpha
-    return {
-        "chol_l_fro": math.sqrt(blas.ddot(L, L)),
-        "alpha_l2": math.sqrt(blas.ddot(alpha, alpha)),
-    }
+    alpha = model.alpha
+    return {"chol_l_fro": model.chol_l_fro, "alpha_l2": math.sqrt(blas.ddot(alpha, alpha))}
 
 
 def save_model(model: gp.GPModel, path) -> None:

@@ -1,15 +1,17 @@
 """Regression-engine tests: factorization, evidence, fitting, prediction."""
 
 import math
+import sys
+import tracemalloc
 import warnings
-from dataclasses import astuple
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
 from scipy.linalg import blas, cho_solve, solve_triangular
 
 from gpgrade import (
-    GPModel,
     Hyperparams,
     InputError,
     NumericalError,
@@ -19,7 +21,7 @@ from gpgrade import (
 )
 from gpgrade import gp as gp_module
 from gpgrade import kernel as kernel_module
-from gpgrade.data import save_model
+from gpgrade.data import load_model, save_model
 from gpgrade.gp import cholesky_with_jitter, log_marginal_likelihood
 from gpgrade.kernel import NOISE_VARIANCE_FLOOR, kernel_matrix, pairwise_sq_dists
 
@@ -825,11 +827,11 @@ def floor_noise_model(jitter):
     return build_model(X, y, hp), rng
 
 
-def triangular_solve_prediction(model, Xq):
-    """Mean and (unclamped) variance of one query block by a triangular solve on the factor."""
+def triangular_solve_prediction(model, L, Xq):
+    """Mean and (unclamped) variance of one query block by a triangular solve on the factor L."""
     Kq = kernel_matrix(Xq, model.X_train, model.hp)
     mean = blas.dgemv(1.0, Kq.T, model.alpha, trans=1)
-    W = solve_triangular(model.chol_L, Kq.T, lower=True)
+    W = solve_triangular(L, Kq.T, lower=True)
     prior = model.hp.signal_variance + model.hp.noise_variance
     return mean, prior - np.einsum("ij,ij->j", W, W)
 
@@ -841,23 +843,98 @@ class TestPredict:
         model, rng = floor_noise_model(jitter)
         X = model.X_train
         Xq = np.vstack([X[:40], X[:40] + 0.25, rng.normal(size=(40, X.shape[1]))])
-        before = [model.chol_L.tobytes(), model.alpha.tobytes(), model.X_train.tobytes()]
+        L = model.chol_L.copy()  # the first predict inverts the model's factor in place
+        before = [model.alpha.tobytes(), model.X_train.tobytes()]
         mean, std = predict(model, Xq)
-        ref_mean, ref_var = triangular_solve_prediction(model, Xq)
+        ref_mean, ref_var = triangular_solve_prediction(model, L, Xq)
         assert mean.tobytes() == ref_mean.tobytes()
         prior = model.hp.signal_variance + model.hp.noise_variance
         assert np.abs(std**2 - np.maximum(ref_var, 0.0)).max() <= 1e-10 * prior
         again = predict(model, Xq)
         assert again[0].tobytes() == mean.tobytes() and again[1].tobytes() == std.tobytes()
-        assert [model.chol_L.tobytes(), model.alpha.tobytes(), model.X_train.tobytes()] == before
+        assert [model.alpha.tobytes(), model.X_train.tobytes()] == before
 
     def test_singular_factor_is_a_numerical_error(self):
         model = build_model(np.eye(8), np.arange(8.0), hp_of())
         L = model.chol_L.copy()
         L[5, 5] = 0.0
-        singular = GPModel(model.hp, model.X_train, model.y_train, L, model.alpha)
-        with pytest.raises(NumericalError, match="diagonal 5 "):
-            predict(singular, np.zeros((2, 8)))
+        singular = replace(model, chol_L=L)
+        for _ in range(2):  # a failed inversion leaves the factor as it was
+            with pytest.raises(NumericalError, match="diagonal 5 "):
+                predict(singular, np.zeros((2, 8)))
+
+    def test_factor_is_inverted_once_in_place_on_the_first_predict(self, tmp_path, monkeypatch):
+        calls = []
+        dtrtri = gp_module.lapack.dtrtri
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs)
+            return dtrtri(*args, **kwargs)
+
+        monkeypatch.setattr(gp_module.lapack, "dtrtri", counted)
+        rng = np.random.default_rng(36)
+        X, y = rng.normal(size=(40, 3)), rng.normal(size=40)
+        model = fit(X, y, restarts=2, seed=36)
+        save_model(build_model(X, y, model.hp), tmp_path / "m.model")
+        loaded = load_model(tmp_path / "m.model")
+        assert calls == []
+        L = loaded.chol_L
+        L_inv, _ = dtrtri(L, lower=1)  # into a new buffer, as each predict once did
+        predict(loaded, X[:5])
+        predict(loaded, X[5:9])
+        assert len(calls) == 1
+        assert loaded.chol_L is L and L.tobytes() == L_inv.tobytes()
+
+    def test_concurrent_first_predicts_invert_once(self, monkeypatch):
+        """Threads that predict on a fresh model together must not invert its factor twice."""
+        calls = []
+        dtrtri = gp_module.lapack.dtrtri
+        monkeypatch.setattr(
+            gp_module.lapack, "dtrtri", lambda *a, **k: calls.append(1) or dtrtri(*a, **k)
+        )
+        rng = np.random.default_rng(38)
+        X, y = rng.normal(size=(256, 4)), rng.normal(size=256)
+        queries = rng.normal(size=(8, 4))
+        expected = predict(build_model(X, y, hp_of(1.0, 1.0, 0.1)), queries)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(6):
+                calls.clear()
+                model = build_model(X, y, hp_of(1.0, 1.0, 0.1))
+                with ThreadPoolExecutor(max_workers=6) as pool:
+                    futures = [pool.submit(predict, model, queries) for _ in range(6)]
+                    results = [f.result(timeout=60) for f in futures]
+                assert len(calls) == 1
+                for mean, std in results:
+                    assert mean.tobytes() == expected[0].tobytes()
+                    assert std.tobytes() == expected[1].tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_saving_after_a_predict_keeps_the_archive_and_evidence(self, tmp_path):
+        model, rng = floor_noise_model(jitter=True)
+        evidence = model.log_evidence
+        save_model(model, tmp_path / "before.model")
+        predict(model, rng.normal(size=(3, model.X_train.shape[1])))
+        save_model(model, tmp_path / "after.model")
+        assert (tmp_path / "before.model").read_bytes() == (tmp_path / "after.model").read_bytes()
+        assert model.log_evidence.hex() == evidence.hex()
+
+    def test_first_predict_allocates_no_second_factor(self):
+        """Beyond its outputs and one block, the first predict allocates less than n x n floats."""
+        rng = np.random.default_rng(37)
+        n, m = 1024, 600
+        model = build_model(rng.normal(size=(n, 3)), rng.normal(size=n), hp_of(1.0, 1.0, 0.1))
+        queries = rng.normal(size=(m, 3))
+        tracemalloc.start()
+        try:
+            predict(model, queries)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        outputs, block = 2 * m * 8, min(m, gp_module._PREDICT_BLOCK) * n * 8
+        assert peak - outputs - block < n * n * 8
 
     def test_interpolates_training_point_at_noise_floor(self):
         hp = Hyperparams(0.0, 0.0, math.log(1e-12))
@@ -943,19 +1020,25 @@ class TestPredict:
             residuals.append(float(np.linalg.norm(y - means)))
         assert residuals[0] > residuals[1] > residuals[2]
 
-    def test_blocked_prediction_matches_unblocked(self):
-        """Query batches larger than the internal block size split cleanly."""
+    @pytest.mark.parametrize("block", [512, 2048])
+    def test_blocked_prediction_matches_unblocked(self, monkeypatch, block):
+        """Query batches larger than the block size split cleanly, to the bit of 2,048-row blocks."""
         rng = np.random.default_rng(24)
         X = rng.normal(size=(10, 2))
         y = rng.normal(size=10)
         model = build_model(X, y, hp_of(1.0, 1.0, 0.1))
         for tail in (7, 1):
-            queries = rng.normal(size=(gp_module._PREDICT_BLOCK + tail, 2))
+            queries = rng.normal(size=(2048 + tail, 2))
+            monkeypatch.setattr(gp_module, "_PREDICT_BLOCK", 2048)
+            reference = predict(model, queries)
+            monkeypatch.setattr(gp_module, "_PREDICT_BLOCK", block)
             mean, std = predict(model, queries)
             assert mean.shape == std.shape == (queries.shape[0],)
-            tail_mean, tail_std = predict(model, queries[gp_module._PREDICT_BLOCK :])
-            np.testing.assert_array_equal(mean[gp_module._PREDICT_BLOCK :], tail_mean)
-            np.testing.assert_array_equal(std[gp_module._PREDICT_BLOCK :], tail_std)
+            assert mean.tobytes() == reference[0].tobytes()
+            assert std.tobytes() == reference[1].tobytes()
+            tail_mean, tail_std = predict(model, queries[block:])
+            np.testing.assert_array_equal(mean[block:], tail_mean)
+            np.testing.assert_array_equal(std[block:], tail_std)
 
     @pytest.mark.parametrize("value", [1.7e308, 1e160, -1e160, np.inf, -np.inf, np.nan])
     def test_rejects_query_row_with_non_finite_squared_norm(self, value):
