@@ -51,10 +51,10 @@ LBFGS_OPTIONS = {"maxiter": 200, "ftol": 1e-6, "gtol": 1e-5}
 
 # From this many training rows (the size it was timed and quality-checked
 # at), with two or more restarts, fit runs the restarts on a random subset of
-# _COARSE_SUBSET_N rows, then searches the full set twice: a guard from the
-# first start, and a polish from the better (by full-set evidence) of its end
-# and the best subset optimum. The polish has no other restart to make up for
-# an early stop, so it stops on a 100x smaller relative decrease.
+# _COARSE_SUBSET_N rows, then searches the full set from the first start (a
+# guard), and polishes from the best subset optimum only if its full-set
+# evidence beats the guard's end. The polish has no other restart to make up
+# for an early stop, so it stops on a 100x smaller relative decrease.
 _TWO_STAGE_MIN_N = 2000
 _COARSE_SUBSET_N = 500
 _POLISH_OPTIONS = {**LBFGS_OPTIONS, "ftol": 1e-8}
@@ -272,10 +272,10 @@ def fit(
 
     One loop runs a search from each start. It searches every training row,
     or, from 2,000 rows on with two or more restarts, a seeded 500-row subset.
-    Only in that case are its results replaced by two searches of the full
-    set: from the first start (a guard against a subset-only basin) and, with
-    a tighter stop, from the better by full-set evidence of the guard's end
-    and the best subset optimum (one evaluation at the latter ranks them).
+    Only in that case are its results replaced by a search of the full set
+    from the first start (a guard against a subset-only basin) and, if one
+    full-set evaluation at the best subset optimum beats the guard's end, a
+    search on from that optimum with a tighter stop (the polish).
     No full-set point is evaluated twice in one fit.
     """
     X, y = _validate_training_data(X, y)
@@ -294,9 +294,8 @@ def fit(
     S = pairwise_sq_dists(X)
     n = X.shape[0]
 
-    upper = np.triu_indices(n, 1)
     with np.errstate(over="ignore"):  # two middle distances at the float maximum average to inf
-        median_dist = math.sqrt(float(np.median(S[upper])))
+        median_dist = math.sqrt(float(np.median(S[np.tri(n, k=-1, dtype=bool)])))
     if not 0.0 < median_dist < math.inf:
         median_dist = 1.0
     low, high = math.log(0.5 * median_dist), math.log(2.0 * median_dist)
@@ -344,11 +343,12 @@ def fit(
         sub = np.sort(sub_rng.choice(n, size=_COARSE_SUBSET_N, replace=False))
         S_rows, y_rows = S[np.ix_(sub, sub)], y[sub]
     records = [search(S_rows, y_rows, theta0) for theta0 in starts]
-    if S_rows is not S:  # a guard against a basin only the subset has, and a polish
+    if S_rows is not S:  # a guard against a basin only the subset has, then maybe a polish
         guard = search(S, y, starts[0])
         best = max(records, key=lambda record: record[0])[1]
-        polish0 = best if evidence(S, y, best)[0] > guard[0] else guard[1]
-        records = [guard, search(S, y, polish0, _POLISH_OPTIONS)]
+        records = [guard]
+        if evidence(S, y, best)[0] > guard[0]:  # false where it is not computable (nan)
+            records.append(search(S, y, best, _POLISH_OPTIONS))
     _, _, hp = max(records, key=lambda record: record[0])
     if hp is None:
         raise NumericalError("evidence was non-finite at every restart")

@@ -492,6 +492,20 @@ class TestFit:
         fit(X, y, restarts=3, seed=22)
         assert len(calls) == 1
 
+    def test_fit_holds_three_n_by_n_arrays_at_most(self):
+        """Distances, kernel and factor: no n x n index array outlives the median."""
+        rng = np.random.default_rng(38)
+        n = 600
+        X, y = rng.normal(size=(n, 8)), rng.normal(size=n)
+        fit(X[:10], y[:10], restarts=1, seed=38)  # imports scipy.optimize outside the trace
+        tracemalloc.start()
+        try:
+            fit(X, y, restarts=1, seed=38)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * n * n * 8
+
     @pytest.mark.parametrize(
         "evidence",
         [(np.nan, np.zeros(2), None), NumericalError("no factor")],
@@ -701,13 +715,29 @@ def first_start(rng, X):
     return np.array([log_l0, math.log(0.1)])
 
 
+def record_guard_points(monkeypatch, calls):
+    """(lml, Hyperparams) of every point the guard, the fourth ``record_searches`` search, evaluates."""
+    points = []
+    profiled = gp_module._profiled_evidence
+
+    def recording(S, y, theta):
+        lml, grad, hp = profiled(S, y, theta)
+        if len(calls) == 3:
+            points.append((lml, hp))
+        return lml, grad, hp
+
+    monkeypatch.setattr(gp_module, "_profiled_evidence", recording)
+    return points
+
+
 def best_subset_x(calls):
     """The end of the best of the three subset searches in ``record_searches`` calls."""
     return min((result for _, result in calls[:3]), key=lambda result: result.fun).x
 
 
 class TestTwoStageFit:
-    """Restarts on a subset, then a guard restart and a polish on the full set."""
+    """Restarts on a subset, then a guard restart on the full set, and a polish only
+    from a subset optimum whose full-set evidence beats the guard's end."""
 
     HP = hp_of(1.5, 2.0, 0.1)
 
@@ -717,14 +747,15 @@ class TestTwoStageFit:
     def test_guard_catches_a_polish_stuck_in_a_poor_basin(self, two_stage, monkeypatch, seed):
         # Every subset search starts at a length-scale of e^8, far past the
         # data, where the evidence is flat in it: the subset optimum stays
-        # there, so the polish starts from the guard's end instead.
+        # there, ranks below the guard's end, and no polish runs.
         calls = record_searches(monkeypatch, lambda i, x0: self.FAR if i < 3 else x0)
+        points = record_guard_points(monkeypatch, calls)
         X, y = sample_from_prior(self.HP, n=100, D=3, seed=seed)
         model = fit(X, y, restarts=3, seed=seed)
-        assert len(calls) == 5
+        assert len(calls) == 4
         guard = calls[3][1]
         np.testing.assert_array_equal(calls[3][0], first_start(np.random.default_rng(seed), X))
-        np.testing.assert_array_equal(calls[4][0], guard.x)
+        assert model.hp == max(points, key=lambda point: point[0])[1]
         far_lml = gp_module._profiled_evidence(pairwise_sq_dists(X), y, self.FAR)[0]
         assert model.log_evidence >= -guard.fun - 1e-9 * abs(guard.fun)
         assert model.log_evidence > far_lml + 10.0
@@ -741,25 +772,24 @@ class TestTwoStageFit:
         np.testing.assert_array_equal(calls[4][0], best_subset_x(calls))
         assert model.log_evidence > -calls[3][1].fun + 10.0
 
-    def test_polish_starts_at_the_guard_if_the_ranking_evaluation_fails(
-        self, two_stage, monkeypatch
-    ):
-        # The guard ends far, so only the failure keeps the polish from the subset optimum.
+    def test_guard_is_the_model_if_the_ranking_evaluation_fails(self, two_stage, monkeypatch):
+        # The guard ends far, so only the failure stops a polish from the subset optimum.
         calls = record_searches(monkeypatch, lambda i, x0: self.FAR if i == 3 else x0)
+        points = record_guard_points(monkeypatch, calls)
         profiled, failed = gp_module._profiled_evidence, []
 
-        def failing_between_guard_and_polish(S, y, theta):
+        def failing_after_the_guard(S, y, theta):
             if len(calls) == 4 and not failed:
                 failed.append(theta.copy())
                 raise NumericalError("not positive definite")
             return profiled(S, y, theta)
 
-        monkeypatch.setattr(gp_module, "_profiled_evidence", failing_between_guard_and_polish)
+        monkeypatch.setattr(gp_module, "_profiled_evidence", failing_after_the_guard)
         X, y = sample_from_prior(self.HP, n=100, D=3, seed=1)
         model = fit(X, y, restarts=3, seed=1)
-        assert len(calls) == 5
+        assert len(calls) == 4
         np.testing.assert_array_equal(failed[0], best_subset_x(calls))
-        np.testing.assert_array_equal(calls[4][0], calls[3][1].x)
+        assert model.hp == max(points, key=lambda point: point[0])[1]
         assert model.log_evidence >= -calls[3][1].fun - 1e-9 * abs(calls[3][1].fun)
 
     def test_subsample_and_first_start_are_those_of_one_stage(self, two_stage, monkeypatch):
@@ -783,7 +813,8 @@ class TestTwoStageFit:
 
     @pytest.mark.parametrize("far", [range(3), [3]], ids=["guard-wins", "subset-wins"])
     def test_one_factorization_per_optimizer_evaluation(self, two_stage, monkeypatch, far):
-        """The ranking evaluation and the polish's first point cost one factorization."""
+        """The ranking evaluation costs one factorization, shared with the polish's first
+        point if the subset optimum wins; if the guard wins, no polish runs."""
         calls = record_searches(monkeypatch, lambda i, x0: self.FAR if i in far else x0)
         shapes = []
         cholesky = gp_module.cholesky_with_jitter
@@ -796,11 +827,14 @@ class TestTwoStageFit:
         X, y = sample_from_prior(self.HP, n=100, D=3, seed=32)
         fit(X, y, restarts=3, seed=32)
         nfev = [result.nfev for _, result in calls]
-        assert len(nfev) == 3 + 2
-        assert len(shapes) == sum(nfev) + 1
         assert shapes.count((40, 40)) == sum(nfev[:3])
-        polish0 = calls[3][1].x if far == range(3) else best_subset_x(calls)
-        np.testing.assert_array_equal(calls[4][0], polish0)
+        if far == range(3):
+            assert len(nfev) == 3 + 1
+            assert len(shapes) == sum(nfev) + 2
+        else:
+            assert len(nfev) == 3 + 2
+            assert len(shapes) == sum(nfev) + 1
+            np.testing.assert_array_equal(calls[4][0], best_subset_x(calls))
 
     @pytest.mark.parametrize("n, restarts", [(100, 1), (79, 3)])
     def test_one_search_per_restart_otherwise(self, two_stage, monkeypatch, n, restarts):
