@@ -22,6 +22,7 @@ from .errors import InputError, NumericalError
 from .kernel import (
     NOISE_VARIANCE_FLOOR,
     Hyperparams,
+    _mirror_upper,
     kernel_matrix,
     pairwise_sq_dists,
     rbf_from_sq_dists,
@@ -45,6 +46,9 @@ _BAD_OBJECTIVE = 1e25
 # Query rows per predict block. At n = 2,000, 512-row blocks score as fast as
 # 2,048-row ones with a quarter of the block memory; 256 rows were slower.
 _PREDICT_BLOCK = 512
+
+# Rows per strip in which the evidence gradient reads K*S off the lower triangle (16 were slower).
+_TRACE_STRIP = 32
 
 # L-BFGS-B stopping rules for the evidence search.
 LBFGS_OPTIONS = {"maxiter": 200, "ftol": 1e-6, "gtol": 1e-5}
@@ -98,20 +102,21 @@ class GPModel:
             return self.chol_L
 
 
-def cholesky_with_jitter(K, noise: float = 0.0) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of K + (noise + jitter)*I for symmetric K.
+def cholesky_with_jitter(K, noise: float = 0.0, overwrite_k: bool = False) -> tuple:
+    """Lower Cholesky factor of K + (noise + jitter)*I for symmetric K, and the jitter.
 
-    The jitter escalates through multiples of the mean diagonal of
-    K + noise*I; the one that succeeded is returned with the factor. Each
-    attempt factors in place the transpose of its own C-ordered copy of K,
-    which is K in Fortran order, so K is left unchanged. Raises
-    NumericalError (naming the failing diagonal index) if every level fails,
-    and InputError if the diagonal's sum overflows.
+    The jitter escalates through multiples of the mean diagonal of K + noise*I; the one
+    that succeeded is returned with the factor. Each attempt factors in place the transpose
+    of its own C-ordered copy of K, which is K in Fortran order, so K is left unchanged.
+    With overwrite_k, a C-ordered K is that copy: its strict lower triangle, which dpotrf
+    never touches, keeps K (the factor's strict upper one) and undoes a failed level.
+    Raises NumericalError (naming the failing diagonal index) if every level fails, and
+    InputError if the diagonal's sum overflows.
     """
     K = np.asarray(K, dtype=np.float64)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise InputError(f"expected a square matrix, got shape {K.shape}")
-    if not np.isfinite(K).all() or not math.isfinite(noise):
+    if not all(map(math.isfinite, (K.min(initial=0.0), K.max(initial=0.0), noise))):
         raise InputError("matrix entries and noise must be finite")
     with np.errstate(over="ignore"):
         diag = np.diag(K) + noise
@@ -120,11 +125,13 @@ def cholesky_with_jitter(K, noise: float = 0.0) -> tuple[np.ndarray, float]:
         raise InputError("the diagonal of K + noise*I is too large: its sum overflows")
     for level in JITTER_LEVELS:
         jitter = level * scale
-        A = K.copy()
+        A = K if overwrite_k else K.copy()
         np.fill_diagonal(A, diag + jitter)
-        L, info = lapack.dpotrf(A.T, lower=1, clean=1, overwrite_a=1)
+        L, info = lapack.dpotrf(A.T, lower=1, clean=int(not overwrite_k), overwrite_a=1)
         if info == 0:
             return L, jitter
+        if overwrite_k:  # dpotrf wrote the upper triangle; the strict lower one still is K
+            _mirror_upper(K.T)
     raise NumericalError(
         f"Cholesky factorization failed at all jitter levels; "
         f"leading minor of order {int(info)} is not positive definite"
@@ -145,32 +152,33 @@ def _validate_training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def _factorize(K: np.ndarray, noise: float, y: np.ndarray):
-    """Factor L of K + (noise + jitter)*I, alpha solving that system, and the jitter."""
-    L, jitter = cholesky_with_jitter(K, noise)
-    return L, cho_solve((L, True), y, check_finite=False), jitter
-
-
 def _evidence_terms(S: np.ndarray, y: np.ndarray, hp: Hyperparams, noise: float) -> tuple:
     """(y^T a, log det(Ky) / 2, a^T D a, tr(Ky^-1 D), a^T a, tr(Ky^-1), nu) for Ky = K + nu*I.
 
-    K is the kernel of hp on S, nu = noise + jitter, a = Ky^-1 y and D = K*S / l^2
-    is dK/dlog l. D has a zero diagonal and dpotri fills only the lower triangle
-    of Ky^-1, so tr(Ky^-1 D) is twice that triangle's inner product with K*S
-    (einsum on the transpose view; threaded BLAS ddot costs ms per call to wake).
+    K is the kernel of hp on S, nu = noise + jitter, a = Ky^-1 y and D = K*S / l^2 is
+    dK/dlog l. K is built in one n x n buffer M, factored and inverted in place on the
+    Fortran view M.T: Ky^-1 fills M's upper triangle (C order, with the diagonal) and
+    K stays in the strict lower one. D is symmetric with a zero diagonal, so a^T D a
+    and tr(Ky^-1 D) are twice their strict lower sums, read in strips of rows: K*S from
+    the rows, Ky^-1 from the mirrored columns (einsum; BLAS ddot is slow to wake).
     """
-    K = rbf_from_sq_dists(S, hp)
-    L, alpha, jitter = _factorize(K, noise, y)
+    M = rbf_from_sq_dists(S, hp)
+    L, jitter = cholesky_with_jitter(M, noise, overwrite_k=True)
+    alpha = cho_solve((L, True), y, check_finite=False)
     half_logdet = float(np.sum(np.log(np.diag(L))))
-    Ky_inv, info = lapack.dpotri(L, lower=1, overwrite_c=1)
+    _, info = lapack.dpotri(L, lower=1, overwrite_c=1)
     if info != 0:
         raise NumericalError(f"inverting the training system failed (dpotri info {info})")
-    KS = np.multiply(K, S, out=K)
+    a_D_a = tr_D = 0.0
+    for i in range(0, y.shape[0], _TRACE_STRIP):
+        rows = slice(i, i + _TRACE_STRIP)
+        KS = np.multiply(M[rows, : rows.stop], S[rows, : rows.stop])
+        KS[:, i:] = np.tril(KS[:, i:], -1)  # the diagonal tile's upper triangle is Ky^-1
+        a_D_a += blas.ddot(alpha[rows], blas.dgemv(1.0, KS.T, alpha[: rows.stop], trans=1))
+        tr_D += np.einsum("ij,ji->", KS, M[: rows.stop, rows])
     l2 = hp.length_scale**2
-    a_D_a = blas.ddot(alpha, blas.dgemv(1.0, KS.T, alpha, trans=1)) / l2
-    tr_D = 2.0 * np.einsum("ij,ij->", Ky_inv.T, KS) / l2
-    return (blas.ddot(y, alpha), half_logdet, a_D_a, tr_D, blas.ddot(alpha, alpha),
-            float(np.trace(Ky_inv)), noise + jitter)
+    return (blas.ddot(y, alpha), half_logdet, 2.0 * a_D_a / l2, 2.0 * tr_D / l2,
+            blas.ddot(alpha, alpha), float(np.trace(M)), noise + jitter)
 
 
 def _lml_and_gradient(terms: tuple, n: int, noise_deriv: float):
@@ -241,7 +249,8 @@ def build_model(
 
 def _freeze(X, y, K, hp: Hyperparams, normalizer, train_subset_seed: int) -> GPModel:
     """The GPModel of validated (X, y) at hp, factored from K = k(X, X)."""
-    L, alpha, _ = _factorize(K, hp.noise_variance, y)
+    L, _ = cholesky_with_jitter(K, hp.noise_variance)
+    alpha = cho_solve((L, True), y, check_finite=False)
     half_logdet = float(np.sum(np.log(np.diag(L))))
     lml = -0.5 * blas.ddot(y, alpha) - half_logdet - 0.5 * y.shape[0] * _LOG_2PI
     flat = L.ravel(order="K")
@@ -353,8 +362,8 @@ def fit(
     if hp is None:
         raise NumericalError("evidence was non-finite at every restart")
 
-    # The final model reuses S: one distance pass per fit.
-    return _freeze(X, y, rbf_from_sq_dists(S, hp), hp, normalizer, seed)
+    # The final model reuses S, and its buffer: one distance pass per fit.
+    return _freeze(X, y, rbf_from_sq_dists(S, hp, out=S), hp, normalizer, seed)
 
 
 def predict(model: GPModel, X_query) -> tuple[np.ndarray, np.ndarray]:

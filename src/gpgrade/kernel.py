@@ -28,7 +28,7 @@ NOISE_VARIANCE_FLOOR = 1e-8
 # distance beyond the float range is the float maximum, not inf.
 _QUARTER_MAX = np.finfo(np.float64).max / 4
 
-# Width of the column strips the self distances are mirrored in (256 rows: 16 KB of cache lines).
+# Width of the column strips a triangle is mirrored in (256 rows: 16 KB of cache lines).
 _MIRROR_BLOCK = 256
 
 
@@ -91,6 +91,16 @@ def row_sq_norms(A, name: str) -> tuple[np.ndarray, np.ndarray]:
     return A, sq_norms
 
 
+def _mirror_upper(M: np.ndarray) -> None:
+    """Copy the strict upper triangle of square M onto its strict lower one, in place, in
+    column strips of _MIRROR_BLOCK, and zero the diagonal (pass M.T to mirror the lower)."""
+    for i in range(0, M.shape[0], _MIRROR_BLOCK):
+        cols = slice(i, i + _MIRROR_BLOCK)
+        tile = np.triu(M[cols, cols], 1)
+        M[cols, cols] = tile + tile.T
+        M[cols.stop :, cols] = M[cols, cols.stop :].T
+
+
 def pairwise_sq_dists(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     """Pairwise squared Euclidean distances via the dot-product expansion.
 
@@ -118,11 +128,7 @@ def pairwise_sq_dists(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
             S += blas.dsyrk(-0.5, A.T, trans=1, lower=1).T
             np.clip(S, 0.0, _QUARTER_MAX, out=S)
             S *= 4.0
-            for i in range(0, S.shape[0], _MIRROR_BLOCK):
-                cols = slice(i, i + _MIRROR_BLOCK)
-                tile = np.triu(S[cols, cols], 1)
-                S[cols, cols] = tile + tile.T
-                S[cols.stop :, cols] = S[cols, cols.stop :].T
+            _mirror_upper(S)
             return S
         B, b_norms = row_sq_norms(B, "B")
         if A.shape[1] != B.shape[1]:

@@ -127,6 +127,59 @@ class TestCholeskyWithJitter:
             cholesky_with_jitter(np.array(K), noise)
 
 
+def symmetric_with_eigenvalues(eigenvalues, seed):
+    """An exactly symmetric matrix with (to rounding) the given eigenvalues."""
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(len(eigenvalues),) * 2))
+    M = (Q * eigenvalues) @ Q.T
+    return np.triu(M) + np.triu(M, 1).T
+
+
+class TestFactorInPlace:
+    """overwrite_k: the factor is K's own buffer, and K's strict lower triangle keeps K."""
+
+    # n = 300 spans two mirror strips. The last eigenvalue is -1e-9 relative to a
+    # mean diagonal of about 1: levels 0 and 1e-10 fail, 1e-8 succeeds.
+    RETRY = (1.0,) * 299 + (-1e-9,)
+
+    @pytest.mark.parametrize("eigenvalues", [(1.0,) * 299 + (0.5,), RETRY], ids=["first", "retry"])
+    def test_factor_is_the_input_buffer_with_the_copying_paths_bits(self, eigenvalues):
+        M = symmetric_with_eigenvalues(eigenvalues, 41)
+        before = M.copy()
+        L_copy, jitter_copy = cholesky_with_jitter(before)
+        L, jitter = cholesky_with_jitter(M, overwrite_k=True)
+        assert np.shares_memory(L, M)
+        assert jitter == jitter_copy
+        if eigenvalues[-1] < 0.0:
+            assert jitter >= gp_module.JITTER_LEVELS[2] * np.mean(np.diag(before))
+        np.testing.assert_array_equal(np.tril(M, -1), np.tril(before, -1))
+        np.testing.assert_array_equal(np.tril(L), L_copy)
+
+    def test_allocates_no_n_by_n_array(self):
+        """Not even the n x n bool array of an elementwise finiteness check."""
+        M = symmetric_with_eigenvalues((1.0,) * 600, 43)
+        tracemalloc.start()
+        try:
+            cholesky_with_jitter(M, 0.5, overwrite_k=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.05 * M.size * 8
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_rejects_an_infinite_entry(self, value):
+        M = np.eye(3)
+        M[2, 1] = M[1, 2] = value
+        with pytest.raises(InputError, match="must be finite"):
+            cholesky_with_jitter(M, overwrite_k=True)
+
+    def test_kept_triangle_survives_every_level_failing(self):
+        M = symmetric_with_eigenvalues((1.0,) * 299 + (-0.5,), 42)
+        before = M.copy()
+        with pytest.raises(NumericalError, match="order"):
+            cholesky_with_jitter(M, overwrite_k=True)
+        np.testing.assert_array_equal(np.tril(M, -1), np.tril(before, -1))
+
+
 class TestLogMarginalLikelihood:
     def test_two_identical_points_closed_form(self):
         """Gram is [[2,1],[1,2]] here, so the value is -log(3)/2 - log(2*pi)."""
@@ -375,6 +428,22 @@ class TestProfiledEvidence:
         assert abs(grad[1]) < 1e-12
 
 
+    def test_one_evaluation_allocates_one_n_by_n_buffer(self):
+        """The kernel is factored and inverted in its own buffer; K*S is read in strips."""
+        rng = np.random.default_rng(39)
+        n = 600
+        S, y = pairwise_sq_dists(rng.normal(size=(n, 8))), rng.normal(size=n)
+        theta = np.array([math.log(3.0), math.log(0.1)])
+        gp_module._profiled_evidence(S[:10, :10], y[:10], theta)
+        tracemalloc.start()
+        try:
+            gp_module._profiled_evidence(S, y, theta)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * n * n * 8
+
+
 class TestBuildModel:
     def test_factor_reconstructs_training_system(self):
         rng = np.random.default_rng(13)
@@ -466,9 +535,9 @@ class TestFit:
             nfev.append(result.nfev)
             return result
 
-        def counting_cholesky(K, noise=0.0):
+        def counting_cholesky(K, noise=0.0, **kwargs):
             factorizations.append(K.shape)
-            return cholesky(K, noise)
+            return cholesky(K, noise, **kwargs)
 
         monkeypatch.setattr(gp_module, "minimize", counting_minimize)
         monkeypatch.setattr(gp_module, "cholesky_with_jitter", counting_cholesky)
@@ -492,8 +561,9 @@ class TestFit:
         fit(X, y, restarts=3, seed=22)
         assert len(calls) == 1
 
-    def test_fit_holds_three_n_by_n_arrays_at_most(self):
-        """Distances, kernel and factor: no n x n index array outlives the median."""
+    def test_fit_holds_two_n_by_n_arrays_at_most(self):
+        """Distances, and a kernel factored in its own buffer: no n x n index array outlives
+        the median, and the final kernel is built in the distances' buffer."""
         rng = np.random.default_rng(38)
         n = 600
         X, y = rng.normal(size=(n, 8)), rng.normal(size=n)
@@ -504,7 +574,7 @@ class TestFit:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3.5 * n * n * 8
+        assert peak < 2.5 * n * n * 8
 
     @pytest.mark.parametrize(
         "evidence",
@@ -819,9 +889,9 @@ class TestTwoStageFit:
         shapes = []
         cholesky = gp_module.cholesky_with_jitter
 
-        def counting_cholesky(K, noise=0.0):
+        def counting_cholesky(K, noise=0.0, **kwargs):
             shapes.append(K.shape)
-            return cholesky(K, noise)
+            return cholesky(K, noise, **kwargs)
 
         monkeypatch.setattr(gp_module, "cholesky_with_jitter", counting_cholesky)
         X, y = sample_from_prior(self.HP, n=100, D=3, seed=32)
