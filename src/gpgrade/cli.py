@@ -88,19 +88,17 @@ def _load_and_predict(args):
     if model.normalizer is None:
         raise InputError("model archive has no normalization statistics")
     ids, X, grades = data.load_feature_csv(args.test_csv)
-    X = data.apply_normalizer(model.normalizer, X)  # the raw rows are freed before predicting
-    mean, std = gp.predict(model, X)
+    mean, std = gp.predict(model, data._normalize_in_place(model.normalizer, X))  # one copy
     return ids, grades >= 2, mean, std, diagnosis.binarize(mean, args.grade_threshold)
 
 
 def cmd_train(args) -> int:
     if not args.model.parent.is_dir():
         raise InputError(f"cannot write {args.model}: no directory {args.model.parent}")
-    ids, X_raw, grades = data.load_feature_csv(args.train_csv)
-    stats = data.fit_normalizer(X_raw)
-    X = data.apply_normalizer(stats, X_raw)
+    ids, X, grades = data.load_feature_csv(args.train_csv)
+    stats = data.fit_normalizer(X)
     model = gp.fit(
-        X,
+        data._normalize_in_place(stats, X),  # one copy of the rows: none is kept raw
         grades.astype(float),
         max_train=args.max_train,
         restarts=args.restarts,

@@ -72,18 +72,26 @@ def load_feature_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     row width, an id holding a NUL, comma, quote, CR, LF or bytes that are
     not UTF-8, a non-integer or out-of-range grade, a non-finite feature
     value or a line csv cannot read.
+
+    The features are parsed into one matrix, sized before parsing: a record
+    ends at an LF, a CR, a CRLF or the end of the file, and holds D + 1
+    commas. Rows it never fills cost no memory, and it is cut to the rows read.
     """
     path = Path(path)
     if not path.is_file():
         raise InputError(f"no such file: {path}")
     ids: list[str] = []
-    rows: list[np.ndarray] = []
     grades: list[int] = []
     try:
         fh = open(path, newline="", encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
     with fh:
+        records = 1  # a CRLF split across two chunks counts twice, which still bounds them
+        for chunk in iter(lambda: fh.buffer.read(1 << 16), b""):
+            records += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+        size = fh.buffer.tell()
+        fh.seek(0)
         reader = _csv_rows(fh)
         try:
             header = next(reader)
@@ -92,37 +100,42 @@ def load_feature_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
         dim = len(header) - 2
         if dim < 1 or header != _csv_header(dim):
             raise ParseError("malformed header: expected 'id,grade,f0,...,f{D-1}'", line=1)
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != dim + 2:
-                raise ParseError(
-                    f"expected {dim + 2} fields, got {len(row)}", line=lineno
-                )
-            # Ids are echoed unquoted into the prediction CSV, so a field
-            # separator, quote, line break or NUL in one would corrupt that file.
-            if _UNSAFE_ID_CHARS.search(row[0]):
-                raise ParseError(
-                    f"id {row[0]!r} contains {_UNSAFE_ID_TEXT}", line=lineno
-                )
-            try:
-                grade = int(row[1])
-            except ValueError:
-                raise ParseError(
-                    f"non-integer grade {row[1]!r}", line=lineno
-                ) from None
-            if grade < 0 or grade > 4:
-                raise ParseError(f"grade {grade} out of range 0..4", line=lineno)
-            try:
-                features = np.asarray(row[2:], dtype=np.float64)
-            except ValueError:
-                raise ParseError("non-numeric feature value", line=lineno) from None
-            if not np.isfinite(features).all():
-                raise ParseError("non-finite feature value", line=lineno)
-            ids.append(row[0])
-            rows.append(features)
-            grades.append(grade)
+        X = np.empty((min(records - 1, size // (dim + 1)), dim))
+        try:
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != dim + 2:
+                    raise ParseError(f"expected {dim + 2} fields, got {len(row)}", line=lineno)
+                # Ids are echoed unquoted into the prediction CSV, so a field
+                # separator, quote, line break or NUL in one would corrupt that file.
+                if _UNSAFE_ID_CHARS.search(row[0]):
+                    raise ParseError(f"id {row[0]!r} contains {_UNSAFE_ID_TEXT}", line=lineno)
+                try:
+                    grade = int(row[1])
+                except ValueError:
+                    raise ParseError(f"non-integer grade {row[1]!r}", line=lineno) from None
+                if grade < 0 or grade > 4:
+                    raise ParseError(f"grade {grade} out of range 0..4", line=lineno)
+                try:
+                    X[len(ids)] = row[2:]  # converted as np.asarray(row[2:], float) converts
+                except ValueError:
+                    raise ParseError("non-numeric feature value", line=lineno) from None
+                ids.append(row[0])
+                grades.append(grade)
+        except ParseError:
+            _check_finite_rows(X[: len(ids)])  # a non-finite row above is the first error
+            raise
     if not ids:
         raise ParseError("no records")
-    return ids, np.stack(rows), np.array(grades)
+    _check_finite_rows(X[: len(ids)])
+    X.resize((len(ids), dim), refcheck=False)
+    return ids, X, np.array(grades)
+
+
+def _check_finite_rows(X: np.ndarray) -> None:
+    """Raise ParseError naming the line (row + 2) of the first row with a non-finite value."""
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=1))
+    if bad.size:
+        raise ParseError("non-finite feature value", line=int(bad[0]) + 2)
 
 
 def _csv_header(dim: int) -> list[str]:
@@ -189,10 +202,15 @@ def fit_normalizer(X) -> NormStats:
 
 
 def apply_normalizer(stats: NormStats, X) -> np.ndarray:
-    """Z-score a feature matrix with frozen training statistics.
+    """Z-score a feature matrix with frozen training statistics, into a new matrix.
 
     Features too large for their scale become inf; ``gp.predict`` rejects them.
     """
+    return _normalize_in_place(stats, np.array(X, dtype=np.float64))
+
+
+def _normalize_in_place(stats: NormStats, X) -> np.ndarray:
+    """``apply_normalizer``'s values, written over a float64 matrix X, which is returned."""
     X = _as_features(X)
     if X.shape[1] != stats.mean.shape[0]:
         raise InputError(
@@ -200,7 +218,9 @@ def apply_normalizer(stats: NormStats, X) -> np.ndarray:
             f"dimension {stats.mean.shape[0]}"
         )
     with np.errstate(over="ignore"):
-        return (X - stats.mean) / stats.std
+        X -= stats.mean
+        X /= stats.std
+    return X
 
 
 def _as_features(X) -> np.ndarray:

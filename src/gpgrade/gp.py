@@ -47,7 +47,8 @@ _BAD_OBJECTIVE = 1e25
 # 2,048-row ones with a quarter of the block memory; 256 rows were slower.
 _PREDICT_BLOCK = 512
 
-# Rows per strip in which the evidence gradient reads K*S off the lower triangle (16 were slower).
+# Rows per strip in which the evidence gradient reads K*S off the kernel's kept triangle
+# (16 were slower), and columns per strip in which _freeze clears it from the factor.
 _TRACE_STRIP = 32
 
 # L-BFGS-B stopping rules for the evidence search.
@@ -248,8 +249,12 @@ def build_model(
 
 
 def _freeze(X, y, K, hp: Hyperparams, normalizer, train_subset_seed: int) -> GPModel:
-    """The GPModel of validated (X, y) at hp, factored from K = k(X, X)."""
-    L, _ = cholesky_with_jitter(K, hp.noise_variance)
+    """The GPModel of validated (X, y) at hp, factored in the buffer of K = k(X, X)."""
+    L, _ = cholesky_with_jitter(K, hp.noise_variance, overwrite_k=True)
+    for j in range(0, y.shape[0], _TRACE_STRIP):  # L's strict upper triangle still holds K
+        cols = slice(j, j + _TRACE_STRIP)
+        L[:j, cols] = 0.0
+        L[cols, cols] = np.tril(L[cols, cols])
     alpha = cho_solve((L, True), y, check_finite=False)
     half_logdet = float(np.sum(np.log(np.diag(L))))
     lml = -0.5 * blas.ddot(y, alpha) - half_logdet - 0.5 * y.shape[0] * _LOG_2PI
@@ -385,6 +390,7 @@ def predict(model: GPModel, X_query) -> tuple[np.ndarray, np.ndarray]:
         mean[block] = blas.dgemv(1.0, Kq.T, model.alpha, trans=1)
         W = blas.dtrmm(1.0, L_inv, Kq.T, lower=1, overwrite_b=1)  # in Kq's own buffer
         var = prior - np.einsum("ij,ij->j", W, W)
+        del Kq, W  # the next block is built after this one is freed
         np.clip(var, 0.0, None, out=var)
         std[block] = np.sqrt(var)
     return mean, std

@@ -31,6 +31,9 @@ _QUARTER_MAX = np.finfo(np.float64).max / 4
 # Width of the column strips a triangle is mirrored in (256 rows: 16 KB of cache lines).
 _MIRROR_BLOCK = 256
 
+# Rows per strip in which pairwise_sq_dists adds the norm sum into the product.
+_DIST_STRIP = 16
+
 
 @dataclass(frozen=True)
 class Hyperparams:
@@ -116,27 +119,38 @@ def pairwise_sq_dists(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
 
     The products run on scipy's BLAS, the OpenBLAS its LAPACK uses, so
     numpy's separate thread pool never wakes. Each reads Fortran-ordered
-    transpose views (no copy), applies the exact factor -1/2 itself and is
-    added into the norm sum: one buffer, clipped, scaled and (self path) mirrored in place.
+    transpose views (no copy), applies the exact factor -1/2 itself and
+    writes its own buffer, the result's: the norm sum is added into it (the
+    same sum, so the same bits, as the product added into the norm sum),
+    clipped and scaled in strips of _DIST_STRIP rows through one small
+    buffer; on the self path over the upper triangle only, then mirrored.
     """
     self_gram = B is None or B is A
     A, a_norms = row_sq_norms(A, "A")
-    with np.errstate(over="ignore"):
-        if self_gram:
-            # Only the upper triangle of -A A^T / 2 is filled; the mirror overwrites the rest.
-            S = np.add.outer(0.25 * a_norms, 0.25 * a_norms)
-            S += blas.dsyrk(-0.5, A.T, trans=1, lower=1).T
-            np.clip(S, 0.0, _QUARTER_MAX, out=S)
-            S *= 4.0
-            _mirror_upper(S)
-            return S
+    if self_gram:
+        b_norms = a_norms
+        # Only the upper triangle of -A A^T / 2 is filled; the mirror overwrites the rest.
+        S = blas.dsyrk(-0.5, A.T, trans=1, lower=1).T
+    else:
         B, b_norms = row_sq_norms(B, "B")
         if A.shape[1] != B.shape[1]:
             raise InputError(f"feature dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
-        S = np.add.outer(0.25 * a_norms, 0.25 * b_norms)
-        S += blas.dgemm(-0.5, B.T, A.T, trans_a=1).T
-        np.clip(S, 0.0, _QUARTER_MAX, out=S)
-        return np.multiply(S, 4.0, out=S)
+        S = blas.dgemm(-0.5, B.T, A.T, trans_a=1).T
+    a_quarter, b_quarter = 0.25 * a_norms, 0.25 * b_norms
+    strip = np.empty((min(_DIST_STRIP, S.shape[0]), S.shape[1]))
+    with np.errstate(over="ignore"):
+        for i in range(0, S.shape[0], _DIST_STRIP):
+            rows = slice(i, i + _DIST_STRIP)
+            cols = slice(i if self_gram else 0, None)
+            out = S[rows, cols]
+            norm_sum = strip[: out.shape[0], : out.shape[1]]
+            np.add.outer(a_quarter[rows], b_quarter[cols], out=norm_sum)
+            np.add(norm_sum, out, out=out)
+            np.clip(out, 0.0, _QUARTER_MAX, out=out)
+            out *= 4.0
+    if self_gram:
+        _mirror_upper(S)
+    return S
 
 
 def rbf_from_sq_dists(S: np.ndarray, hp: Hyperparams, out: np.ndarray | None = None) -> np.ndarray:

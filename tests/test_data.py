@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from gpgrade import (
     synthesize_dataset,
     write_feature_csv,
 )
-from gpgrade.data import MODEL_MAGIC, STD_FLOOR, NormStats
+from gpgrade.data import MODEL_MAGIC, STD_FLOOR, NormStats, _normalize_in_place
 from gpgrade.errors import ModelFormatError, ParseError
 from gpgrade.kernel import Hyperparams, pairwise_sq_dists
 
@@ -150,6 +151,45 @@ class TestLoadFeatureCsv:
         with pytest.raises(ParseError, match=match):
             load_feature_csv(path)
 
+    @pytest.mark.parametrize("trailing", [True, False], ids=["ended", "unended"])
+    def test_lf_crlf_and_cr_endings_load_alike(self, tmp_path, trailing):
+        ids, X, grades = synthesize_dataset([4] * 5, 3, 6.0, 1.0, 5)
+        write_feature_csv(ids, X, grades, tmp_path / "lf.csv")
+        text = (tmp_path / "lf.csv").read_bytes()
+        text = text if trailing else text.rstrip(b"\n")
+        loaded = []
+        for name, newline in (("lf", b"\n"), ("crlf", b"\r\n"), ("cr", b"\r")):
+            (tmp_path / name).write_bytes(text.replace(b"\n", newline))
+            loaded.append(load_feature_csv(tmp_path / name))
+        for back_ids, back_X, back_grades in loaded:
+            assert back_ids == ids
+            assert back_X.shape == X.shape and back_X.tobytes() == X.tobytes()
+            assert back_grades.tolist() == grades.tolist()
+
+    def test_first_error_in_file_order_wins_over_a_later_one(self, tmp_path):
+        """Finiteness is checked after the row loop, but still reported in file order."""
+        path = tmp_path / "d.csv"
+        write_csv(path, [row(0, 1), "r1,2,0.5,inf,2.5,3.5", row(2, 3), "r3,9,0.5,1.5,2.5,3.5"])
+        with pytest.raises(ParseError, match="line 3.*non-finite"):
+            load_feature_csv(path)
+        write_csv(path, [row(0, 1), "r1,2,0.5,1.5,2.5,3.5", row(2, 3), "r3,0,-1e400,1,2,3"])
+        with pytest.raises(ParseError, match="line 5.*non-finite"):
+            load_feature_csv(path)
+
+    def test_parses_into_one_matrix(self, tmp_path):
+        """The peak is the feature matrix and little else: no per-row arrays, no stacked copy."""
+        ids, X, grades = synthesize_dataset([1000] * 5, 64, 6.0, 1.0, 6)
+        path = tmp_path / "big.csv"
+        write_feature_csv(ids, X, grades, path)
+        tracemalloc.start()
+        try:
+            _, back_X, _ = load_feature_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back_X.tobytes() == X.tobytes()
+        assert peak <= 1.5 * X.nbytes
+
     def test_csv_module_error_names_the_line(self, tmp_path):
         path = tmp_path / "d.csv"
         write_csv(path, [row(0, 1), "x" * 200_000 + ",2,0.5,1.5,2.5,3.5"])
@@ -237,7 +277,10 @@ class TestNormalizer:
     def test_zscore_on_training_set(self):
         _, X, _ = synthesize_dataset([10] * 5, 6, 6.0, 1.0, 1)
         stats = fit_normalizer(X)
+        raw = X.copy()
         Z = apply_normalizer(stats, X)
+        assert X.tobytes() == raw.tobytes()  # a new matrix; the command line normalizes in place
+        assert _normalize_in_place(stats, raw) is raw and raw.tobytes() == Z.tobytes()
         np.testing.assert_allclose(Z.mean(axis=0), 0.0, atol=1e-10)
         np.testing.assert_allclose(Z.std(axis=0), 1.0, atol=1e-10)
 

@@ -32,6 +32,15 @@ def hp_of(length_scale=1.0, signal_variance=1.0, noise_variance=1.0):
     )
 
 
+def traced_peak(function, *args):
+    """function(*args), and the peak of the memory tracemalloc traced while it ran."""
+    tracemalloc.start()
+    try:
+        return function(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def sample_from_prior(hp, n, D, seed, x_scale=1.5):
     """Draw (X, y) with y an exact function sample plus observation noise."""
     rng = np.random.default_rng(seed)
@@ -1026,19 +1035,20 @@ class TestPredict:
         assert model.log_evidence.hex() == evidence.hex()
 
     def test_first_predict_allocates_no_second_factor(self):
-        """Beyond its outputs and one block, the first predict allocates less than n x n floats."""
+        """The self distances and the model each take one n x n buffer, and beyond its
+        outputs the first predict holds one block at a time, with no second factor."""
         rng = np.random.default_rng(37)
-        n, m = 1024, 600
-        model = build_model(rng.normal(size=(n, 3)), rng.normal(size=n), hp_of(1.0, 1.0, 0.1))
+        n, m = 1536, 1100  # two full blocks and a part
+        X, y = rng.normal(size=(n, 3)), rng.normal(size=n)
         queries = rng.normal(size=(m, 3))
-        tracemalloc.start()
-        try:
-            predict(model, queries)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        outputs, block = 2 * m * 8, min(m, gp_module._PREDICT_BLOCK) * n * 8
-        assert peak - outputs - block < n * n * 8
+        _, distances_peak = traced_peak(pairwise_sq_dists, X)
+        model, model_peak = traced_peak(build_model, X, y, hp_of(1.0, 1.0, 0.1))
+        _, predict_peak = traced_peak(predict, model, queries)
+        square, outputs = n * n * 8, 2 * m * 8
+        block = min(m, gp_module._PREDICT_BLOCK) * n * 8
+        assert distances_peak <= 1.15 * square
+        assert model_peak <= 1.25 * square
+        assert predict_peak - outputs <= 1.15 * block
 
     def test_interpolates_training_point_at_noise_floor(self):
         hp = Hyperparams(0.0, 0.0, math.log(1e-12))
