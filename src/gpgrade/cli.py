@@ -37,8 +37,11 @@ def build_parser() -> argparse.ArgumentParser:
     train = sub.add_parser("train", help="fit a model from a training CSV")
     train.add_argument("--train-csv", required=True, type=Path)
     train.add_argument("--model", required=True, type=Path, help="output archive path")
-    train.add_argument("--max-train", type=int, default=2000)
-    train.add_argument("--restarts", type=int, default=3)
+    two_stage = "from 2,000 rows with 2+ restarts, restarts search a seeded 500-row subset"
+    train.add_argument("--max-train", type=int, default=2000,
+                       help=f"training rows kept, drawn with --seed; {two_stage}")
+    train.add_argument("--restarts", type=int, default=3,
+                       help=f"{two_stage}, and a full-set guard searches from the first start")
     train.add_argument("--seed", type=int, default=0)
 
     # predict, evaluate and sweep score a test CSV against a model the same way.
@@ -202,8 +205,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (InputError, MemoryError) as exc:  # an allocation the input asked for failed
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

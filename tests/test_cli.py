@@ -483,6 +483,25 @@ class TestRejections:
         out = tmp_path / "synth.csv"
         self.assert_rejected(["synth", "--out", out, f"{flag}={value}"], out, capsys, match)
 
+    @pytest.mark.parametrize("message, match", [
+        ("Unable to allocate 291. TiB for an array with shape (5000000000000, 8)",
+         "Unable to allocate 291. TiB"),
+        ("", "out of memory"),
+    ], ids=["numpy", "bare"])
+    def test_failed_allocation_is_an_input_error(self, tmp_path, capsys, monkeypatch,
+                                                 message, match):
+        """A size the machine cannot hold (--n-per-grade 1000000000000) exits 1, no traceback.
+
+        The failure is simulated: nothing is allocated.
+        """
+        def too_large(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(data, "synthesize_dataset", too_large)
+        out = tmp_path / "synth.csv"
+        argv = ["synth", "--out", out, "--n-per-grade", 10**12]
+        self.assert_rejected(argv, out, capsys, match)
+
     @pytest.mark.parametrize("command, unreadable", [("train", "train"), ("predict", "model")])
     def test_unreadable_input(self, workspace, tmp_path, capsys, monkeypatch, command, unreadable):
         """An input that exists but cannot be opened is an input error, not a traceback.

@@ -21,7 +21,13 @@ from gpgrade import (
 )
 from gpgrade import gp as gp_module
 from gpgrade import kernel as kernel_module
-from gpgrade.data import load_model, save_model
+from gpgrade.data import (
+    apply_normalizer,
+    fit_normalizer,
+    load_model,
+    save_model,
+    synthesize_dataset,
+)
 from gpgrade.gp import cholesky_with_jitter, log_marginal_likelihood
 from gpgrade.kernel import NOISE_VARIANCE_FLOOR, kernel_matrix, pairwise_sq_dists
 
@@ -892,8 +898,8 @@ class TestTwoStageFit:
 
     @pytest.mark.parametrize("far", [range(3), [3]], ids=["guard-wins", "subset-wins"])
     def test_one_factorization_per_optimizer_evaluation(self, two_stage, monkeypatch, far):
-        """The ranking evaluation costs one factorization, shared with the polish's first
-        point if the subset optimum wins; if the guard wins, no polish runs."""
+        """The ranking evaluation and the final model cost one factorization each; if the
+        guard wins, no polish runs, and if not, the polish factors its first point again."""
         calls = record_searches(monkeypatch, lambda i, x0: self.FAR if i in far else x0)
         shapes = []
         cholesky = gp_module.cholesky_with_jitter
@@ -912,8 +918,19 @@ class TestTwoStageFit:
             assert len(shapes) == sum(nfev) + 2
         else:
             assert len(nfev) == 3 + 2
-            assert len(shapes) == sum(nfev) + 1
+            assert len(shapes) == sum(nfev) + 2
             np.testing.assert_array_equal(calls[4][0], best_subset_x(calls))
+
+    def test_polish_beats_the_guard_on_a_multi_basin_input(self, monkeypatch):
+        """The input that keeps the subset stage, at the real constants: 2,000 z-scored
+        synthetic rows on which the guard, the one-restart search, ends in a worse
+        basin than the polish from the best subset optimum."""
+        _, X, grades = synthesize_dataset([400] * 5, 8, 6.0, 1.0, 14)
+        calls = record_searches(monkeypatch)
+        model = fit(apply_normalizer(fit_normalizer(X), X), grades.astype(float),
+                    restarts=3, seed=0)
+        assert len(calls) == 5
+        assert model.log_evidence > -calls[3][1].fun + 10.0
 
     @pytest.mark.parametrize("n, restarts", [(100, 1), (79, 3)])
     def test_one_search_per_restart_otherwise(self, two_stage, monkeypatch, n, restarts):
