@@ -87,6 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_and_predict(args):
     """Ids, true referable labels (grades 2..4), means, stds, and decisions before the flip."""
+    if not args.out.parent.is_dir():  # before the archive is loaded and every row scored
+        raise InputError(f"cannot write {args.out}: no directory {args.out.parent}")
     model = data.load_model(args.model)
     if model.normalizer is None:
         raise InputError("model archive has no normalization statistics")

@@ -5,14 +5,13 @@ is factorized once per hyperparameter setting. The log marginal likelihood,
 with the signal variance profiled out in closed form, and its analytic
 log-space gradients drive an L-BFGS-B search (with restarts) over the
 length-scale and the noise-to-signal ratio, and prediction reads the
-posterior mean and standard deviation off the retained factor.
+posterior mean and standard deviation off the inverse of the training factor.
 """
 
 from __future__ import annotations
 
 import math
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -66,35 +65,22 @@ def minimize(*args, **kwargs):
     return minimize(*args, **kwargs)
 
 
-@dataclass
+@dataclass(frozen=True)
 class GPModel:
-    """Trained regressor state. Only ``predict`` changes it: its first call inverts
-    ``chol_L``, the lower Cholesky factor L of the training system, in place to L^-1.
-    ``log_evidence`` and ``chol_l_fro`` (||L||_F) are read off L when the model is built.
+    """Trained regressor state, never changed once built. ``L_inv`` holds L^-1 for the
+    lower Cholesky factor L of the training system, inverted in L's own buffer;
+    ``log_evidence`` and ``chol_l_fro`` (||L||_F) are read off L before that.
     """
 
     hp: Hyperparams
     X_train: np.ndarray
     y_train: np.ndarray
-    chol_L: np.ndarray
+    L_inv: np.ndarray
     alpha: np.ndarray
     log_evidence: float
     chol_l_fro: float
     normalizer: "NormStats | None" = None
     train_subset_seed: int = 0
-    _inverted: bool = field(default=False, init=False, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, init=False, repr=False)
-
-    def _inverse_factor(self) -> np.ndarray:
-        """L^-1, inverted in the factor's own buffer (no n x n copy) by the first call only."""
-        with self._lock:  # a second inversion of the one buffer would turn it back into L
-            if not self._inverted:
-                L_inv, info = lapack.dtrtri(self.chol_L, lower=1, overwrite_c=1)
-                if info != 0:
-                    raise NumericalError(
-                        f"the training factor is singular: diagonal {info - 1} is zero")
-                self.chol_L, self._inverted = L_inv, True
-            return self.chol_L
 
 
 def cholesky_with_jitter(K, noise: float = 0.0, overwrite_k: bool = False) -> tuple:
@@ -243,7 +229,7 @@ def build_model(
 
 
 def _freeze(X, y, K, hp: Hyperparams, normalizer, train_subset_seed: int) -> GPModel:
-    """The GPModel of validated (X, y) at hp, factored in the buffer of K = k(X, X)."""
+    """The GPModel of validated (X, y) at hp, factored and inverted in the buffer of K."""
     L, _ = cholesky_with_jitter(K, hp.noise_variance, overwrite_k=True)
     for j in range(0, y.shape[0], _TRACE_STRIP):  # L's strict upper triangle still holds K
         cols = slice(j, j + _TRACE_STRIP)
@@ -253,8 +239,11 @@ def _freeze(X, y, K, hp: Hyperparams, normalizer, train_subset_seed: int) -> GPM
     half_logdet = float(np.sum(np.log(np.diag(L))))
     lml = -0.5 * blas.ddot(y, alpha) - half_logdet - 0.5 * y.shape[0] * _LOG_2PI
     flat = L.ravel(order="K")
-    return GPModel(hp, X, y, L, alpha, lml, math.sqrt(blas.ddot(flat, flat)),
-                   normalizer, train_subset_seed)
+    chol_l_fro = math.sqrt(blas.ddot(flat, flat))
+    L_inv, info = lapack.dtrtri(L, lower=1, overwrite_c=1)  # in L's own buffer: no n x n copy
+    if info != 0:
+        raise NumericalError(f"the training factor is singular: diagonal {info - 1} is zero")
+    return GPModel(hp, X, y, L_inv, alpha, lml, chol_l_fro, normalizer, train_subset_seed)
 
 
 def fit(
@@ -362,12 +351,10 @@ def predict(model: GPModel, X_query) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and standard deviation at each query row, as arrays.
 
     Queries must already be normalized with the model's statistics (the
-    pipeline's job). The variance, read off L^-1 Kq^T with the model's factor
-    inverted in place on its first predict, includes the learned observation
-    noise and is clamped at zero. Rows go in blocks of _PREDICT_BLOCK.
+    pipeline's job). The variance, read off L^-1 Kq^T, includes the learned
+    observation noise and is clamped at zero. Rows go in blocks of _PREDICT_BLOCK.
     """
     Xq, _ = row_sq_norms(X_query, "query")
-    L_inv = model._inverse_factor()
     prior = model.hp.signal_variance + model.hp.noise_variance
     mean = np.empty(Xq.shape[0])
     std = np.empty(Xq.shape[0])
@@ -375,7 +362,7 @@ def predict(model: GPModel, X_query) -> tuple[np.ndarray, np.ndarray]:
         block = slice(start, start + _PREDICT_BLOCK)
         Kq = kernel_matrix(Xq[block], model.X_train, model.hp)
         mean[block] = blas.dgemv(1.0, Kq.T, model.alpha, trans=1)
-        W = blas.dtrmm(1.0, L_inv, Kq.T, lower=1, overwrite_b=1)  # in Kq's own buffer
+        W = blas.dtrmm(1.0, model.L_inv, Kq.T, lower=1, overwrite_b=1)  # in Kq's own buffer
         var = prior - np.einsum("ij,ij->j", W, W)
         del Kq, W  # the next block is built after this one is freed
         np.clip(var, 0.0, None, out=var)

@@ -65,6 +65,16 @@ def test_readme_library_example_runs(tmp_path, monkeypatch, capsys):
     assert "sensitivity" in capsys.readouterr().out
 
 
+def test_readme_module_rows_stay_short():
+    """Each row of the README's module table is at most 150 words: API and contract only."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## What is in the box\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line for line in table.splitlines() if line.startswith("| `gpgrade")]
+    assert len(rows) == 6
+    for row in rows:
+        assert len(row.split()) <= 150, row.split("|")[1]
+
+
 # Runs in a fresh interpreter: import the CLI, run the arguments, and report
 # which of the heavy scipy subpackages each step left loaded.
 _IMPORT_PROBE = """

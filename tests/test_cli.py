@@ -603,6 +603,20 @@ class TestRejections:
         self.assert_rejected(argv, out, capsys, str(out))
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["predict", "evaluate", "sweep"])
+    def test_scoring_checks_its_output_directory_before_loading(
+        self, workspace, tmp_path, capsys, monkeypatch, command
+    ):
+        def no_load(path):
+            raise AssertionError(f"{command} loaded {path} before checking its output directory")
+
+        monkeypatch.setattr(data, "load_model", no_load)
+        out = tmp_path / "nodir" / "out"
+        argv = [command, "--test-csv", workspace["test"], "--model", workspace["model"]]
+        argv += ["--out", out, "--std-thresholds=0.5"] if command == "sweep" else ["--out", out]
+        self.assert_rejected(argv, out, capsys, f"cannot write {out}: no directory {out.parent}")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("blocked", ["r.json", "r.boxstats.txt"])
     def test_evaluate_leaves_neither_file_when_one_cannot_be_written(
         self, workspace, tmp_path, capsys, blocked

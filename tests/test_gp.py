@@ -1,6 +1,8 @@
 """Regression-engine tests: factorization, evidence, fitting, prediction."""
 
+import copy
 import math
+import pickle
 import sys
 import tracemalloc
 import warnings
@@ -467,9 +469,8 @@ class TestBuildModel:
         hp = hp_of(1.1, 0.9, 0.2)
         model = build_model(X, y, hp)
         Ky = kernel_matrix(X, X, hp) + hp.noise_variance * np.eye(15)
-        rel = np.linalg.norm(model.chol_L @ model.chol_L.T - Ky, "fro")
-        rel /= np.linalg.norm(Ky, "fro")
-        assert rel < 1e-8
+        # The model keeps L^-1: L^-1 Ky L^-T is the identity.
+        assert np.linalg.norm(model.L_inv @ Ky @ model.L_inv.T - np.eye(15), "fro") < 1e-8
 
     def test_alpha_solves_training_system(self):
         rng = np.random.default_rng(14)
@@ -973,7 +974,7 @@ class TestPredict:
         model, rng = floor_noise_model(jitter)
         X = model.X_train
         Xq = np.vstack([X[:40], X[:40] + 0.25, rng.normal(size=(40, X.shape[1]))])
-        L = model.chol_L.copy()  # the first predict inverts the model's factor in place
+        L, _ = cholesky_with_jitter(kernel_matrix(X, X, model.hp), model.hp.noise_variance)
         before = [model.alpha.tobytes(), model.X_train.tobytes()]
         mean, std = predict(model, Xq)
         ref_mean, ref_var = triangular_solve_prediction(model, L, Xq)
@@ -984,39 +985,42 @@ class TestPredict:
         assert again[0].tobytes() == mean.tobytes() and again[1].tobytes() == std.tobytes()
         assert [model.alpha.tobytes(), model.X_train.tobytes()] == before
 
-    def test_singular_factor_is_a_numerical_error(self):
-        model = build_model(np.eye(8), np.arange(8.0), hp_of())
-        L = model.chol_L.copy()
-        L[5, 5] = 0.0
-        singular = replace(model, chol_L=L)
-        for _ in range(2):  # a failed inversion leaves the factor as it was
-            with pytest.raises(NumericalError, match="diagonal 5 "):
-                predict(singular, np.zeros((2, 8)))
+    def test_singular_factor_is_a_numerical_error(self, monkeypatch):
+        """dtrtri reports a zero diagonal (1-based) by info; building the model says which."""
+        monkeypatch.setattr(gp_module.lapack, "dtrtri", lambda L, **kwargs: (L, 6))
+        with pytest.raises(NumericalError, match="diagonal 5 "):
+            build_model(np.eye(8), np.arange(8.0), hp_of())
 
-    def test_factor_is_inverted_once_in_place_on_the_first_predict(self, tmp_path, monkeypatch):
+    def test_factor_is_inverted_once_in_place_when_the_model_is_built(
+        self, tmp_path, monkeypatch
+    ):
+        """One dtrtri per fit, build_model or load_model, in the factor's own buffer;
+        predicts invert nothing and leave L^-1 as it was."""
         calls = []
         dtrtri = gp_module.lapack.dtrtri
 
-        def counted(*args, **kwargs):
-            calls.append(kwargs)
-            return dtrtri(*args, **kwargs)
+        def counted(L, **kwargs):
+            reference, _ = dtrtri(L, lower=1)  # into a new buffer
+            L_inv, info = dtrtri(L, **kwargs)
+            calls.append((L_inv is L, L_inv.tobytes() == reference.tobytes()))
+            return L_inv, info
 
         monkeypatch.setattr(gp_module.lapack, "dtrtri", counted)
         rng = np.random.default_rng(36)
         X, y = rng.normal(size=(40, 3)), rng.normal(size=40)
         model = fit(X, y, restarts=2, seed=36)
+        assert len(calls) == 1
         save_model(build_model(X, y, model.hp), tmp_path / "m.model")
+        assert len(calls) == 2
         loaded = load_model(tmp_path / "m.model")
-        assert calls == []
-        L = loaded.chol_L
-        L_inv, _ = dtrtri(L, lower=1)  # into a new buffer, as each predict once did
+        assert calls == [(True, True)] * 3
+        L_inv = loaded.L_inv.tobytes()
         predict(loaded, X[:5])
         predict(loaded, X[5:9])
-        assert len(calls) == 1
-        assert loaded.chol_L is L and L.tobytes() == L_inv.tobytes()
+        assert len(calls) == 3 and loaded.L_inv.tobytes() == L_inv
 
-    def test_concurrent_first_predicts_invert_once(self, monkeypatch):
-        """Threads that predict on a fresh model together must not invert its factor twice."""
+    def test_concurrent_first_predicts_invert_nothing(self, monkeypatch):
+        """Threads that predict on a fresh model together read its L^-1 and invert nothing."""
         calls = []
         dtrtri = gp_module.lapack.dtrtri
         monkeypatch.setattr(
@@ -1030,17 +1034,33 @@ class TestPredict:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(6):
-                calls.clear()
                 model = build_model(X, y, hp_of(1.0, 1.0, 0.1))
+                calls.clear()  # count the predicts' inversions only
                 with ThreadPoolExecutor(max_workers=6) as pool:
                     futures = [pool.submit(predict, model, queries) for _ in range(6)]
                     results = [f.result(timeout=60) for f in futures]
-                assert len(calls) == 1
+                assert calls == []
                 for mean, std in results:
                     assert mean.tobytes() == expected[0].tobytes()
                     assert std.tobytes() == expected[1].tobytes()
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("duplicate", [
+        lambda model: replace(model, train_subset_seed=7),
+        copy.deepcopy,
+        lambda model: pickle.loads(pickle.dumps(model)),
+    ], ids=["replace", "deepcopy", "pickle"])
+    def test_copy_after_a_predict_predicts_the_same_bytes(self, duplicate):
+        """A copy made after a predict scores like the original, and the original is unchanged."""
+        rng = np.random.default_rng(40)
+        X = rng.normal(size=(50, 3))
+        model = build_model(X, rng.normal(size=50), hp_of(1.0, 1.0, 0.1))
+        queries = rng.normal(size=(3, 3))
+        expected = [a.tobytes() for a in predict(model, queries)]
+        clone = duplicate(model)
+        assert [a.tobytes() for a in predict(clone, queries)] == expected
+        assert [a.tobytes() for a in predict(model, queries)] == expected
 
     def test_saving_after_a_predict_keeps_the_archive_and_evidence(self, tmp_path):
         model, rng = floor_noise_model(jitter=True)
