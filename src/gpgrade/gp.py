@@ -21,10 +21,9 @@ from .errors import InputError, NumericalError
 from .kernel import (
     NOISE_VARIANCE_FLOOR,
     Hyperparams,
-    _mirror_upper,
+    _rbf_in_place,
     kernel_matrix,
     pairwise_sq_dists,
-    rbf_from_sq_dists,
     row_sq_norms,
 )
 
@@ -46,8 +45,8 @@ _BAD_OBJECTIVE = 1e25
 # 2,048-row ones with a quarter of the block memory; 256 rows were slower.
 _PREDICT_BLOCK = 512
 
-# Rows per strip in which the evidence gradient reads K*S off the kernel's kept triangle
-# (16 were slower), and columns per strip in which _freeze clears it from the factor.
+# Rows per strip in which the kernel is built from the distances and K*S rebuilt for the
+# gradient (16 were slower), and columns per strip in which _freeze clears the distances.
 _TRACE_STRIP = 32
 
 # L-BFGS-B stopping rules for every evidence search.
@@ -83,20 +82,23 @@ class GPModel:
     train_subset_seed: int = 0
 
 
-def cholesky_with_jitter(K, noise: float = 0.0, overwrite_k: bool = False) -> tuple:
+def cholesky_with_jitter(K, noise: float = 0.0, hp: Hyperparams | None = None) -> tuple:
     """Lower Cholesky factor of K + (noise + jitter)*I for symmetric K, and the jitter.
 
     The jitter escalates through multiples of the mean diagonal of K + noise*I; the one
     that succeeded is returned with the factor. Each attempt factors in place the transpose
     of its own C-ordered copy of K, which is K in Fortran order, so K is left unchanged.
-    With overwrite_k, a C-ordered K is that copy: its strict lower triangle, which dpotrf
-    never touches, keeps K (the factor's strict upper one) and undoes a failed level.
+    With hp, a C-ordered K holds squared distances in its strict lower triangle, which dpotrf
+    never touches: each level builds the kernel of hp on them in the other triangle with
+    the diagonal (the Fortran lower one of K.T) and factors it there, so K.T is the factor.
     Raises NumericalError (naming the failing diagonal index) if every level fails, and
-    InputError if the diagonal's sum overflows.
+    InputError if an entry is not finite or the diagonal's sum overflows.
     """
     K = np.asarray(K, dtype=np.float64)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise InputError(f"expected a square matrix, got shape {K.shape}")
+    if hp is not None:
+        _kernel_from_lower(K, hp)
     if not all(map(math.isfinite, (K.min(initial=0.0), K.max(initial=0.0), noise))):
         raise InputError("matrix entries and noise must be finite")
     with np.errstate(over="ignore"):
@@ -106,17 +108,29 @@ def cholesky_with_jitter(K, noise: float = 0.0, overwrite_k: bool = False) -> tu
         raise InputError("the diagonal of K + noise*I is too large: its sum overflows")
     for level in JITTER_LEVELS:
         jitter = level * scale
-        A = K if overwrite_k else K.copy()
+        if hp is not None and level:  # the failed level's dpotrf wrote the kernel's triangle
+            _kernel_from_lower(K, hp)
+        A = K if hp is not None else K.copy()
         np.fill_diagonal(A, diag + jitter)
-        L, info = lapack.dpotrf(A.T, lower=1, clean=int(not overwrite_k), overwrite_a=1)
+        L, info = lapack.dpotrf(A.T, lower=1, clean=int(hp is None), overwrite_a=1)
         if info == 0:
             return L, jitter
-        if overwrite_k:  # dpotrf wrote the upper triangle; the strict lower one still is K
-            _mirror_upper(K.T)
     raise NumericalError(
         f"Cholesky factorization failed at all jitter levels; "
         f"leading minor of order {int(info)} is not positive definite"
     )
+
+
+def _kernel_from_lower(B: np.ndarray, hp: Hyperparams) -> None:
+    """Write the kernel of hp on the distances in B's strict lower triangle (C order) into the
+    other one with the diagonal, ``rbf_from_sq_dists``'s bits: copied across, exponentiated."""
+    for i in range(0, B.shape[0], _TRACE_STRIP):
+        rows = slice(i, i + _TRACE_STRIP)
+        tile = B[rows, rows].copy()  # its distances are put back at the end
+        np.multiply(np.triu(tile.T, 1), -0.5, out=B[rows, rows])
+        np.multiply(B[rows.stop :, rows], -0.5, out=B[rows, rows.stop :].T)  # reads in order
+        _rbf_in_place(B[rows, i:], hp)
+        np.copyto(B[rows, rows], tile, where=np.tri(len(tile), k=-1, dtype=bool))
 
 
 def _validate_training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
@@ -133,33 +147,37 @@ def _validate_training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
     return X, y
 
 
-def _evidence_terms(S: np.ndarray, y: np.ndarray, hp: Hyperparams, noise: float) -> tuple:
-    """(y^T a, log det(Ky) / 2, a^T D a, tr(Ky^-1 D), a^T a, tr(Ky^-1), nu) for Ky = K + nu*I.
+def _evidence_terms(S, y, hp: Hyperparams, noise: float, gradient: bool = True) -> tuple:
+    """(y^T a, log det(Ky) / 2, a^T D a, tr(Ky^-1 D), a^T a, tr(Ky^-1), nu) for Ky = K + nu*I;
+    without gradient, all but the first two are nan (no inverse and no K*S strips).
 
     K is the kernel of hp on S, nu = noise + jitter, a = Ky^-1 y and D = K*S / l^2 is
-    dK/dlog l. K is built in one n x n buffer M, factored and inverted in place on the
-    Fortran view M.T: Ky^-1 fills M's upper triangle (C order, with the diagonal) and
-    K stays in the strict lower one. D is symmetric with a zero diagonal, so a^T D a
-    and tr(Ky^-1 D) are twice their strict lower sums, read in strips of rows: K*S from
-    the rows, Ky^-1 from the mirrored columns (einsum; BLAS ddot is slow to wake).
+    dK/dlog l. S's strict lower triangle (C order) holds the distances, and K is built,
+    factored and inverted in place in its other one (the Fortran lower of S.T), so Ky^-1
+    ends there with the diagonal. D is symmetric with a zero diagonal, so a^T D a and
+    tr(Ky^-1 D) are twice their strict lower sums, read in strips of rows: K*S rebuilt
+    from the rows' distances (the diagonal tile's Ky^-1 masked to 0 first), Ky^-1 from
+    the mirrored columns (einsum; BLAS ddot is slow to wake).
     """
-    M = rbf_from_sq_dists(S, hp)
-    L, jitter = cholesky_with_jitter(M, noise, overwrite_k=True)
+    L, jitter = cholesky_with_jitter(S, noise, hp=hp)
     alpha = cho_solve((L, True), y, check_finite=False)
     half_logdet = float(np.sum(np.log(np.diag(L))))
+    if not gradient:
+        return (blas.ddot(y, alpha), half_logdet) + (math.nan,) * 5
     _, info = lapack.dpotri(L, lower=1, overwrite_c=1)
     if info != 0:
         raise NumericalError(f"inverting the training system failed (dpotri info {info})")
     a_D_a = tr_D = 0.0
     for i in range(0, y.shape[0], _TRACE_STRIP):
         rows = slice(i, i + _TRACE_STRIP)
-        KS = np.multiply(M[rows, : rows.stop], S[rows, : rows.stop])
-        KS[:, i:] = np.tril(KS[:, i:], -1)  # the diagonal tile's upper triangle is Ky^-1
+        D = np.tril(S[rows, : rows.stop], i - 1)  # the diagonal tile's upper triangle is Ky^-1
+        KS = _rbf_in_place(np.multiply(D, -0.5), hp)
+        KS *= D
         a_D_a += blas.ddot(alpha[rows], blas.dgemv(1.0, KS.T, alpha[: rows.stop], trans=1))
-        tr_D += np.einsum("ij,ji->", KS, M[: rows.stop, rows])
+        tr_D += np.einsum("ij,ji->", KS, S[: rows.stop, rows])
     l2 = hp.length_scale**2
     return (blas.ddot(y, alpha), half_logdet, 2.0 * a_D_a / l2, 2.0 * tr_D / l2,
-            blas.ddot(alpha, alpha), float(np.trace(M)), noise + jitter)
+            blas.ddot(alpha, alpha), float(np.trace(S)), noise + jitter)
 
 
 def _lml_and_gradient(terms: tuple, n: int, noise_deriv: float):
@@ -175,24 +193,25 @@ def _lml_and_gradient(terms: tuple, n: int, noise_deriv: float):
     return lml, 0.5 * np.array(grad)
 
 
-def _evidence(S: np.ndarray, y: np.ndarray, hp: Hyperparams):
+def _evidence(S: np.ndarray, y: np.ndarray, hp: Hyperparams, gradient: bool = True):
     """Log marginal likelihood and its gradient, from the inputs' squared distances S."""
     noise = hp.noise_variance
     noise_deriv = noise if noise > NOISE_VARIANCE_FLOOR else 0.0
-    return _lml_and_gradient(_evidence_terms(S, y, hp, noise), y.shape[0], noise_deriv)
+    return _lml_and_gradient(_evidence_terms(S, y, hp, noise, gradient), y.shape[0], noise_deriv)
 
 
-def _profiled_evidence(S: np.ndarray, y: np.ndarray, theta):
+def _profiled_evidence(S: np.ndarray, y: np.ndarray, theta, gradient: bool = True):
     """(lml, gradient, Hyperparams) at theta = (log l, log r), r = noise / s2, and the best s2.
 
     For Ky = s2 * (K~ + r*I), K~ of unit variance, the evidence peaks at
     s2 = y^T (K~ + r*I)^-1 y / n with a zero s2 derivative, so one factorization
     gives the value and the l and noise entries. Where the floor clamps r * s2,
     both are the floored noise's, from a second factorization (chain rule via s2).
+    Without gradient, the gradient is nan, and the lml the same bits from the factors alone.
     """
     log_l, log_r = (float(t) for t in theta)
     r, n = math.exp(log_r), y.shape[0]
-    terms = _evidence_terms(S, y, Hyperparams(log_l, 0.0, 0.0), r)
+    terms = _evidence_terms(S, y, Hyperparams(log_l, 0.0, 0.0), r, gradient)
     y_alpha, half_logdet, a_D_a, tr_D, a_a, tr_inv, nu = terms
     s2 = max(y_alpha / n, np.finfo(float).tiny)  # all-zero targets: no optimum, finite log
     hp = Hyperparams(log_l, math.log(s2), log_r + math.log(s2))
@@ -201,7 +220,7 @@ def _profiled_evidence(S: np.ndarray, y: np.ndarray, theta):
                   a_a / s2 / s2, tr_inv / s2, nu * s2)
         lml, grad = _lml_and_gradient(scaled, n, r * s2)
         return lml, grad[[0, 2]], hp
-    lml, grad = _evidence(S, y, hp)
+    lml, grad = _evidence(S, y, hp, gradient)
     dlog_s2 = np.array([a_D_a, r * a_a]) / (-n * s2)
     return lml, np.array([grad[0], 0.0]) + grad[1] * dlog_s2, hp
 
@@ -225,13 +244,14 @@ def build_model(
 ) -> GPModel:
     """Assemble a GPModel at fixed hyperparameters (no optimization)."""
     X, y = _validate_training_data(X, y)
-    return _freeze(X, y, kernel_matrix(X, X, hp), hp, normalizer, train_subset_seed)
+    return _freeze(X, y, pairwise_sq_dists(X), hp, normalizer, train_subset_seed)
 
 
-def _freeze(X, y, K, hp: Hyperparams, normalizer, train_subset_seed: int) -> GPModel:
-    """The GPModel of validated (X, y) at hp, factored and inverted in the buffer of K."""
-    L, _ = cholesky_with_jitter(K, hp.noise_variance, overwrite_k=True)
-    for j in range(0, y.shape[0], _TRACE_STRIP):  # L's strict upper triangle still holds K
+def _freeze(X, y, S, hp: Hyperparams, normalizer, train_subset_seed: int) -> GPModel:
+    """The GPModel of validated (X, y) at hp, factored in the buffer of the distances S (see
+    ``cholesky_with_jitter``); the distances are then zeroed and the factor inverted in place."""
+    L, _ = cholesky_with_jitter(S, hp.noise_variance, hp=hp)
+    for j in range(0, y.shape[0], _TRACE_STRIP):  # L's strict upper triangle holds the distances
         cols = slice(j, j + _TRACE_STRIP)
         L[:j, cols] = 0.0
         L[cols, cols] = np.tril(L[cols, cols])
@@ -291,16 +311,16 @@ def fit(
     n = X.shape[0]
 
     with np.errstate(over="ignore"):  # two middle distances at the float maximum average to inf
-        median_dist = math.sqrt(float(np.median(S[np.tri(n, k=-1, dtype=bool)])))
+        median_dist = math.sqrt(np.median(S[np.tri(n, k=-1, dtype=bool)], overwrite_input=True))
     if not 0.0 < median_dist < math.inf:
         median_dist = 1.0
     low, high = math.log(0.5 * median_dist), math.log(2.0 * median_dist)
     starts = [np.array([rng.uniform(low, high), math.log(0.1)]) for _ in range(restarts)]
 
-    def evidence(S, y, theta):
-        """(lml, gradient, Hyperparams) at theta; lml is nan where it is not computable."""
+    def evidence(S, y, theta, **kwargs):
+        """``_profiled_evidence`` at theta; lml is nan where it is not computable."""
         try:
-            return _profiled_evidence(S, y, theta)
+            return _profiled_evidence(S, y, theta, **kwargs)
         except (InputError, NumericalError, OverflowError, FloatingPointError):
             return math.nan, None, None
 
@@ -337,14 +357,14 @@ def fit(
         guard = search(S, y, starts[0])
         best = max(records, key=lambda record: record[0])[1]
         records = [guard]
-        if evidence(S, y, best)[0] > guard[0]:  # false where it is not computable (nan)
+        if evidence(S, y, best, gradient=False)[0] > guard[0]:  # false where it is nan
             records.append(search(S, y, best))
     _, _, hp = max(records, key=lambda record: record[0])
     if hp is None:
         raise NumericalError("evidence was non-finite at every restart")
 
-    # The final model reuses S, and its buffer: one distance pass per fit.
-    return _freeze(X, y, rbf_from_sq_dists(S, hp, out=S), hp, normalizer, seed)
+    # The final model is built in S's buffer, from its distances: one distance pass per fit.
+    return _freeze(X, y, S, hp, normalizer, seed)
 
 
 def predict(model: GPModel, X_query) -> tuple[np.ndarray, np.ndarray]:

@@ -96,7 +96,7 @@ def row_sq_norms(A, name: str) -> tuple[np.ndarray, np.ndarray]:
 
 def _mirror_upper(M: np.ndarray) -> None:
     """Copy the strict upper triangle of square M onto its strict lower one, in place, in
-    column strips of _MIRROR_BLOCK, and zero the diagonal (pass M.T to mirror the lower)."""
+    column strips of _MIRROR_BLOCK, and zero the diagonal."""
     for i in range(0, M.shape[0], _MIRROR_BLOCK):
         cols = slice(i, i + _MIRROR_BLOCK)
         tile = np.triu(M[cols, cols], 1)
@@ -160,7 +160,11 @@ def rbf_from_sq_dists(S: np.ndarray, hp: Hyperparams, out: np.ndarray | None = N
     of ``s2 * exp(-0.5 * S / l**2)`` so the values are bitwise the same, but
     s2 = 1 is not multiplied. A quotient past the float range is -inf, so its value is 0.
     """
-    K = np.multiply(S, -0.5, out=out)
+    return _rbf_in_place(np.multiply(S, -0.5, out=out), hp)
+
+
+def _rbf_in_place(K: np.ndarray, hp: Hyperparams) -> np.ndarray:
+    """K = s2 * exp(K / l**2) in place, for K = -S / 2: the last steps of rbf_from_sq_dists."""
     with np.errstate(over="ignore"):
         K /= hp.length_scale**2
     np.exp(K, out=K)

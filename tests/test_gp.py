@@ -144,57 +144,62 @@ class TestCholeskyWithJitter:
             cholesky_with_jitter(np.array(K), noise)
 
 
-def symmetric_with_eigenvalues(eigenvalues, seed):
-    """An exactly symmetric matrix with (to rounding) the given eigenvalues."""
-    Q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(len(eigenvalues),) * 2))
-    M = (Q * eigenvalues) @ Q.T
-    return np.triu(M) + np.triu(M, 1).T
+def duplicated_dyadic_rows():
+    """200 rows on a dyadic grid, every 40th duplicated, hyperparameters at s2 = 2**30 and
+    the noise floor, which the factorization cannot take without jitter (see
+    test_jitter_escalation), and the generator that drew the rows."""
+    rng = np.random.default_rng(34)
+    X = 0.25 * rng.integers(-8, 9, size=(200, 6))
+    X[1::40] = X[0::40]
+    return X, Hyperparams(0.0, 30.0 * math.log(2.0), math.log(NOISE_VARIANCE_FLOOR)), rng
 
 
 class TestFactorInPlace:
-    """overwrite_k: the factor is K's own buffer, and K's strict lower triangle keeps K."""
+    """hp: the kernel is built from the distances in the buffer's strict lower triangle into
+    the other one and factored there, and the distances stay."""
 
-    # n = 300 spans two mirror strips. The last eigenvalue is -1e-9 relative to a
-    # mean diagonal of about 1: levels 0 and 1e-10 fail, 1e-8 succeeds.
-    RETRY = (1.0,) * 299 + (-1e-9,)
-
-    @pytest.mark.parametrize("eigenvalues", [(1.0,) * 299 + (0.5,), RETRY], ids=["first", "retry"])
-    def test_factor_is_the_input_buffer_with_the_copying_paths_bits(self, eigenvalues):
-        M = symmetric_with_eigenvalues(eigenvalues, 41)
-        before = M.copy()
-        L_copy, jitter_copy = cholesky_with_jitter(before)
-        L, jitter = cholesky_with_jitter(M, overwrite_k=True)
-        assert np.shares_memory(L, M)
+    @pytest.mark.parametrize("retry", [False, True], ids=["first", "retry"])
+    def test_factor_is_the_input_buffer_with_the_copying_paths_bits(self, retry):
+        if retry:  # 200 rows: six strips and a partial one
+            X, hp, _ = duplicated_dyadic_rows()
+        else:
+            X, hp = np.random.default_rng(41).normal(size=(300, 5)), hp_of(1.5, 1.5, 0.1)
+        S = pairwise_sq_dists(X)
+        before = S.copy()
+        L_copy, jitter_copy = cholesky_with_jitter(kernel_matrix(X, X, hp), hp.noise_variance)
+        L, jitter = cholesky_with_jitter(S, hp.noise_variance, hp=hp)
+        assert np.shares_memory(L, S)
         assert jitter == jitter_copy
-        if eigenvalues[-1] < 0.0:
-            assert jitter >= gp_module.JITTER_LEVELS[2] * np.mean(np.diag(before))
-        np.testing.assert_array_equal(np.tril(M, -1), np.tril(before, -1))
+        assert (jitter > 0.0) == retry
+        np.testing.assert_array_equal(np.tril(S, -1), np.tril(before, -1))
         np.testing.assert_array_equal(np.tril(L), L_copy)
 
     def test_allocates_no_n_by_n_array(self):
         """Not even the n x n bool array of an elementwise finiteness check."""
-        M = symmetric_with_eigenvalues((1.0,) * 600, 43)
+        S = pairwise_sq_dists(np.random.default_rng(43).normal(size=(600, 8)))
         tracemalloc.start()
         try:
-            cholesky_with_jitter(M, 0.5, overwrite_k=True)
+            cholesky_with_jitter(S, 0.5, hp=hp_of(3.0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 0.05 * M.size * 8
+        assert peak < 0.05 * S.size * 8
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf])
     def test_rejects_an_infinite_entry(self, value):
-        M = np.eye(3)
-        M[2, 1] = M[1, 2] = value
+        """An infinite distance, or a -inf one, whose kernel value is inf."""
+        S = pairwise_sq_dists(np.eye(3))
+        S[2, 1] = value
         with pytest.raises(InputError, match="must be finite"):
-            cholesky_with_jitter(M, overwrite_k=True)
+            cholesky_with_jitter(S, hp=hp_of())
 
     def test_kept_triangle_survives_every_level_failing(self):
-        M = symmetric_with_eigenvalues((1.0,) * 299 + (-0.5,), 42)
-        before = M.copy()
+        """Distances no point set has: their kernel is far from positive definite."""
+        S = np.random.default_rng(42).uniform(0.0, 4.0, size=(300, 300))
+        before = S.copy()
         with pytest.raises(NumericalError, match="order"):
-            cholesky_with_jitter(M, overwrite_k=True)
-        np.testing.assert_array_equal(np.tril(M, -1), np.tril(before, -1))
+            cholesky_with_jitter(S, hp=hp_of())
+        np.testing.assert_array_equal(np.tril(S, -1), np.tril(before, -1))
 
 
 class TestLogMarginalLikelihood:
@@ -445,20 +450,46 @@ class TestProfiledEvidence:
         assert abs(grad[1]) < 1e-12
 
 
-    def test_one_evaluation_allocates_one_n_by_n_buffer(self):
-        """The kernel is factored and inverted in its own buffer; K*S is read in strips."""
+    @pytest.mark.parametrize("y_scale", [1.0, 1e-5], ids=["above floor", "floored"])
+    def test_value_alone_has_the_same_bits_without_an_inverse(self, monkeypatch, y_scale):
+        """One factorization (two where the floor clamps), and neither dpotri nor strips."""
+        rng = np.random.default_rng(11)
+        X, y = rng.normal(size=(100, 3)), y_scale * rng.normal(size=100)
+        S, theta = pairwise_sq_dists(X), np.array([0.1, math.log(0.3)])
+        lml, _, hp = gp_module._profiled_evidence(S, y, theta)
+        calls = []
+        cholesky, dpotri = gp_module.cholesky_with_jitter, gp_module.lapack.dpotri
+        rbf = gp_module._rbf_in_place
+
+        def counting(name, function):
+            return lambda *args, **kwargs: calls.append(name) or function(*args, **kwargs)
+
+        monkeypatch.setattr(gp_module, "cholesky_with_jitter", counting("factor", cholesky))
+        monkeypatch.setattr(gp_module.lapack, "dpotri", counting("invert", dpotri))
+        monkeypatch.setattr(gp_module, "_rbf_in_place", counting("exp", rbf))
+        value, grad, value_hp = gp_module._profiled_evidence(S, y, theta, gradient=False)
+        assert (math.exp(hp.log_noise_variance) > NOISE_VARIANCE_FLOOR) == (y_scale == 1.0)
+        assert value.hex() == lml.hex()
+        assert value_hp == hp
+        assert np.isnan(grad).all()
+        factorizations = 1 if y_scale == 1.0 else 2
+        assert calls == (["factor"] + ["exp"] * 4) * factorizations  # four strips per kernel
+
+    def test_one_evaluation_allocates_no_n_by_n_array(self):
+        """The kernel is built, factored and inverted in the distances' buffer; K*S is
+        rebuilt in strips of 32 rows, which at n = 2,000 are 1.6% of n x n each."""
         rng = np.random.default_rng(39)
-        n = 600
+        n = 2000
         S, y = pairwise_sq_dists(rng.normal(size=(n, 8))), rng.normal(size=n)
         theta = np.array([math.log(3.0), math.log(0.1)])
-        gp_module._profiled_evidence(S[:10, :10], y[:10], theta)
+        gp_module._profiled_evidence(pairwise_sq_dists(rng.normal(size=(10, 8))), y[:10], theta)
         tracemalloc.start()
         try:
             gp_module._profiled_evidence(S, y, theta)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.25 * n * n * 8
+        assert peak < 0.1 * n * n * 8
 
 
 class TestBuildModel:
@@ -577,9 +608,9 @@ class TestFit:
         fit(X, y, restarts=3, seed=22)
         assert len(calls) == 1
 
-    def test_fit_holds_two_n_by_n_arrays_at_most(self):
-        """Distances, and a kernel factored in its own buffer: no n x n index array outlives
-        the median, and the final kernel is built in the distances' buffer."""
+    def test_fit_holds_one_n_by_n_array(self):
+        """The distances, in whose buffer every kernel is built, factored and inverted: the
+        median partitions its one copy of them in place, and no index array outlives it."""
         rng = np.random.default_rng(38)
         n = 600
         X, y = rng.normal(size=(n, 8)), rng.normal(size=n)
@@ -590,7 +621,7 @@ class TestFit:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2.5 * n * n * 8
+        assert peak < 1.75 * n * n * 8
 
     @pytest.mark.parametrize(
         "evidence",
@@ -617,7 +648,7 @@ class TestFit:
         that the flat value never bears out, it evaluates more tied points.
         """
 
-        def flat(S, y, theta):
+        def flat(S, y, theta, **kwargs):
             hp = Hyperparams(float(theta[0]), 0.0, float(theta[1]))
             return -1.0, np.array([slope, 0.0]), hp
 
@@ -645,12 +676,12 @@ class TestFit:
         searches, computed = [], []
         profiled = gp_module._profiled_evidence
 
-        def failing_early(S, y, theta):
+        def failing_early(S, y, theta, **kwargs):
             search = len(calls)  # a search is recorded once it has finished
             searches.append(search)
             if search == 0:
                 raise NumericalError("no factor")
-            lml, grad, hp = profiled(S, y, theta)
+            lml, grad, hp = profiled(S, y, theta, **kwargs)
             if searches.count(search) == 2:
                 if not finite_lml:
                     raise NumericalError("no factor")
@@ -768,8 +799,8 @@ def record_evidence(monkeypatch):
     values = []
     profiled = gp_module._profiled_evidence
 
-    def recording(S, y, theta):
-        lml, grad, hp = profiled(S, y, theta)
+    def recording(S, y, theta, **kwargs):
+        lml, grad, hp = profiled(S, y, theta, **kwargs)
         values.append((y.shape[0], lml))
         return lml, grad, hp
 
@@ -806,8 +837,8 @@ def record_guard_points(monkeypatch, calls):
     points = []
     profiled = gp_module._profiled_evidence
 
-    def recording(S, y, theta):
-        lml, grad, hp = profiled(S, y, theta)
+    def recording(S, y, theta, **kwargs):
+        lml, grad, hp = profiled(S, y, theta, **kwargs)
         if len(calls) == 3:
             points.append((lml, hp))
         return lml, grad, hp
@@ -864,16 +895,17 @@ class TestTwoStageFit:
         points = record_guard_points(monkeypatch, calls)
         profiled, failed = gp_module._profiled_evidence, []
 
-        def failing_after_the_guard(S, y, theta):
-            if len(calls) == 4 and not failed:
+        def failing_value_alone(S, y, theta, gradient=True):
+            if not gradient:
                 failed.append(theta.copy())
                 raise NumericalError("not positive definite")
             return profiled(S, y, theta)
 
-        monkeypatch.setattr(gp_module, "_profiled_evidence", failing_after_the_guard)
+        monkeypatch.setattr(gp_module, "_profiled_evidence", failing_value_alone)
         X, y = sample_from_prior(self.HP, n=100, D=3, seed=1)
         model = fit(X, y, restarts=3, seed=1)
         assert len(calls) == 4
+        assert len(failed) == 1
         np.testing.assert_array_equal(failed[0], best_subset_x(calls))
         assert model.hp == max(points, key=lambda point: point[0])[1]
         assert model.log_evidence >= -calls[3][1].fun - 1e-9 * abs(calls[3][1].fun)
@@ -943,17 +975,14 @@ class TestTwoStageFit:
 
 
 def floor_noise_model(jitter):
-    """A 200-row model at the noise floor; with jitter, duplicated dyadic rows at s2 = 2**30,
-    which the factorization cannot take without it (see test_jitter_escalation)."""
-    rng = np.random.default_rng(34)
+    """A 200-row model at the noise floor; with jitter, on ``duplicated_dyadic_rows``."""
     if not jitter:
+        rng = np.random.default_rng(34)
         X = rng.normal(size=(200, 5))
         return build_model(X, rng.normal(size=200), hp_of(1.5, 1.5, NOISE_VARIANCE_FLOOR)), rng
-    X = 0.25 * rng.integers(-8, 9, size=(200, 6))
+    X, hp, rng = duplicated_dyadic_rows()
     y = rng.normal(size=200)
-    X[1::40] = X[0::40]
     y[1::40] = y[0::40]
-    hp = Hyperparams(0.0, 30.0 * math.log(2.0), math.log(NOISE_VARIANCE_FLOOR))
     assert cholesky_with_jitter(kernel_matrix(X, X, hp), hp.noise_variance)[1] > 0.0
     return build_model(X, y, hp), rng
 
