@@ -13,7 +13,9 @@ import json
 import sys
 from pathlib import Path
 
-from . import data, diagnosis, gp, metrics
+import numpy as np
+
+from . import data, diagnosis, gp, kernel, metrics
 from .errors import InputError, NumericalError
 
 
@@ -86,15 +88,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_and_predict(args):
-    """Ids, true referable labels (grades 2..4), means, stds, and decisions before the flip."""
+    """Ids, true referable labels (grades 2..4), means, stds, and decisions before the flip,
+    the test CSV parsed, normalized and scored in predict's own blocks, one at a time."""
     if not args.out.parent.is_dir():  # before the archive is loaded and every row scored
         raise InputError(f"cannot write {args.out}: no directory {args.out.parent}")
     model = data.load_model(args.model)
     if model.normalizer is None:
         raise InputError("model archive has no normalization statistics")
-    ids, X, grades = data.load_feature_csv(args.test_csv)
-    mean, std = gp.predict(model, data._normalize_in_place(model.normalizer, X))  # one copy
-    return ids, grades >= 2, mean, std, diagnosis.binarize(mean, args.grade_threshold)
+    ids, runs = [], []
+    for run_ids, X, grades in data._feature_runs(args.test_csv, gp._PREDICT_BLOCK):
+        X = data._normalize_in_place(model.normalizer, X)
+        kernel.row_sq_norms(X, "query", first=len(ids))  # predict numbers the run's rows
+        ids += run_ids
+        runs.append((grades >= 2, *gp.predict(model, X)))
+    labels, mean, std = map(np.concatenate, zip(*runs))
+    return ids, labels, mean, std, diagnosis.binarize(mean, args.grade_threshold)
 
 
 def cmd_train(args) -> int:

@@ -75,11 +75,11 @@ class Hyperparams:
         return max(math.exp(self.log_noise_variance), NOISE_VARIANCE_FLOOR)
 
 
-def row_sq_norms(A, name: str) -> tuple[np.ndarray, np.ndarray]:
+def row_sq_norms(A, name: str, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """A as a C-ordered float64 matrix, and the squared norms of its rows.
 
-    Raises InputError unless A is a nonempty 2-d array, naming the first row
-    whose squared norm is not finite, which ``pairwise_sq_dists`` cannot use.
+    Raises InputError unless A is a nonempty 2-d array, naming the first row (counted from
+    ``first``) whose squared norm is not finite, which ``pairwise_sq_dists`` cannot use.
     """
     A = np.ascontiguousarray(A, dtype=np.float64)
     if A.ndim != 2 or A.size == 0:
@@ -89,7 +89,7 @@ def row_sq_norms(A, name: str) -> tuple[np.ndarray, np.ndarray]:
     bad = np.flatnonzero(~np.isfinite(sq_norms))
     if bad.size:
         raise InputError(
-            f"{name} row {int(bad[0])} is non-finite or too large: its squared norm overflows"
+            f"{name} row {first + bad[0]} is non-finite or too large: its squared norm overflows"
         )
     return A, sq_norms
 
@@ -99,8 +99,8 @@ def _mirror_upper(M: np.ndarray) -> None:
     column strips of _MIRROR_BLOCK, and zero the diagonal."""
     for i in range(0, M.shape[0], _MIRROR_BLOCK):
         cols = slice(i, i + _MIRROR_BLOCK)
-        tile = np.triu(M[cols, cols], 1)
-        M[cols, cols] = tile + tile.T
+        for j in range(i, min(cols.stop, M.shape[0])):  # the diagonal tile, by disjoint copies
+            M[j + 1 : cols.stop, j], M[j, j] = M[j, j + 1 : cols.stop], 0.0
         M[cols.stop :, cols] = M[cols, cols.stop :].T
 
 

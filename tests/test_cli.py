@@ -5,12 +5,14 @@ import errno
 import json
 import re
 import stat
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from gpgrade import cli, data, gp
 from gpgrade.errors import NumericalError
+from gpgrade.kernel import Hyperparams
 
 
 def run(argv):
@@ -657,6 +659,116 @@ class TestRejections:
         out = tmp_path / "r.json"
         argv = ["evaluate", "--test-csv", workspace["test"], "--model", model, "--out", out]
         self.assert_rejected(argv, out, capsys, "'arrays'")
+
+
+class TestStreamedScoring:
+    """Scoring parses, normalizes and predicts the test CSV one run of gp._PREDICT_BLOCK rows
+    at a time. Runs of 8 here, so the workspace's 100 test rows make 13, the last of 4."""
+
+    @pytest.fixture(autouse=True)
+    def runs_of_eight(self, monkeypatch):
+        monkeypatch.setattr(gp, "_PREDICT_BLOCK", 8)
+
+    def with_records(self, workspace, tmp_path, replaced):
+        """The workspace test CSV with record i (0-based, on line i + 2) replaced: by
+        ``(grade, first feature)`` of the right width, or by a line as it is."""
+        lines = workspace["test"].read_text().splitlines(keepends=True)
+        dim = len(lines[0].split(",")) - 2
+        for i, record in replaced.items():
+            if isinstance(record, tuple):
+                grade, first = record
+                record = f"r{i},{grade}," + ",".join([first] + ["0.5"] * (dim - 1))
+            lines[i + 1] = record + "\n"
+        path = tmp_path / "test.csv"
+        path.write_text("".join(lines))
+        return path
+
+    def reject(self, workspace, capsys, test_csv, match, command="predict"):
+        out = test_csv.with_name("out")
+        argv = [command, "--test-csv", test_csv, "--model", workspace["model"], "--out", out]
+        TestRejections().assert_rejected(argv, out, capsys, match)
+
+    def test_rows_score_with_the_bits_of_one_predict_call(self, workspace, tmp_path):
+        out = tmp_path / "preds.csv"
+        argv = ["predict", "--test-csv", workspace["test"], "--model", workspace["model"]]
+        assert run(argv + ["--out", out]) == 0
+        model = data.load_model(workspace["model"])
+        _, X, _ = data.load_feature_csv(workspace["test"])
+        mean, std = gp.predict(model, data.apply_normalizer(model.normalizer, X))
+        rows = read_csv_rows(out)
+        assert [r["mean"] for r in rows] == [repr(m) for m in mean.tolist()]
+        assert [r["std"] for r in rows] == [repr(s) for s in std.tolist()]
+
+    @pytest.mark.parametrize(
+        "record, match",
+        [
+            ((2, "0.5"), None),
+            (("two", "0.5"), "line 12: non-integer grade 'two'"),
+            ("r10,2,0.5", "line 12: expected"),
+            ((2, "nan"), "line 12: non-finite feature value"),
+            ((2, "-1e400"), "line 12: non-finite feature value"),
+            ((2, "1.7e308"), "query row 10 is non-finite or too large"),
+        ],
+        ids=["valid", "grade", "width", "nan", "overflowing-text", "overflowing-row"],
+    )
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_a_defect_in_the_second_run_is_named_over_the_whole_file(
+        self, workspace, tmp_path, capsys, record, match, command
+    ):
+        test_csv = self.with_records(workspace, tmp_path, {10: record})
+        if match is None:
+            out = tmp_path / "out"
+            argv = [command, "--test-csv", test_csv, "--model", workspace["model"]]
+            assert run(argv + ["--out", out]) == 0
+        else:
+            self.reject(workspace, capsys, test_csv, match, command)
+
+    @pytest.mark.parametrize(
+        "replaced, match",
+        [
+            ({3: (0, "1.7e308"), 10: "r10,0"}, "query row 3 "),
+            ({9: (0, "1.7e308"), 12: "r12,0"}, "query row 9 "),
+            ({9: "r9,0", 12: (0, "1.7e308")}, "line 11: expected"),
+            ({3: (0, "1.7e308"), 10: (0, "nan")}, "query row 3 "),
+            ({3: (0, "nan"), 10: (0, "1.7e308")}, "line 5: non-finite"),
+            ({9: (0, "1.7e308"), 12: (0, "nan")}, "query row 9 "),
+            ({9: (0, "nan"), 12: (0, "1.7e308")}, "line 11: non-finite"),
+        ],
+        ids=[
+            "runs-1-and-2", "same-run", "malformed-first", "then-non-finite",
+            "non-finite-first", "same-run-then-non-finite", "same-run-non-finite-first",
+        ],
+    )
+    def test_the_first_defect_in_file_order_is_reported(
+        self, workspace, tmp_path, capsys, replaced, match
+    ):
+        """All of a file's parse errors used to beat any overflowing row; now the first
+        defect in the file is reported, in one run or across two."""
+        self.reject(workspace, capsys, self.with_records(workspace, tmp_path, replaced), match)
+
+
+def test_scoring_memory_does_not_grow_with_the_query_features(tmp_path):
+    """evaluate holds one run of 512 feature rows: 6,000 more query rows of 64 features
+    (3 MB) add less than half their bytes to the traced peak; only per-row outputs grow."""
+    _, X, grades = data.synthesize_dataset([20] * 5, 64, 6.0, 1.0, 0)
+    stats = data.fit_normalizer(X)
+    model = tmp_path / "m.model"
+    X = data.apply_normalizer(stats, X)
+    hp = Hyperparams(2.4, 0.0, -2.0)
+    data.save_model(gp.build_model(X, grades.astype(float), hp, normalizer=stats), model)
+    peaks = []
+    for n_per_grade in (400, 1600):
+        test_csv = tmp_path / f"q{n_per_grade}.csv"
+        queries = data.synthesize_dataset([n_per_grade] * 5, 64, 6.0, 1.0, 1)
+        data.write_feature_csv(*queries, test_csv)
+        argv = ["evaluate", "--test-csv", test_csv, "--model", model, "--out", tmp_path / "r.json"]
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 6000 * 64 * 8 / 2
 
 
 class TestAtomicWrite:

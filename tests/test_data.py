@@ -22,7 +22,7 @@ from gpgrade import (
     synthesize_dataset,
     write_feature_csv,
 )
-from gpgrade.data import MODEL_MAGIC, STD_FLOOR, NormStats, _normalize_in_place
+from gpgrade.data import MODEL_MAGIC, STD_FLOOR, NormStats, _feature_runs, _normalize_in_place
 from gpgrade.errors import ModelFormatError, ParseError
 from gpgrade.kernel import Hyperparams, pairwise_sq_dists
 
@@ -189,6 +189,17 @@ class TestLoadFeatureCsv:
             tracemalloc.stop()
         assert back_X.tobytes() == X.tobytes()
         assert peak <= 1.5 * X.nbytes
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 24, 30])
+    def test_runs_partition_the_rows_of_one_load(self, tmp_path, n):
+        """Runs of 8 start at row 0 and hold 8 rows, the last what is left, never none."""
+        ids, X, grades = synthesize_dataset([n, 0, 0, 0, 0], 3, 6.0, 1.0, 2)
+        write_feature_csv(ids, X, grades, tmp_path / "d.csv")
+        runs = list(_feature_runs(tmp_path / "d.csv", 8))
+        assert [len(run_ids) for run_ids, _, _ in runs] == [8] * (n // 8) + [n % 8] * (n % 8 > 0)
+        assert [i for run_ids, _, _ in runs for i in run_ids] == ids
+        assert np.concatenate([run_X for _, run_X, _ in runs]).tobytes() == X.tobytes()
+        assert np.concatenate([g for _, _, g in runs]).tolist() == grades.tolist()
 
     def test_csv_module_error_names_the_line(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -1,6 +1,7 @@
 """Hyperparameter, pairwise-distance and gram-assembly tests."""
 
 import math
+import tracemalloc
 import warnings
 from dataclasses import astuple
 
@@ -174,6 +175,19 @@ class TestPairwiseSqDists:
         assert S[0, 1] == 0.0 and S[0, 2] == fmax and S[3, 3] == 0.0
         assert S[0, 3] == pytest.approx(big * big, rel=1e-15)
         np.testing.assert_array_equal(cross[~np.eye(4, dtype=bool)], S[~np.eye(4, dtype=bool)])
+
+    def test_self_distances_allocate_little_beyond_their_buffer(self):
+        """The diagonal tiles are mirrored by copies that do not overlap: no tile temporaries."""
+        n = 600
+        A = np.random.default_rng(3).normal(size=(n, 64))
+        tracemalloc.start()
+        try:
+            S = pairwise_sq_dists(A)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert S.tobytes() == out_of_place_sq_dists(A).tobytes()
+        assert peak < 1.15 * n * n * 8
 
     def test_never_negative(self):
         rng = np.random.default_rng(2)
