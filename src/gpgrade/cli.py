@@ -87,22 +87,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_and_predict(args):
-    """Ids, true referable labels (grades 2..4), means, stds, and decisions before the flip,
-    the test CSV parsed, normalized and scored in predict's own blocks, one at a time."""
-    if not args.out.parent.is_dir():  # before the archive is loaded and every row scored
+def _scored_runs(args):
+    """Check --out's directory and load the archive, then draw the test CSV's runs in predict's
+    blocks, scored as read: (ids, true referable labels (grades 2..4), means, stds) each."""
+    if not args.out.parent.is_dir():  # before the archive is loaded and a temp file opened
         raise InputError(f"cannot write {args.out}: no directory {args.out.parent}")
     model = data.load_model(args.model)
     if model.normalizer is None:
         raise InputError("model archive has no normalization statistics")
-    ids, runs = [], []
-    for run_ids, X, grades in data._feature_runs(args.test_csv, gp._PREDICT_BLOCK):
-        X = data._normalize_in_place(model.normalizer, X)
-        kernel.row_sq_norms(X, "query", first=len(ids))  # predict numbers the run's rows
-        ids += run_ids
-        runs.append((grades >= 2, *gp.predict(model, X)))
-    labels, mean, std = map(np.concatenate, zip(*runs))
-    return ids, labels, mean, std, diagnosis.binarize(mean, args.grade_threshold)
+
+    def runs(first=0):
+        for ids, X, grades in data._feature_runs(args.test_csv, gp._PREDICT_BLOCK):
+            X = data._normalize_in_place(model.normalizer, X)
+            kernel.row_sq_norms(X, "query", first=first)  # predict numbers the run's rows
+            first += len(ids)
+            yield (ids, grades >= 2, *gp.predict(model, X))
+
+    return runs()
+
+
+def _scored_arrays(args):
+    """True referable labels, means and stds of every test row, and decisions before the flip."""
+    labels, mean, std = map(np.concatenate, zip(*(run[1:] for run in _scored_runs(args))))
+    return labels, mean, std, diagnosis.binarize(mean, args.grade_threshold)
 
 
 def cmd_train(args) -> int:
@@ -129,20 +136,25 @@ def cmd_train(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    ids, _, mean, std, base = _load_and_predict(args)
-    referable, flipped = diagnosis.apply_uncertainty_flip(base, std, args.std_threshold)
-    lines = ["id,mean,std,referable,flipped\n"]
-    for id_, m, s, r, f in zip(
-        ids, mean.tolist(), std.tolist(), referable.tolist(), flipped.tolist()
-    ):
-        lines.append(f"{id_},{m!r},{s!r},{str(r).lower()},{str(f).lower()}\n")
-    data._atomic_write(args.out, "".join(lines))
-    print(f"wrote {len(ids)} predictions to {args.out}")
+    runs, counts = _scored_runs(args), []
+
+    def lines():  # one chunk per run, written as it is scored
+        yield "id,mean,std,referable,flipped\n"
+        for ids, _, mean, std in runs:
+            base = diagnosis.binarize(mean, args.grade_threshold)
+            referable, flipped = diagnosis.apply_uncertainty_flip(base, std, args.std_threshold)
+            counts.append(len(ids))
+            rows = zip(ids, mean.tolist(), std.tolist(), referable.tolist(), flipped.tolist())
+            yield "".join(f"{id_},{m!r},{s!r},{str(r).lower()},{str(f).lower()}\n"
+                          for id_, m, s, r, f in rows)
+
+    data._atomic_write(args.out, lines())
+    print(f"wrote {sum(counts)} predictions to {args.out}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    _, labels, mean, std, base = _load_and_predict(args)
+    labels, mean, std, base = _scored_arrays(args)
     referable, flipped = diagnosis.apply_uncertainty_flip(base, std, args.std_threshold)
     report = metrics.evaluate(referable, labels, mean, std)
     document = {
@@ -190,7 +202,7 @@ def cmd_sweep(args) -> int:
         raise InputError(f"bad --std-thresholds value {args.std_thresholds!r}") from None
     if not thresholds:
         raise InputError("--std-thresholds needs at least one value")
-    _, labels, mean, std, base = _load_and_predict(args)
+    labels, mean, std, base = _scored_arrays(args)
     lines = ["std_threshold,tp,fp,tn,fn,sensitivity,specificity,n_flipped\n"]
     for t in thresholds:
         referable, flipped = diagnosis.apply_uncertainty_flip(base, std, t)

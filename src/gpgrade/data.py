@@ -85,21 +85,26 @@ def load_feature_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
 def _feature_runs(path, run_rows: int | None = None):
     """Yield a feature CSV's records as validated ``(ids, X, grades)`` runs of run_rows rows
     (None: one run). The rows before a defect are yielded before its ParseError is raised,
-    so a consumer that rejects one of them names the first defect in the file.
-    """
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"no such file: {path}")
+    so a consumer that rejects one of them names the first defect in the file. An OSError
+    opening or reading the file raises InputError."""
     try:
-        fh = open(path, newline="", encoding="utf-8", errors="surrogateescape")
+        yield from _parse_runs(Path(path), run_rows)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
-    with fh:
-        records = 1  # a CRLF split across two chunks counts twice, which still bounds them
-        for chunk in iter(lambda: fh.buffer.read(1 << 16), b""):
-            records += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
-        size = fh.buffer.tell()
-        fh.seek(0)
+
+
+def _parse_runs(path: Path, run_rows: int | None):
+    """``_feature_runs`` but for OSErrors. Only one run is sized by counting line ends (then it
+    holds at most the file's records): streamed runs read the file once."""
+    if not path.is_file():
+        raise InputError(f"no such file: {path}")
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        if run_rows is None:
+            run_rows = 1  # a CRLF split across two chunks counts twice, which still bounds them
+            for chunk in iter(lambda: fh.buffer.read(1 << 16), b""):
+                run_rows += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
+            fh.seek(0)
         reader = csv.reader(fh)
         rows = (row for row in reader)  # its own small frame: tracemalloc traces it 3x faster
         try:
@@ -112,7 +117,7 @@ def _feature_runs(path, run_rows: int | None = None):
         if dim < 1 or header != _csv_header(dim):
             raise ParseError("malformed header: expected 'id,grade,f0,...,f{D-1}'", line=1)
         # More rows than the file has records (its header is one): such a run ends with the file.
-        run_rows = min(run_rows or records, records, size // (dim + 1) + 1)
+        run_rows = min(run_rows, size // (dim + 1) + 1)
         for first in itertools.count(2, run_rows):  # the line of the run's first record
             X, ids, grades, error = np.empty((run_rows, dim)), [], [], None
             try:
@@ -276,11 +281,10 @@ def synthesize_dataset(
 # model persistence
 
 
-def _atomic_write(path, content: str | bytes) -> None:
-    """Write text (as UTF-8) or bytes through a temp file and a rename."""
+def _atomic_write(path, content) -> None:
+    """Write text (as UTF-8), bytes or an iterable of text chunks, each as it comes, through a
+    temp file and a rename. If a chunk cannot be made, its exception propagates, no file left."""
     path = Path(path)
-    if isinstance(content, str):
-        content = content.encode("utf-8")
     # A fresh name, created exclusively, so no existing path is overwritten or
     # removed; the mode follows the umask as a plain open's does.
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
@@ -288,7 +292,8 @@ def _atomic_write(path, content: str | bytes) -> None:
     try:
         with open(tmp, "xb") as fh:
             created = True
-            fh.write(content)
+            for chunk in [content] if isinstance(content, (str, bytes)) else content:
+                fh.write(chunk.encode("utf-8") if isinstance(chunk, str) else chunk)
         os.replace(tmp, path)
         created = False
     except OSError as exc:

@@ -21,9 +21,9 @@ from .errors import InputError, NumericalError
 from .kernel import (
     NOISE_VARIANCE_FLOOR,
     Hyperparams,
-    _rbf_in_place,
     kernel_matrix,
     pairwise_sq_dists,
+    rbf_from_sq_dists,
     row_sq_norms,
 )
 
@@ -123,13 +123,12 @@ def cholesky_with_jitter(K, noise: float = 0.0, hp: Hyperparams | None = None) -
 
 def _kernel_from_lower(B: np.ndarray, hp: Hyperparams) -> None:
     """Write the kernel of hp on the distances in B's strict lower triangle (C order) into the
-    other one with the diagonal, ``rbf_from_sq_dists``'s bits: copied across, exponentiated."""
+    other one with the diagonal, by ``rbf_from_sq_dists`` on each strip's two parts."""
     for i in range(0, B.shape[0], _TRACE_STRIP):
         rows = slice(i, i + _TRACE_STRIP)
         tile = B[rows, rows].copy()  # its distances are put back at the end
-        np.multiply(np.triu(tile.T, 1), -0.5, out=B[rows, rows])
-        np.multiply(B[rows.stop :, rows], -0.5, out=B[rows, rows.stop :].T)  # reads in order
-        _rbf_in_place(B[rows, i:], hp)
+        rbf_from_sq_dists(np.triu(tile.T, 1), hp, out=B[rows, rows])
+        rbf_from_sq_dists(B[rows.stop :, rows], hp, out=B[rows, rows.stop :].T)  # reads in order
         np.copyto(B[rows, rows], tile, where=np.tri(len(tile), k=-1, dtype=bool))
 
 
@@ -171,7 +170,7 @@ def _evidence_terms(S, y, hp: Hyperparams, noise: float, gradient: bool = True) 
     for i in range(0, y.shape[0], _TRACE_STRIP):
         rows = slice(i, i + _TRACE_STRIP)
         D = np.tril(S[rows, : rows.stop], i - 1)  # the diagonal tile's upper triangle is Ky^-1
-        KS = _rbf_in_place(np.multiply(D, -0.5), hp)
+        KS = rbf_from_sq_dists(D, hp)
         KS *= D
         a_D_a += blas.ddot(alpha[rows], blas.dgemv(1.0, KS.T, alpha[: rows.stop], trans=1))
         tr_D += np.einsum("ij,ji->", KS, S[: rows.stop, rows])

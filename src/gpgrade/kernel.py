@@ -160,11 +160,7 @@ def rbf_from_sq_dists(S: np.ndarray, hp: Hyperparams, out: np.ndarray | None = N
     of ``s2 * exp(-0.5 * S / l**2)`` so the values are bitwise the same, but
     s2 = 1 is not multiplied. A quotient past the float range is -inf, so its value is 0.
     """
-    return _rbf_in_place(np.multiply(S, -0.5, out=out), hp)
-
-
-def _rbf_in_place(K: np.ndarray, hp: Hyperparams) -> np.ndarray:
-    """K = s2 * exp(K / l**2) in place, for K = -S / 2: the last steps of rbf_from_sq_dists."""
+    K = np.multiply(S, -0.5, out=out)
     with np.errstate(over="ignore"):
         K /= hp.length_scale**2
     np.exp(K, out=K)

@@ -2,6 +2,7 @@
 
 import csv
 import errno
+import io
 import json
 import re
 import stat
@@ -746,6 +747,41 @@ class TestStreamedScoring:
         defect in the file is reported, in one run or across two."""
         self.reject(workspace, capsys, self.with_records(workspace, tmp_path, replaced), match)
 
+    def test_a_defect_in_the_third_run_leaves_no_file(self, workspace, tmp_path, capsys):
+        """predict has written two runs to its temp file when the third fails to parse."""
+        test_csv = self.with_records(workspace, tmp_path, {20: "r20,2,0.5"})
+        self.reject(workspace, capsys, test_csv, "line 22: expected")
+        assert list(tmp_path.iterdir()) == [test_csv]
+
+    @pytest.mark.parametrize("command", ["predict", "evaluate"])
+    def test_a_read_error_after_the_first_run_is_reported_as_one(
+        self, workspace, tmp_path, capsys, monkeypatch, command
+    ):
+        """Not as a failure to write --out, which predict has opened by then."""
+        test_csv = tmp_path / "test.csv"
+        test_csv.write_bytes(workspace["test"].read_bytes())
+        lines = test_csv.read_bytes().splitlines(keepends=True)
+        second_run = sum(map(len, lines[:10]))  # the header, 8 records and one more
+
+        class Failing(io.FileIO):
+            def readinto(self, buffer):  # 64 bytes at a time, none past the second run's start
+                if self.tell() >= second_run:
+                    raise OSError(errno.EIO, "Input/output error")
+                return super().readinto(memoryview(buffer)[:64])
+
+        def failing_open(file, mode="r", **kwargs):
+            if mode != "r":
+                return open(file, mode, **kwargs)
+            return io.TextIOWrapper(io.BufferedReader(Failing(file)), **kwargs)
+
+        predict, scored = gp.predict, []
+        monkeypatch.setattr(data, "open", failing_open, raising=False)
+        monkeypatch.setattr(gp, "predict", lambda *a: scored.append(1) or predict(*a))
+        match = f"cannot read {test_csv}: Input/output error"
+        self.reject(workspace, capsys, test_csv, match, command)
+        assert scored == [1]
+        assert list(tmp_path.iterdir()) == [test_csv]
+
 
 def test_scoring_memory_does_not_grow_with_the_query_features(tmp_path):
     """evaluate holds one run of 512 feature rows: 6,000 more query rows of 64 features
@@ -769,6 +805,41 @@ def test_scoring_memory_does_not_grow_with_the_query_features(tmp_path):
         finally:
             tracemalloc.stop()
     assert peaks[1] - peaks[0] < 6000 * 64 * 8 / 2
+
+
+@pytest.fixture(scope="module")
+def scoring_memory(tmp_path_factory):
+    """The n = 100 archive and the 2,000- and 8,000-row query files of the test above."""
+    root = tmp_path_factory.mktemp("scoring_memory")
+    _, X, grades = data.synthesize_dataset([20] * 5, 64, 6.0, 1.0, 0)
+    stats = data.fit_normalizer(X)
+    X = data.apply_normalizer(stats, X)
+    model = gp.build_model(X, grades.astype(float), Hyperparams(2.4, 0.0, -2.0), normalizer=stats)
+    data.save_model(model, root / "m.model")
+    for n_per_grade in (400, 1600):
+        queries = data.synthesize_dataset([n_per_grade] * 5, 64, 6.0, 1.0, 1)
+        data.write_feature_csv(*queries, root / f"q{n_per_grade}.csv")
+    return root
+
+
+@pytest.mark.parametrize(
+    "command, bound", [("predict", 48_000), ("evaluate", 6000 * 32), ("sweep", 6000 * 32)]
+)
+def test_scoring_keeps_only_what_its_output_needs(scoring_memory, tmp_path, command, bound):
+    """predict writes each run as it is scored, so 6,000 more query rows leave its traced
+    peak where it was; evaluate and sweep keep three arrays (17 B a row) and no ids."""
+    peaks = []
+    for n_per_grade in (400, 1600):
+        argv = [command, "--test-csv", scoring_memory / f"q{n_per_grade}.csv"]
+        argv += ["--model", scoring_memory / "m.model", "--out", tmp_path / "out"]
+        argv += ["--std-thresholds=0.5,0.84,1.2"] if command == "sweep" else []
+        tracemalloc.start()
+        try:
+            assert run(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < bound
 
 
 class TestAtomicWrite:

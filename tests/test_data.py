@@ -1,6 +1,7 @@
 """Ingestion, normalization, synthesis, and model-archive tests."""
 
 import hashlib
+import io
 import json
 import math
 import struct
@@ -9,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import gpgrade.data
 from gpgrade import (
     InputError,
     apply_normalizer,
@@ -200,6 +202,28 @@ class TestLoadFeatureCsv:
         assert [i for run_ids, _, _ in runs for i in run_ids] == ids
         assert np.concatenate([run_X for _, run_X, _ in runs]).tobytes() == X.tobytes()
         assert np.concatenate([g for _, _, g in runs]).tolist() == grades.tolist()
+
+    @pytest.mark.parametrize("run_rows, passes", [(8, 1), (None, 2)], ids=["runs", "one-run"])
+    def test_streamed_runs_read_the_file_once(self, tmp_path, monkeypatch, run_rows, passes):
+        """Line ends are counted, in a pass of their own, only to size a single run."""
+        ids, X, grades = synthesize_dataset([30] * 5, 3, 6.0, 1.0, 4)
+        path = tmp_path / "d.csv"
+        write_feature_csv(ids, X, grades, path)
+        read = []
+
+        class Counting(io.FileIO):
+            def readinto(self, buffer):
+                read.append(super().readinto(buffer))
+                return read[-1]
+
+        def counting_open(file, mode="r", **kwargs):
+            assert mode == "r"
+            return io.TextIOWrapper(io.BufferedReader(Counting(file)), **kwargs)
+
+        monkeypatch.setattr(gpgrade.data, "open", counting_open, raising=False)
+        runs = list(_feature_runs(path, run_rows))
+        assert [i for run_ids, _, _ in runs for i in run_ids] == ids
+        assert sum(read) == passes * path.stat().st_size
 
     def test_csv_module_error_names_the_line(self, tmp_path):
         path = tmp_path / "d.csv"

@@ -459,21 +459,22 @@ class TestProfiledEvidence:
         lml, _, hp = gp_module._profiled_evidence(S, y, theta)
         calls = []
         cholesky, dpotri = gp_module.cholesky_with_jitter, gp_module.lapack.dpotri
-        rbf = gp_module._rbf_in_place
+        rbf = gp_module.rbf_from_sq_dists
 
         def counting(name, function):
             return lambda *args, **kwargs: calls.append(name) or function(*args, **kwargs)
 
         monkeypatch.setattr(gp_module, "cholesky_with_jitter", counting("factor", cholesky))
         monkeypatch.setattr(gp_module.lapack, "dpotri", counting("invert", dpotri))
-        monkeypatch.setattr(gp_module, "_rbf_in_place", counting("exp", rbf))
+        monkeypatch.setattr(gp_module, "rbf_from_sq_dists", counting("exp", rbf))
         value, grad, value_hp = gp_module._profiled_evidence(S, y, theta, gradient=False)
         assert (math.exp(hp.log_noise_variance) > NOISE_VARIANCE_FLOOR) == (y_scale == 1.0)
         assert value.hex() == lml.hex()
         assert value_hp == hp
         assert np.isnan(grad).all()
         factorizations = 1 if y_scale == 1.0 else 2
-        assert calls == (["factor"] + ["exp"] * 4) * factorizations  # four strips per kernel
+        # Four strips per kernel, each built in two parts: its diagonal tile and the rest.
+        assert calls == (["factor"] + ["exp"] * 8) * factorizations
 
     def test_one_evaluation_allocates_no_n_by_n_array(self):
         """The kernel is built, factored and inverted in the distances' buffer; K*S is
