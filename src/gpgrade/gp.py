@@ -11,6 +11,7 @@ posterior mean and standard deviation off the inverse of the training factor.
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -21,6 +22,7 @@ from .errors import InputError, NumericalError
 from .kernel import (
     NOISE_VARIANCE_FLOOR,
     Hyperparams,
+    _sq_dists,
     kernel_matrix,
     pairwise_sq_dists,
     rbf_from_sq_dists,
@@ -45,8 +47,7 @@ _BAD_OBJECTIVE = 1e25
 # 2,048-row ones with a quarter of the block memory; 256 rows were slower.
 _PREDICT_BLOCK = 512
 
-# Rows per strip in which the kernel is built from the distances and K*S rebuilt for the
-# gradient (16 were slower), and columns per strip in which _freeze clears the distances.
+# Rows per strip in which the kernel is built and K*S rebuilt for the gradient (16 were slower).
 _TRACE_STRIP = 32
 
 # L-BFGS-B stopping rules for every evidence search.
@@ -68,7 +69,9 @@ def minimize(*args, **kwargs):
 class GPModel:
     """Trained regressor state, never changed once built. ``L_inv`` holds L^-1 for the
     lower Cholesky factor L of the training system, inverted in L's own buffer;
-    ``log_evidence`` and ``chol_l_fro`` (||L||_F) are read off L before that.
+    ``log_evidence`` and ``chol_l_fro`` (||L||_F) are read off L before that. That buffer is
+    a private anonymous mapping whose other triangle is never written, so unless transparent
+    huge pages are ``always`` on, only the pages that hold some of L are resident.
     """
 
     hp: Hyperparams
@@ -82,7 +85,7 @@ class GPModel:
     train_subset_seed: int = 0
 
 
-def cholesky_with_jitter(K, noise: float = 0.0, hp: Hyperparams | None = None) -> tuple:
+def cholesky_with_jitter(K, noise: float = 0.0, hp: Hyperparams | None = None, X=None) -> tuple:
     """Lower Cholesky factor of K + (noise + jitter)*I for symmetric K, and the jitter.
 
     The jitter escalates through multiples of the mean diagonal of K + noise*I; the one
@@ -91,6 +94,7 @@ def cholesky_with_jitter(K, noise: float = 0.0, hp: Hyperparams | None = None) -
     With hp, a C-ordered K holds squared distances in its strict lower triangle, which dpotrf
     never touches: each level builds the kernel of hp on them in the other triangle with
     the diagonal (the Fortran lower one of K.T) and factors it there, so K.T is the factor.
+    With rows X too, each level builds that triangle from X, and writes only 0s in the other.
     Raises NumericalError (naming the failing diagonal index) if every level fails, and
     InputError if an entry is not finite or the diagonal's sum overflows.
     """
@@ -98,7 +102,7 @@ def cholesky_with_jitter(K, noise: float = 0.0, hp: Hyperparams | None = None) -
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise InputError(f"expected a square matrix, got shape {K.shape}")
     if hp is not None:
-        _kernel_from_lower(K, hp)
+        _kernel_from_lower(K, hp, X)
     if not all(map(math.isfinite, (K.min(initial=0.0), K.max(initial=0.0), noise))):
         raise InputError("matrix entries and noise must be finite")
     with np.errstate(over="ignore"):
@@ -109,7 +113,7 @@ def cholesky_with_jitter(K, noise: float = 0.0, hp: Hyperparams | None = None) -
     for level in JITTER_LEVELS:
         jitter = level * scale
         if hp is not None and level:  # the failed level's dpotrf wrote the kernel's triangle
-            _kernel_from_lower(K, hp)
+            _kernel_from_lower(K, hp, X)
         A = K if hp is not None else K.copy()
         np.fill_diagonal(A, diag + jitter)
         L, info = lapack.dpotrf(A.T, lower=1, clean=int(hp is None), overwrite_a=1)
@@ -121,15 +125,19 @@ def cholesky_with_jitter(K, noise: float = 0.0, hp: Hyperparams | None = None) -
     )
 
 
-def _kernel_from_lower(B: np.ndarray, hp: Hyperparams) -> None:
+def _kernel_from_lower(B: np.ndarray, hp: Hyperparams, X=None) -> None:
     """Write the kernel of hp on the distances in B's strict lower triangle (C order) into the
-    other one with the diagonal, by ``rbf_from_sq_dists`` on each strip's two parts."""
+    other one with the diagonal, by ``rbf_from_sq_dists`` on each strip's two parts. With rows
+    X, ``kernel._sq_dists`` first writes their distances into that other triangle (read there
+    in place, as B.T's lower one) and the strips' diagonal tiles, which are then cleared to 0."""
+    D = B if X is None else _sq_dists(X, out=B).T  # its strict lower triangle holds the distances
     for i in range(0, B.shape[0], _TRACE_STRIP):
         rows = slice(i, i + _TRACE_STRIP)
-        tile = B[rows, rows].copy()  # its distances are put back at the end
+        tile = D[rows, rows].copy()  # put back below B's diagonal at the end (0 with rows X)
         rbf_from_sq_dists(np.triu(tile.T, 1), hp, out=B[rows, rows])
-        rbf_from_sq_dists(B[rows.stop :, rows], hp, out=B[rows, rows.stop :].T)  # reads in order
-        np.copyto(B[rows, rows], tile, where=np.tri(len(tile), k=-1, dtype=bool))
+        rbf_from_sq_dists(D[rows.stop :, rows], hp, out=B[rows, rows.stop :].T)  # reads in order
+        below = np.tri(len(tile), k=-1, dtype=bool)
+        np.copyto(B[rows, rows], tile if X is None else 0.0, where=below)
 
 
 def _validate_training_data(X, y) -> tuple[np.ndarray, np.ndarray]:
@@ -241,19 +249,13 @@ def build_model(
     normalizer: "NormStats | None" = None,
     train_subset_seed: int = 0,
 ) -> GPModel:
-    """Assemble a GPModel at fixed hyperparameters (no optimization)."""
+    """Assemble a GPModel at fixed hyperparameters (no optimization), its kernel built from X
+    into a zero-filled mapping that numpy does not advise into huge pages (see GPModel)."""
     X, y = _validate_training_data(X, y)
-    return _freeze(X, y, pairwise_sq_dists(X), hp, normalizer, train_subset_seed)
-
-
-def _freeze(X, y, S, hp: Hyperparams, normalizer, train_subset_seed: int) -> GPModel:
-    """The GPModel of validated (X, y) at hp, factored in the buffer of the distances S (see
-    ``cholesky_with_jitter``); the distances are then zeroed and the factor inverted in place."""
-    L, _ = cholesky_with_jitter(S, hp.noise_variance, hp=hp)
-    for j in range(0, y.shape[0], _TRACE_STRIP):  # L's strict upper triangle holds the distances
-        cols = slice(j, j + _TRACE_STRIP)
-        L[:j, cols] = 0.0
-        L[cols, cols] = np.tril(L[cols, cols])
+    # Private, as an anonymous mapping already is where there is no MAP_PRIVATE (Windows).
+    private = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+    K = np.frombuffer(mmap.mmap(-1, 8 * y.size**2, **private)).reshape(y.size, -1)
+    L, _ = cholesky_with_jitter(K, hp.noise_variance, hp=hp, X=X)
     alpha = cho_solve((L, True), y, check_finite=False)
     half_logdet = float(np.sum(np.log(np.diag(L))))
     lml = -0.5 * blas.ddot(y, alpha) - half_logdet - 0.5 * y.shape[0] * _LOG_2PI
@@ -352,7 +354,8 @@ def fit(
         sub = np.sort(sub_rng.choice(n, size=_COARSE_SUBSET_N, replace=False))
         S_rows, y_rows = S[np.ix_(sub, sub)], y[sub]
     records = [search(S_rows, y_rows, theta0) for theta0 in starts]
-    if S_rows is not S:  # a guard against a basin only the subset has, then maybe a polish
+    two_stage, S_rows = S_rows is not S, None  # the subset's distances are freed here
+    if two_stage:  # a guard against a basin only the subset has, then maybe a polish
         guard = search(S, y, starts[0])
         best = max(records, key=lambda record: record[0])[1]
         records = [guard]
@@ -362,8 +365,8 @@ def fit(
     if hp is None:
         raise NumericalError("evidence was non-finite at every restart")
 
-    # The final model is built in S's buffer, from its distances: one distance pass per fit.
-    return _freeze(X, y, S, hp, normalizer, seed)
+    del S  # freed before the model's buffer is touched
+    return build_model(X, y, hp, normalizer, seed)
 
 
 def predict(model: GPModel, X_query) -> tuple[np.ndarray, np.ndarray]:

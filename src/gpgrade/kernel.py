@@ -116,6 +116,16 @@ def pairwise_sq_dists(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     exact in binary, so rows whose squared norms ``row_sq_norms`` accepts
     cannot overflow it; a distance beyond the float range is capped at the
     float maximum, so the kernel value there is 0 and K * S stays finite.
+    """
+    S = _sq_dists(A, B)
+    if B is None or B is A:
+        _mirror_upper(S)
+    return S
+
+
+def _sq_dists(A, B=None, out: np.ndarray | None = None) -> np.ndarray:
+    """``pairwise_sq_dists`` before the mirror; on the self path, into the C-ordered n x n out
+    if given, of which only the upper triangle and the strips' diagonal tiles are written.
 
     The products run on scipy's BLAS, the OpenBLAS its LAPACK uses, so
     numpy's separate thread pool never wakes. Each reads Fortran-ordered
@@ -123,14 +133,14 @@ def pairwise_sq_dists(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     writes its own buffer, the result's: the norm sum is added into it (the
     same sum, so the same bits, as the product added into the norm sum),
     clipped and scaled in strips of _DIST_STRIP rows through one small
-    buffer; on the self path over the upper triangle only, then mirrored.
+    buffer; on the self path over the upper triangle only.
     """
     self_gram = B is None or B is A
     A, a_norms = row_sq_norms(A, "A")
     if self_gram:
         b_norms = a_norms
-        # Only the upper triangle of -A A^T / 2 is filled; the mirror overwrites the rest.
-        S = blas.dsyrk(-0.5, A.T, trans=1, lower=1).T
+        c = None if out is None else out.T  # its Fortran lower triangle is out's upper one
+        S = blas.dsyrk(-0.5, A.T, trans=1, lower=1, c=c, overwrite_c=1).T
     else:
         B, b_norms = row_sq_norms(B, "B")
         if A.shape[1] != B.shape[1]:
@@ -142,14 +152,12 @@ def pairwise_sq_dists(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
         for i in range(0, S.shape[0], _DIST_STRIP):
             rows = slice(i, i + _DIST_STRIP)
             cols = slice(i if self_gram else 0, None)
-            out = S[rows, cols]
-            norm_sum = strip[: out.shape[0], : out.shape[1]]
+            part = S[rows, cols]
+            norm_sum = strip[: part.shape[0], : part.shape[1]]
             np.add.outer(a_quarter[rows], b_quarter[cols], out=norm_sum)
-            np.add(norm_sum, out, out=out)
-            np.clip(out, 0.0, _QUARTER_MAX, out=out)
-            out *= 4.0
-    if self_gram:
-        _mirror_upper(S)
+            np.add(norm_sum, part, out=part)
+            np.clip(part, 0.0, _QUARTER_MAX, out=part)
+            part *= 4.0
     return S
 
 

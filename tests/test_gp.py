@@ -8,6 +8,7 @@ import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +33,12 @@ from gpgrade.data import (
 )
 from gpgrade.gp import cholesky_with_jitter, log_marginal_likelihood
 from gpgrade.kernel import NOISE_VARIANCE_FLOOR, kernel_matrix, pairwise_sq_dists
+
+
+def huge_pages_always() -> bool:
+    """Whether transparent huge pages back every anonymous mapping, touched or not."""
+    path = Path("/sys/kernel/mm/transparent_hugepage/enabled")
+    return path.exists() and "[always]" in path.read_text()
 
 
 def hp_of(length_scale=1.0, signal_variance=1.0, noise_variance=1.0):
@@ -173,6 +180,23 @@ class TestFactorInPlace:
         assert (jitter > 0.0) == retry
         np.testing.assert_array_equal(np.tril(S, -1), np.tril(before, -1))
         np.testing.assert_array_equal(np.tril(L), L_copy)
+
+    @pytest.mark.parametrize("retry", [False, True], ids=["first", "retry"])
+    def test_rows_write_one_triangle_with_the_copying_paths_bits(self, retry):
+        """hp and rows X: every level builds the kernel from X in the triangle dpotrf reads,
+        and leaves only 0s in the other."""
+        if retry:
+            X, hp, _ = duplicated_dyadic_rows()
+        else:
+            X, hp = np.random.default_rng(41).normal(size=(300, 5)), hp_of(1.5, 1.5, 0.1)
+        K = np.zeros((len(X), len(X)))
+        L_copy, jitter_copy = cholesky_with_jitter(kernel_matrix(X, X, hp), hp.noise_variance)
+        L, jitter = cholesky_with_jitter(K, hp.noise_variance, hp=hp, X=X)
+        assert np.shares_memory(L, K)
+        assert jitter == jitter_copy
+        assert (jitter > 0.0) == retry
+        assert not np.tril(K, -1).any()
+        np.testing.assert_array_equal(L, L_copy)
 
     def test_allocates_no_n_by_n_array(self):
         """Not even the n x n bool array of an elementwise finiteness check."""
@@ -595,19 +619,25 @@ class TestFit:
         assert len(factorizations) == sum(nfev) + 1
 
     def test_one_distance_pass_per_fit(self, monkeypatch):
-        """The final model is built from the distances the search used."""
+        """One pass of pairwise_sq_dists for the search, whose distances are freed before the
+        final model's kernel is built from X: one more pass of the distance code, no mirror."""
         X, y = sample_from_prior(hp_of(1.5, 2.0, 0.1), n=40, D=3, seed=22)
-        calls = []
-        pairwise = kernel_module.pairwise_sq_dists
+        calls = {"pairwise": 0, "distances": 0}
+        pairwise, distances = kernel_module.pairwise_sq_dists, kernel_module._sq_dists
 
-        def counting_pairwise(*args):
-            calls.append(args)
-            return pairwise(*args)
+        def counting(name, function):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
 
-        monkeypatch.setattr(gp_module, "pairwise_sq_dists", counting_pairwise)
-        monkeypatch.setattr(kernel_module, "pairwise_sq_dists", counting_pairwise)
-        fit(X, y, restarts=3, seed=22)
-        assert len(calls) == 1
+            return counted
+
+        for module in (gp_module, kernel_module):
+            monkeypatch.setattr(module, "pairwise_sq_dists", counting("pairwise", pairwise))
+            monkeypatch.setattr(module, "_sq_dists", counting("distances", distances))
+        model = fit(X, y, restarts=3, seed=22)
+        assert calls == {"pairwise": 1, "distances": 2}
+        assert model.L_inv.tobytes() == build_model(X, y, model.hp).L_inv.tobytes()
 
     def test_fit_holds_one_n_by_n_array(self):
         """The distances, in whose buffer every kernel is built, factored and inverted: the
@@ -1116,6 +1146,29 @@ class TestPredict:
         assert distances_peak <= 1.15 * square
         assert model_peak <= 1.25 * square
         assert predict_peak - outputs <= 1.15 * block
+
+    @pytest.mark.skipif(
+        not sys.platform.startswith("linux") or huge_pages_always(),
+        reason="needs Linux, with transparent huge pages not always on",
+    )
+    def test_model_inverse_leaves_its_other_triangle_off_the_resident_set(self):
+        """L^-1 lives in a mapping of 4 KiB pages of which only its triangle is written, so
+        about half of it is resident; every VMA it overlaps counts, huge-page advice or not."""
+        rng = np.random.default_rng(37)
+        n = 1536
+        model = build_model(rng.normal(size=(n, 3)), rng.normal(size=n), hp_of(1.0, 1.0, 0.1))
+        start = model.L_inv.ctypes.data
+        stop, resident, overlaps = start + n * n * 8, 0, False
+        with open("/proc/self/smaps", encoding="utf-8", errors="replace") as fh:
+            for line in fh:
+                field = line.split(maxsplit=1)[0]
+                if not field.endswith(":"):  # a VMA's header: its address range first
+                    low, high = (int(address, 16) for address in field.split("-"))
+                    overlaps = low < stop and start < high
+                elif overlaps and field == "Rss:":
+                    resident += int(line.split()[1]) * 1024
+        assert resident <= 0.70 * n * n * 8
+        assert not np.triu(model.L_inv, 1).any()
 
     def test_interpolates_training_point_at_noise_floor(self):
         hp = Hyperparams(0.0, 0.0, math.log(1e-12))
