@@ -37,9 +37,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     train = sub.add_parser("train", help="fit a model from a training CSV")
+    train.set_defaults(run=cmd_train)
     train.add_argument("--train-csv", required=True, type=Path)
     train.add_argument("--model", required=True, type=Path, help="output archive path")
-    two_stage = "from 2,000 rows with 2+ restarts, restarts search a seeded 500-row subset"
+    two_stage = (f"from {gp._TWO_STAGE_MIN_N:,} rows with 2+ restarts, restarts search a seeded "
+                 f"{gp._COARSE_SUBSET_N}-row subset")
     train.add_argument("--max-train", type=int, default=2000,
                        help=f"training rows kept, drawn with --seed; {two_stage}")
     train.add_argument("--restarts", type=int, default=3,
@@ -59,12 +61,14 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate = sub.add_parser(
         "evaluate", parents=[scoring], help="predict and score against labels"
     )
-    for command in (predict, evaluate):
+    for command, run in ((predict, cmd_predict), (evaluate, cmd_evaluate)):
+        command.set_defaults(run=run)
         command.add_argument(
             "--std-threshold", type=float, default=diagnosis.STD_THRESHOLD_DEFAULT
         )
 
     synth = sub.add_parser("synth", help="generate a synthetic feature CSV")
+    synth.set_defaults(run=cmd_synth)
     synth.add_argument("--out", required=True, type=Path)
     synth.add_argument("--seed", type=int, default=0)
     synth.add_argument(
@@ -79,6 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser(
         "sweep", parents=[scoring], help="sensitivity/specificity over a grid of flip thresholds"
     )
+    sweep.set_defaults(run=cmd_sweep)
     sweep.add_argument(
         "--std-thresholds",
         required=True,
@@ -214,19 +219,10 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "train": cmd_train,
-    "predict": cmd_predict,
-    "evaluate": cmd_evaluate,
-    "synth": cmd_synth,
-    "sweep": cmd_sweep,
-}
-
-
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except (InputError, MemoryError) as exc:  # an allocation the input asked for failed
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1

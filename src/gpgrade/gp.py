@@ -288,12 +288,12 @@ def fit(
     whose evidence is not computable reads as that best value minus its
     distance from the best point, so the search backs off and goes on.
 
-    One loop runs a search from each start, over every training row or, from
-    2,000 rows on with two or more restarts, a seeded 500-row subset. In that
-    case a full-set search from the first start (the guard, which is the
-    one-restart search) replaces its results, joined by a full-set search from
-    the best subset optimum (the polish) if one full-set evaluation there beats
-    the guard's end. Synth seed 14 needs the polish, seed 1 the guard (README).
+    Below 2,000 rows, or with one restart, a search runs from each start over
+    every training row. Otherwise each start's search runs over one seeded
+    500-row subset, and only the best subset optimum is kept: a full-set search
+    from the first start (the guard, which is the one-restart search) runs,
+    then one from that optimum (the polish) if one full-set evaluation there
+    beats the guard's end. Synth seed 14 needs the polish, seed 1 the guard (README).
     """
     X, y = _validate_training_data(X, y)
     if max_train < 2:
@@ -347,20 +347,18 @@ def fit(
         minimize(negative_evidence, theta0, jac=True, method="L-BFGS-B", options=LBFGS_OPTIONS)
         return record
 
-    S_rows, y_rows = S, y
     if n >= _TWO_STAGE_MIN_N and restarts >= 2:
-        # A subset drawn by a child generator of the seed.
+        # A subset drawn by a child generator of the seed; each search's copy of its distances
+        # is freed when the search ends, before the guard.
         sub_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
         sub = np.sort(sub_rng.choice(n, size=_COARSE_SUBSET_N, replace=False))
-        S_rows, y_rows = S[np.ix_(sub, sub)], y[sub]
-    records = [search(S_rows, y_rows, theta0) for theta0 in starts]
-    two_stage, S_rows = S_rows is not S, None  # the subset's distances are freed here
-    if two_stage:  # a guard against a basin only the subset has, then maybe a polish
-        guard = search(S, y, starts[0])
-        best = max(records, key=lambda record: record[0])[1]
-        records = [guard]
-        if evidence(S, y, best, gradient=False)[0] > guard[0]:  # false where it is nan
+        coarse = (search(S[np.ix_(sub, sub)], y[sub], theta0) for theta0 in starts)
+        best = max(coarse, key=lambda record: record[0])[1]
+        records = [search(S, y, starts[0])]  # a guard against a basin only the subset has
+        if evidence(S, y, best, gradient=False)[0] > records[0][0]:  # false where it is nan
             records.append(search(S, y, best))
+    else:
+        records = [search(S, y, theta0) for theta0 in starts]
     _, _, hp = max(records, key=lambda record: record[0])
     if hp is None:
         raise NumericalError("evidence was non-finite at every restart")

@@ -132,8 +132,8 @@ def _sq_dists(A, B=None, out: np.ndarray | None = None) -> np.ndarray:
     transpose views (no copy), applies the exact factor -1/2 itself and
     writes its own buffer, the result's: the norm sum is added into it (the
     same sum, so the same bits, as the product added into the norm sum),
-    clipped and scaled in strips of _DIST_STRIP rows through one small
-    buffer; on the self path over the upper triangle only.
+    clipped and scaled in strips of _DIST_STRIP rows; on the self path over
+    the upper triangle only.
     """
     self_gram = B is None or B is A
     A, a_norms = row_sq_norms(A, "A")
@@ -147,15 +147,12 @@ def _sq_dists(A, B=None, out: np.ndarray | None = None) -> np.ndarray:
             raise InputError(f"feature dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
         S = blas.dgemm(-0.5, B.T, A.T, trans_a=1).T
     a_quarter, b_quarter = 0.25 * a_norms, 0.25 * b_norms
-    strip = np.empty((min(_DIST_STRIP, S.shape[0]), S.shape[1]))
     with np.errstate(over="ignore"):
         for i in range(0, S.shape[0], _DIST_STRIP):
             rows = slice(i, i + _DIST_STRIP)
             cols = slice(i if self_gram else 0, None)
             part = S[rows, cols]
-            norm_sum = strip[: part.shape[0], : part.shape[1]]
-            np.add.outer(a_quarter[rows], b_quarter[cols], out=norm_sum)
-            np.add(norm_sum, part, out=part)
+            part += np.add.outer(a_quarter[rows], b_quarter[cols])
             np.clip(part, 0.0, _QUARTER_MAX, out=part)
             part *= 4.0
     return S

@@ -9,7 +9,7 @@ as explicit ``None`` markers, never as silent zeros.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
@@ -114,14 +114,10 @@ def _box_stats(values: np.ndarray) -> BoxStats:
 
 def box_stats_table(group_stats: dict[str, BoxStats]) -> str:
     """Plain-text TSV table of the group quartiles, for external plotting."""
-    lines = ["group\tcount\tmin\tq1\tmedian\tq3\tmax"]
+    lines = ["\t".join(["group", *(field.name for field in fields(BoxStats))])]
     for group in _GROUPS:
-        stats = group_stats[group]
-        cells = [group, str(stats.count)] + [
-            "" if v is None else repr(v)
-            for v in (stats.min, stats.q1, stats.median, stats.q3, stats.max)
-        ]
-        lines.append("\t".join(cells))
+        cells = ("" if v is None else repr(v) for v in astuple(group_stats[group]))
+        lines.append("\t".join([group, *cells]))
     return "\n".join(lines) + "\n"
 
 

@@ -45,6 +45,13 @@ def test_all_is_pinned():
     assert sorted(gpgrade.__all__) == PUBLIC_NAMES
 
 
+def test_src_stays_within_its_line_budget():
+    """``wc -l src/gpgrade/*.py`` is at most the bound (ROADMAP item 8, less code). A change
+    that has to grow ``src/`` raises the bound and says why in CHANGES.md."""
+    src = Path(__file__).resolve().parents[1] / "src" / "gpgrade"
+    assert sum(path.read_bytes().count(b"\n") for path in src.glob("*.py")) <= 1579
+
+
 def test_every_public_name_resolves():
     for name in gpgrade.__all__:
         assert getattr(gpgrade, name, None) is not None, name

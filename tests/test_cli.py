@@ -161,6 +161,16 @@ class TestTrain:
             usage = out.split("\n\n")[0]
             assert re.findall(r"--[a-z-]+", usage) == FLAGS[argv[0]]
 
+    def test_train_help_follows_the_two_stage_constants(self, capsys, monkeypatch):
+        monkeypatch.setattr(gp, "_TWO_STAGE_MIN_N", 3000)
+        monkeypatch.setattr(gp, "_COARSE_SUBSET_N", 750)
+        monkeypatch.setenv("COLUMNS", "1000")  # one line per flag: no wrap inside "750-row"
+        with pytest.raises(SystemExit):
+            run(["train", "--help"])
+        lines = capsys.readouterr().out.splitlines()
+        two_stage = "from 3,000 rows with 2+ restarts, restarts search a seeded 750-row subset"
+        assert sum(two_stage in line for line in lines) == 2
+
 
 class TestPredict:
     def test_writes_one_row_per_record(self, workspace, tmp_path):
@@ -550,6 +560,15 @@ class TestRejections:
         out = tmp_path / "preds.csv"
         argv = ["predict", "--test-csv", test_csv, "--model", workspace["model"], "--out", out]
         self.assert_rejected(argv, out, capsys, "not UTF-8")
+
+    def test_header_the_csv_module_cannot_read(self, workspace, tmp_path, capsys):
+        """predict has opened its temp file when the header fails to parse."""
+        test_csv = tmp_path / "test.csv"
+        test_csv.write_text("id,grade,f" + "0" * 131_072 + "\nr0,0,0.5\n")
+        out = tmp_path / "preds.csv"
+        argv = ["predict", "--test-csv", test_csv, "--model", workspace["model"], "--out", out]
+        self.assert_rejected(argv, out, capsys, "line 1: field larger than field limit (131072)")
+        assert list(tmp_path.iterdir()) == [test_csv]
 
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     def test_query_row_too_large(self, workspace, tmp_path, capsys, command):

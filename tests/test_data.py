@@ -231,6 +231,12 @@ class TestLoadFeatureCsv:
         with pytest.raises(ParseError, match="line 3.*field limit"):
             load_feature_csv(path)
 
+    def test_header_the_csv_module_cannot_read(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("id,grade,f" + "0" * 131_072 + "\nr0,0,0.5\n")
+        with pytest.raises(ParseError, match=r"^line 1: field larger than field limit \(131072\)$"):
+            load_feature_csv(path)
+
 
 class TestWriteFeatureCsv:
     def test_round_trip(self, tmp_path):
