@@ -3,7 +3,7 @@
 On-disk formats:
 
 * Feature CSV: header ``id,grade,f0,...,f{D-1}``, UTF-8, decimal-point
-  reals, no quoting. Grades are integers 0..4.
+  reals, no quoting, one line per record. Grades are integers 0..4.
 * Model archive: a single binary file. A little-endian prefix of the
   8-byte ``GPGMODEL`` magic, the uint32 format version, the 32-byte sha256
   of the payload and the uint64 payload length, then the payload: a uint64
@@ -13,6 +13,7 @@ On-disk formats:
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import itertools
@@ -21,7 +22,7 @@ import math
 import os
 import re
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +73,7 @@ def load_feature_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     the offending 1-based line number) on a malformed header, inconsistent
     row width, an id holding a NUL, comma, quote, CR, LF or bytes that are
     not UTF-8, a non-integer or out-of-range grade, a non-finite feature
-    value or a line csv cannot read.
+    value, a record of more than one line or a line csv cannot parse.
 
     The features are parsed into one matrix, sized before parsing: a record ends at an LF,
     a CR, a CRLF or the end of the file, and holds D + 1 commas. Rows it never fills cost no
@@ -82,23 +83,25 @@ def load_feature_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     return run
 
 
-def _feature_runs(path, run_rows: int | None = None):
-    """Yield a feature CSV's records as validated ``(ids, X, grades)`` runs of run_rows rows
-    (None: one run). The rows before a defect are yielded before its ParseError is raised,
-    so a consumer that rejects one of them names the first defect in the file. An OSError
-    opening or reading the file raises InputError."""
+@contextlib.contextmanager
+def _reading(path: Path):
+    """Raise InputError if path is not a file, or for an OSError in the block that reads it."""
     try:
-        yield from _parse_runs(Path(path), run_rows)
+        if not path.is_file():
+            raise InputError(f"no such file: {path}")
+        yield
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
 
 
-def _parse_runs(path: Path, run_rows: int | None):
-    """``_feature_runs`` but for OSErrors. Only one run is sized by counting line ends (then it
-    holds at most the file's records): streamed runs read the file once."""
-    if not path.is_file():
-        raise InputError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+def _feature_runs(path, run_rows: int | None = None):
+    """Yield a feature CSV's records as validated ``(ids, X, grades)`` runs of run_rows rows
+    (None: one run). The rows before a defect are yielded before its ParseError is raised,
+    so a consumer that rejects one of them names the first defect in the file. Only one run
+    is sized by counting line ends (then it holds at most the file's records): streamed runs
+    read the file once."""
+    path = Path(path)
+    with _reading(path), open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         size = os.fstat(fh.fileno()).st_size
         if run_rows is None:
             run_rows = 1  # a CRLF split across two chunks counts twice, which still bounds them
@@ -128,6 +131,8 @@ def _parse_runs(path: Path, run_rows: int | None):
                     # separator, quote, line break or NUL in one would corrupt that file.
                     if _UNSAFE_ID_CHARS.search(row[0]):
                         raise ParseError(f"id {row[0]!r} contains {_UNSAFE_ID_TEXT}", line=lineno)
+                    if reader.line_num != lineno:  # a line break in a quoted field
+                        raise ParseError("a record must be one line", line=lineno)
                     try:
                         grade = int(row[1])
                     except ValueError:
@@ -320,9 +325,7 @@ def save_model(model: gp.GPModel, path) -> None:
         arrays.append(("norm_std", model.normalizer.std))
     header = {
         "format_version": MODEL_FORMAT_VERSION,
-        "log_length_scale": model.hp.log_length_scale,
-        "log_signal_variance": model.hp.log_signal_variance,
-        "log_noise_variance": model.hp.log_noise_variance,
+        **asdict(model.hp),
         "train_subset_seed": int(model.train_subset_seed),
         "has_normalizer": model.normalizer is not None,
         "digests": _model_digests(model),
@@ -345,9 +348,7 @@ _NUMBER = (int, float)
 _HEADER_TYPES = {
     "arrays": (list,),
     "digests": (dict,),
-    "log_length_scale": _NUMBER,
-    "log_signal_variance": _NUMBER,
-    "log_noise_variance": _NUMBER,
+    **{field.name: _NUMBER for field in fields(Hyperparams)},
     "has_normalizer": (bool,),
     "train_subset_seed": (int,),
 }
@@ -389,12 +390,8 @@ def load_model(path) -> gp.GPModel:
     deviate from the saved ones.
     """
     path = Path(path)
-    if not path.is_file():
-        raise InputError(f"no such file: {path}")
-    try:
+    with _reading(path):
         blob = path.read_bytes()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
     if blob[: len(MODEL_MAGIC)] != MODEL_MAGIC:
         raise ModelFormatError(f"{path} is not a model archive")
     if len(blob) < _PREFIX.size:
@@ -425,11 +422,7 @@ def load_model(path) -> gp.GPModel:
         cursor += nbytes
 
     try:
-        hp = Hyperparams(
-            header["log_length_scale"],
-            header["log_signal_variance"],
-            header["log_noise_variance"],
-        )
+        hp = Hyperparams(**{field.name: header[field.name] for field in fields(Hyperparams)})
         normalizer = None
         if header["has_normalizer"]:
             normalizer = NormStats(mean=loaded["norm_mean"], std=loaded["norm_std"])

@@ -20,6 +20,7 @@ from scipy.linalg import blas, cho_solve, lapack
 
 from .errors import InputError, NumericalError
 from .kernel import (
+    _STRIP,
     NOISE_VARIANCE_FLOOR,
     Hyperparams,
     _sq_dists,
@@ -46,9 +47,6 @@ _BAD_OBJECTIVE = 1e25
 # Query rows per predict block. At n = 2,000, 512-row blocks score as fast as
 # 2,048-row ones with a quarter of the block memory; 256 rows were slower.
 _PREDICT_BLOCK = 512
-
-# Rows per strip in which the kernel is built and K*S rebuilt for the gradient (16 were slower).
-_TRACE_STRIP = 32
 
 # L-BFGS-B stopping rules for every evidence search.
 LBFGS_OPTIONS = {"maxiter": 200, "ftol": 1e-6, "gtol": 1e-5}
@@ -131,8 +129,8 @@ def _kernel_from_lower(B: np.ndarray, hp: Hyperparams, X=None) -> None:
     X, ``kernel._sq_dists`` first writes their distances into that other triangle (read there
     in place, as B.T's lower one) and the strips' diagonal tiles, which are then cleared to 0."""
     D = B if X is None else _sq_dists(X, out=B).T  # its strict lower triangle holds the distances
-    for i in range(0, B.shape[0], _TRACE_STRIP):
-        rows = slice(i, i + _TRACE_STRIP)
+    for i in range(0, B.shape[0], _STRIP):
+        rows = slice(i, i + _STRIP)
         tile = D[rows, rows].copy()  # put back below B's diagonal at the end (0 with rows X)
         rbf_from_sq_dists(np.triu(tile.T, 1), hp, out=B[rows, rows])
         rbf_from_sq_dists(D[rows.stop :, rows], hp, out=B[rows, rows.stop :].T)  # reads in order
@@ -175,8 +173,8 @@ def _evidence_terms(S, y, hp: Hyperparams, noise: float, gradient: bool = True) 
     if info != 0:
         raise NumericalError(f"inverting the training system failed (dpotri info {info})")
     a_D_a = tr_D = 0.0
-    for i in range(0, y.shape[0], _TRACE_STRIP):
-        rows = slice(i, i + _TRACE_STRIP)
+    for i in range(0, y.shape[0], _STRIP):
+        rows = slice(i, i + _STRIP)
         D = np.tril(S[rows, : rows.stop], i - 1)  # the diagonal tile's upper triangle is Ky^-1
         KS = rbf_from_sq_dists(D, hp)
         KS *= D
@@ -200,13 +198,6 @@ def _lml_and_gradient(terms: tuple, n: int, noise_deriv: float):
     return lml, 0.5 * np.array(grad)
 
 
-def _evidence(S: np.ndarray, y: np.ndarray, hp: Hyperparams, gradient: bool = True):
-    """Log marginal likelihood and its gradient, from the inputs' squared distances S."""
-    noise = hp.noise_variance
-    noise_deriv = noise if noise > NOISE_VARIANCE_FLOOR else 0.0
-    return _lml_and_gradient(_evidence_terms(S, y, hp, noise, gradient), y.shape[0], noise_deriv)
-
-
 def _profiled_evidence(S: np.ndarray, y: np.ndarray, theta, gradient: bool = True):
     """(lml, gradient, Hyperparams) at theta = (log l, log r), r = noise / s2, and the best s2.
 
@@ -227,7 +218,8 @@ def _profiled_evidence(S: np.ndarray, y: np.ndarray, theta, gradient: bool = Tru
                   a_a / s2 / s2, tr_inv / s2, nu * s2)
         lml, grad = _lml_and_gradient(scaled, n, r * s2)
         return lml, grad[[0, 2]], hp
-    lml, grad = _evidence(S, y, hp, gradient)
+    # The noise is at the floor, so its derivative is 0.
+    lml, grad = _lml_and_gradient(_evidence_terms(S, y, hp, hp.noise_variance, gradient), n, 0.0)
     dlog_s2 = np.array([a_D_a, r * a_a]) / (-n * s2)
     return lml, np.array([grad[0], 0.0]) + grad[1] * dlog_s2, hp
 
@@ -239,7 +231,9 @@ def log_marginal_likelihood(X, y, hp: Hyperparams) -> tuple[float, np.ndarray]:
     log signal variance, log noise variance).
     """
     X, y = _validate_training_data(X, y)
-    return _evidence(pairwise_sq_dists(X), y, hp)
+    noise = hp.noise_variance
+    terms = _evidence_terms(pairwise_sq_dists(X), y, hp, noise)
+    return _lml_and_gradient(terms, y.shape[0], noise if noise > NOISE_VARIANCE_FLOOR else 0.0)
 
 
 def build_model(

@@ -31,8 +31,8 @@ _QUARTER_MAX = np.finfo(np.float64).max / 4
 # Width of the column strips a triangle is mirrored in (256 rows: 16 KB of cache lines).
 _MIRROR_BLOCK = 256
 
-# Rows per strip in which pairwise_sq_dists adds the norm sum into the product.
-_DIST_STRIP = 16
+# Rows per strip of _sq_dists' norm sum and of gp's kernel and K*S (16 slowed K*S).
+_STRIP = 32
 
 
 @dataclass(frozen=True)
@@ -132,8 +132,8 @@ def _sq_dists(A, B=None, out: np.ndarray | None = None) -> np.ndarray:
     transpose views (no copy), applies the exact factor -1/2 itself and
     writes its own buffer, the result's: the norm sum is added into it (the
     same sum, so the same bits, as the product added into the norm sum),
-    clipped and scaled in strips of _DIST_STRIP rows; on the self path over
-    the upper triangle only.
+    clipped and scaled in strips of _STRIP rows; on the self path over the
+    upper triangle only.
     """
     self_gram = B is None or B is A
     A, a_norms = row_sq_norms(A, "A")
@@ -148,8 +148,8 @@ def _sq_dists(A, B=None, out: np.ndarray | None = None) -> np.ndarray:
         S = blas.dgemm(-0.5, B.T, A.T, trans_a=1).T
     a_quarter, b_quarter = 0.25 * a_norms, 0.25 * b_norms
     with np.errstate(over="ignore"):
-        for i in range(0, S.shape[0], _DIST_STRIP):
-            rows = slice(i, i + _DIST_STRIP)
+        for i in range(0, S.shape[0], _STRIP):
+            rows = slice(i, i + _STRIP)
             cols = slice(i if self_gram else 0, None)
             part = S[rows, cols]
             part += np.add.outer(a_quarter[rows], b_quarter[cols])

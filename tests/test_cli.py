@@ -728,8 +728,13 @@ class TestStreamedScoring:
             ((2, "nan"), "line 12: non-finite feature value"),
             ((2, "-1e400"), "line 12: non-finite feature value"),
             ((2, "1.7e308"), "query row 10 is non-finite or too large"),
+            (('"2\n"', "0.5"), "line 12: a record must be one line"),
+            ((2, '"0.5\r\n"'), "line 12: a record must be one line"),
         ],
-        ids=["valid", "grade", "width", "nan", "overflowing-text", "overflowing-row"],
+        ids=[
+            "valid", "grade", "width", "nan", "overflowing-text", "overflowing-row",
+            "line-break-in-grade", "line-break-in-feature",
+        ],
     )
     @pytest.mark.parametrize("command", ["predict", "evaluate"])
     def test_a_defect_in_the_second_run_is_named_over_the_whole_file(
@@ -742,6 +747,7 @@ class TestStreamedScoring:
             assert run(argv + ["--out", out]) == 0
         else:
             self.reject(workspace, capsys, test_csv, match, command)
+            assert list(tmp_path.iterdir()) == [test_csv]  # no --out and no temp file
 
     @pytest.mark.parametrize(
         "replaced, match",

@@ -6,6 +6,7 @@ import json
 import math
 import struct
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -137,6 +138,21 @@ class TestLoadFeatureCsv:
         write_csv(path, [row(0, 1), "a\0b,2,0.5,1.5,2.5,3.5"])
         with pytest.raises(ParseError, match="line 3.*NUL"):
             load_feature_csv(path)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("field", [1, 3], ids=["grade", "feature"])
+    @pytest.mark.parametrize("run_rows", [None, 1], ids=["one-run", "streamed"])
+    def test_a_line_break_in_a_quoted_field_names_the_record_s_first_line(
+        self, tmp_path, newline, field, run_rows
+    ):
+        """A record is one line: read across lines, the record loaded, and every error after
+        it named the wrong line. Here the bad ``x`` of line 5 used to be named as line 4."""
+        record = ["r1", "2", "0.5", "1.5", "2.5", "3.5"]
+        record[field] = f'"{record[field]}{newline}"'
+        path = tmp_path / "d.csv"
+        write_csv(path, [row(0, 1), ",".join(record), "r2,2,0.5,x,2.5,3.5"])
+        with pytest.raises(ParseError, match="^line 3: a record must be one line$"):
+            list(_feature_runs(path, run_rows))
 
     @pytest.mark.parametrize(
         "line, match",
@@ -617,7 +633,12 @@ BAD_HEADERS = {
     "digest unknown": lambda h: h["digests"].update(extra=1.0),
     "digest missing": lambda h: h["digests"].pop("alpha_l2"),
     "digest mistyped": lambda h: h["digests"].update(alpha_l2="1.0"),
-    "length scale missing": lambda h: h.pop("log_length_scale"),
+    **{
+        field.name.removeprefix("log_").replace("_", " ") + " missing": (
+            lambda h, key=field.name: h.pop(key)
+        )
+        for field in fields(Hyperparams)
+    },
     "signal variance mistyped": lambda h: h.update(log_signal_variance="0.5"),
     "noise variance mistyped": lambda h: h.update(log_noise_variance=None),
     "has_normalizer missing": lambda h: h.pop("has_normalizer"),
