@@ -2,8 +2,9 @@
 
 On-disk formats:
 
-* Feature CSV: header ``id,grade,f0,...,f{D-1}``, UTF-8, decimal-point
-  reals, no quoting, one line per record. Grades are integers 0..4.
+* Feature CSV: header ``id,grade,f0,...,f{D-1}``, UTF-8 with or without a
+  BOM, decimal-point reals, no quoting, one line per record. Grades are
+  integers 0..4.
 * Model archive: a single binary file. A little-endian prefix of the
   8-byte ``GPGMODEL`` magic, the uint32 format version, the 32-byte sha256
   of the payload and the uint64 payload length, then the payload: a uint64
@@ -78,6 +79,8 @@ def load_feature_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     The features are parsed into one matrix, sized before parsing: a record ends at an LF,
     a CR, a CRLF or the end of the file, and holds D + 1 commas. Rows it never fills cost no
     memory, and it is cut to the rows read. Scoring streams this loop in 512-row runs.
+    np.loadtxt converts chunks of lines until one might read otherwise than the csv row loop,
+    which reads on from there, so what is accepted and every error are the row loop's.
     """
     (run,) = _feature_runs(path)
     return run
@@ -99,9 +102,11 @@ def _feature_runs(path, run_rows: int | None = None):
     (None: one run). The rows before a defect are yielded before its ParseError is raised,
     so a consumer that rejects one of them names the first defect in the file. Only one run
     is sized by counting line ends (then it holds at most the file's records): streamed runs
-    read the file once."""
+    read the file once. ``_fast_rows`` takes _CHUNK lines at a time until it declines some;
+    the csv row loop, sole owner of what is accepted and of every error, reads on from there."""
     path = Path(path)
-    with _reading(path), open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+    encoding = {"encoding": "utf-8-sig", "errors": "surrogateescape"}  # a BOM is skipped
+    with _reading(path), open(path, newline="", **encoding) as fh:
         size = os.fstat(fh.fileno()).st_size
         if run_rows is None:
             run_rows = 1  # a CRLF split across two chunks counts twice, which still bounds them
@@ -109,9 +114,8 @@ def _feature_runs(path, run_rows: int | None = None):
                 run_rows += chunk.count(b"\n") + chunk.count(b"\r") - chunk.count(b"\r\n")
             fh.seek(0)
         reader = csv.reader(fh)
-        rows = (row for row in reader)  # its own small frame: tracemalloc traces it 3x faster
         try:
-            header = next(rows)
+            header = next(reader)
         except StopIteration:
             raise ParseError("empty file: missing header", line=1) from None
         except csv.Error as exc:
@@ -121,17 +125,23 @@ def _feature_runs(path, run_rows: int | None = None):
             raise ParseError("malformed header: expected 'id,grade,f0,...,f{D-1}'", line=1)
         # More rows than the file has records (its header is one): such a run ends with the file.
         run_rows = min(run_rows, size // (dim + 1) + 1)
+        offset = None  # set when the row loop takes over: its first line's number, less one
         for first in itertools.count(2, run_rows):  # the line of the run's first record
             X, ids, grades, error = np.empty((run_rows, dim)), [], [], None
+            while offset is None and len(ids) < run_rows:  # the file's end: no lines, declined
+                lines = list(itertools.islice(fh, min(run_rows - len(ids), _CHUNK)))
+                if not _fast_rows(lines, X, ids, grades):
+                    offset, reader = first + len(ids) - 1, csv.reader(itertools.chain(lines, fh))
+            rows = () if offset is None else reader
             try:
-                for lineno, row in zip(itertools.count(first), rows):
+                for lineno, row in zip(itertools.count(first + len(ids)), rows):
                     if len(row) != dim + 2:
                         raise ParseError(f"expected {dim + 2} fields, got {len(row)}", line=lineno)
                     # Ids are echoed unquoted into the prediction CSV, so a field
                     # separator, quote, line break or NUL in one would corrupt that file.
                     if _UNSAFE_ID_CHARS.search(row[0]):
                         raise ParseError(f"id {row[0]!r} contains {_UNSAFE_ID_TEXT}", line=lineno)
-                    if reader.line_num != lineno:  # a line break in a quoted field
+                    if offset + reader.line_num != lineno:  # a line break in a quoted field
                         raise ParseError("a record must be one line", line=lineno)
                     try:
                         grade = int(row[1])
@@ -150,7 +160,7 @@ def _feature_runs(path, run_rows: int | None = None):
             except ParseError as exc:
                 error = exc
             except csv.Error as exc:
-                error = ParseError(str(exc), line=reader.line_num)
+                error = ParseError(str(exc), line=offset + reader.line_num)
             bad = np.flatnonzero(~np.isfinite(X[: len(ids)]).all(axis=1))  # once per run
             if bad.size:  # the first defect: above any parse error, and the rows above it go first
                 error = ParseError("non-finite feature value", line=first + int(bad[0]))
@@ -162,6 +172,39 @@ def _feature_runs(path, run_rows: int | None = None):
                 raise error or ParseError("no records")
             if len(ids) < run_rows:
                 return
+
+
+# Lines per np.loadtxt call: a chunk's strings stay small beside one load's matrix, and
+# longer chunks measured no faster.
+_CHUNK = 128
+
+
+def _fast_rows(lines, X, ids, grades) -> bool:
+    """Append record lines to a run, features converted by np.loadtxt, and return True; or
+    return False, the run unchanged, where the row loop might read a line otherwise: a line
+    over the csv field limit, feature text with a quote, NUL or \\x1c-\\x1f (blanks to
+    np.loadtxt, not to float), an id or grade the row loop rejects, or a row not of X's width.
+    Finiteness is left to the run's check, which the row loop's rows meet too."""
+    try:
+        new_ids, new_grades, rests = zip(*(line.split(",", 2) for line in lines))
+        new_grades, text = [int(grade) for grade in new_grades], "".join(rests)
+        if (
+            max(map(len, lines)) > csv.field_size_limit()
+            or not text.lstrip("\r\n")  # np.loadtxt would warn on a chunk with no feature text
+            or any(c in text for c in '"\0\x1c\x1d\x1e\x1f')
+            or not 0 <= min(new_grades) <= max(new_grades) <= 4
+            or _UNSAFE_ID_CHARS.search("".join(new_ids))
+        ):
+            return False
+        values = np.loadtxt(rests, delimiter=",", dtype=np.float64, ndmin=2, comments=None)
+    except ValueError:  # no lines, fewer than three fields, or a grade or value not read
+        return False
+    if values.shape != (len(lines), X.shape[1]):  # np.loadtxt skips blank lines
+        return False
+    X[len(ids) : len(ids) + len(lines)] = values
+    ids += new_ids
+    grades += new_grades
+    return True
 
 
 def _csv_header(dim: int) -> list[str]:

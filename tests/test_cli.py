@@ -719,6 +719,26 @@ class TestStreamedScoring:
         assert [r["mean"] for r in rows] == [repr(m) for m in mean.tolist()]
         assert [r["std"] for r in rows] == [repr(s) for s in std.tolist()]
 
+    @pytest.mark.parametrize("edit", ["bom", "quoted-id"])
+    def test_a_bom_or_a_quoted_id_scores_as_the_plain_file(self, workspace, tmp_path, edit):
+        """A leading BOM is skipped; a quoted id in the second run is read by the csv row
+        loop from there to the end of the file, with the bits of the fast path."""
+        lines = workspace["test"].read_bytes().splitlines(keepends=True)
+        if edit == "bom":
+            lines[0] = b"\xef\xbb\xbf" + lines[0]
+        else:
+            record_id, rest = lines[11].split(b",", 1)
+            lines[11] = b'"' + record_id + b'",' + rest
+        edited = tmp_path / "edited.csv"
+        edited.write_bytes(b"".join(lines))
+        outs = []
+        for test_csv in (workspace["test"], edited):
+            out = tmp_path / f"{test_csv.stem}.preds.csv"
+            argv = ["predict", "--test-csv", test_csv, "--model", workspace["model"]]
+            assert run(argv + ["--out", out]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
+
     @pytest.mark.parametrize(
         "record, match",
         [

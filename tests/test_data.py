@@ -254,6 +254,95 @@ class TestLoadFeatureCsv:
             load_feature_csv(path)
 
 
+class TestWhereNpLoadtxtReadsOtherwise:
+    """The fast path converts a chunk with np.loadtxt only where the csv row loop would read
+    each line alike; each line here np.loadtxt would read otherwise. It sits at line 7, in
+    the second of three streamed runs of 4, so the row loop takes over in a later run and
+    must still name the line counted over the whole file, after the rows above it."""
+
+    def runs(self, tmp_path, line):
+        """Each run's ids, feature bits and grades, then the ParseError's text or None."""
+        records = [row(i, i % 5) for i in range(10)]
+        records[5] = line
+        path = tmp_path / "d.csv"
+        write_csv(path, records)
+        runs = []
+        try:
+            for ids, X, grades in _feature_runs(path, 4):
+                runs.append((ids, X.tobytes(), grades.tolist()))
+        except ParseError as exc:
+            return runs, str(exc)
+        return runs, None
+
+    def rejected(self, tmp_path, line, message):
+        """The rows above line 7 go first, in runs of 4 and 1; then the row loop's error."""
+        runs, error = self.runs(tmp_path, line)
+        assert [ids for ids, _, _ in runs] == [["r0", "r1", "r2", "r3"], ["r4"]]
+        assert error == f"line 7: {message}"
+
+    def test_a_blank_line_is_a_record_of_no_fields(self, tmp_path):
+        """np.loadtxt skips a blank line."""
+        self.rejected(tmp_path, "", "expected 6 fields, got 0")
+
+    def test_a_hash_is_not_a_comment(self, tmp_path):
+        """Unless comments=None, np.loadtxt reads ``3#x`` as 3."""
+        self.rejected(tmp_path, "r5,0,0.5,1.5,2.5,3#x", "non-numeric feature value")
+
+    def test_digit_separators_and_full_width_digits_read_as_float_reads_them(self, tmp_path):
+        """np.loadtxt rejects ``1_0`` and full-width digits; the row loop reads them, with
+        float's bits, and reads on to the end of the file."""
+        runs, error = self.runs(tmp_path, "r5,0,1_0,\uff11.5,2.5,\u0663")
+        assert error is None
+        assert [i for ids, _, _ in runs for i in ids] == [f"r{i}" for i in range(10)]
+        assert [len(ids) for ids, _, _ in runs] == [4, 4, 2]
+        X = np.frombuffer(b"".join(bits for _, bits, _ in runs)).reshape(10, 4)
+        assert X[5].tobytes() == np.array([10.0, 1.5, 2.5, 3.0]).tobytes()
+        assert X[6].tobytes() == np.array([0.5, 1.5, 2.5, 3.5]).tobytes()
+
+    def test_a_field_over_the_csv_field_limit(self, tmp_path):
+        line = "x" * 200_000 + ",0,0.5,1.5,2.5,3.5"
+        self.rejected(tmp_path, line, "field larger than field limit (131072)")
+
+    def test_a_quoted_id_reads_as_the_unquoted_one(self, tmp_path):
+        assert self.runs(tmp_path, '"r5",0,0.5,1.5,2.5,3.5') == self.runs(tmp_path, row(5, 0))
+
+    @pytest.mark.parametrize("blank", ["\x1c", "\x1d", "\x1e", "\x1f"])
+    def test_file_separators_are_not_blanks(self, tmp_path, blank):
+        """np.loadtxt strips them from a number as blanks; float does not."""
+        self.rejected(tmp_path, f"r5,0,{blank}0.5,1.5,2.5,3.5{blank}", "non-numeric feature value")
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_record_with_no_feature_text_warns_of_nothing(self, tmp_path):
+        """On a chunk with no feature text np.loadtxt warns that the input holds no data, so
+        the record here is the only one of its run: line 6, alone in the second run of 4."""
+        path = tmp_path / "d.csv"
+        write_csv(path, [row(i, 0) for i in range(4)] + ["r4,0,"])
+        with pytest.raises(ParseError, match="^line 6: expected 6 fields, got 3$"):
+            list(_feature_runs(path, 4))
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 BOM is skipped: the file reads as without it, line numbers unchanged."""
+
+    def test_loads_as_without_it(self, tmp_path):
+        ids, X, grades = synthesize_dataset([3] * 5, 4, 6.0, 1.0, 0)
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_feature_csv(ids, X, grades, plain)
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        back_ids, back_X, back_grades = load_feature_csv(marked)
+        assert back_ids == ids
+        assert back_X.tobytes() == X.tobytes()
+        assert back_grades.tolist() == grades.tolist()
+
+    @pytest.mark.parametrize("run_rows", [None, 1], ids=["one-run", "streamed"])
+    def test_line_numbers_are_unchanged(self, tmp_path, run_rows):
+        path = tmp_path / "d.csv"
+        write_csv(path, [row(0, 1), "r1,two,0.5,1.5,2.5,3.5"])
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        with pytest.raises(ParseError, match="^line 3: non-integer grade 'two'$"):
+            list(_feature_runs(path, run_rows))
+
+
 class TestWriteFeatureCsv:
     def test_round_trip(self, tmp_path):
         ids, X, grades = synthesize_dataset([3, 3, 3, 3, 3], 4, 6.0, 1.0, 0)

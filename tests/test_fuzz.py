@@ -1,11 +1,14 @@
-"""Property tests: the feature CSV round trip, the flip rule's monotonicity,
-midrank AUC against scipy's ranks, corrupted and resealed archives, and query
-rows."""
+"""Property tests: the feature CSV round trip, the parse's fast path against its row loop,
+the flip rule's monotonicity, midrank AUC against scipy's ranks, corrupted and resealed
+archives, and query rows."""
 
+import csv
 import functools
 import math
 import tempfile
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +30,9 @@ from gpgrade import (
     synthesize_dataset,
     write_feature_csv,
 )
+import gpgrade.data
+from gpgrade.data import _feature_runs
+from gpgrade.errors import ParseError
 from gpgrade.metrics import roc_auc
 
 # Any id the loader accepts: no NUL, comma, quote, CR or LF, and encodable as UTF-8.
@@ -54,6 +60,110 @@ def test_feature_csv_round_trip(tmp_path_factory, table):
     assert back_ids == table[0]
     assert back_X.tobytes() == table[1].tobytes()
     np.testing.assert_array_equal(back_grades, table[2])
+
+
+# Field texts both routes read, and edits each of which is a defect or a text only one route
+# might read: digit separators and full-width digits (the row loop's), comments, quotes,
+# NUL, blanks np.loadtxt strips and float does not (\x1c-\x1f), separators, line ends,
+# bytes that are not UTF-8 (surrogates here), blank lines and lines of blanks, and records
+# cut or too wide.
+ok_ids = st.sampled_from(["r", "id 7", "", "ü", "a#b", "\x1c"])
+ok_grades = st.sampled_from(["0", "2", "4", " 3", "\t1"])
+ok_numbers = st.sampled_from(
+    ["0.5", "-3", "1e-300", "5e-324", "1.7976931348623157e308", " 2 ", "+.5", "\t7\x0b", "1E5"]
+)
+edits = st.one_of(
+    st.tuples(st.just("id"), st.sampled_from(['"r"', '"a,b"', "a\0b", '"a\nb"', "\udcff"])),
+    st.tuples(st.just("grade"), st.sampled_from(["5", "-1", "x", "1_0", "2.0", "２", '"2"', ""])),
+    st.tuples(
+        st.just("feature"),
+        st.sampled_from(
+            ["1_0", "１", "٣.5", "nan", "-inf", "1e400", "3#x", "0x10", "", "\x1c1", "1\x1f",
+             "\x1d", "1 2", '"0.5"', "1\0", "#", ".", "1e5\x1e", "1\udcff"]
+        ),  # fmt: skip
+    ),
+    st.tuples(
+        st.just("insert"),
+        st.sampled_from(
+            ['"', "\0", "#", "_", "１", " ", ",", "\r", "\n", "\r\n", "\x1c", "\x1f", "\udcff",
+             "\udcc3"]
+        ),  # fmt: skip
+    ),
+    st.tuples(st.just("line"), st.sampled_from(["", "  ", "\t", "r,0,", "r,4,", "r,0", ",", "#"])),
+    st.tuples(st.just("append"), st.sampled_from([",", ",0.5"])),
+    st.tuples(st.just("cut"), st.just("")),
+)
+
+
+@st.composite
+def feature_files(draw):
+    """A header, then records of one to three features readable by both routes, up to three
+    edits at records drawn at random, and each line ended by LF, CRLF or a lone CR, the last
+    maybe by none, the whole in UTF-8 with surrogates as the bytes they escape, maybe after a
+    BOM."""
+    dim = draw(st.integers(1, 3))
+    lines = ["id,grade," + ",".join(f"f{i}" for i in range(dim))]
+    for _ in range(draw(st.integers(0, 9))):
+        fields = [draw(ok_ids), draw(ok_grades)] + [draw(ok_numbers) for _ in range(dim)]
+        lines.append(",".join(fields))
+    for kind, text in draw(st.lists(edits, max_size=3)) if len(lines) > 1 else ():
+        at = draw(st.integers(1, len(lines) - 1))
+        fields = lines[at].split(",")
+        if kind in ("id", "grade", "feature"):
+            features = st.integers(2, max(2, len(fields) - 1))
+            column = draw(features) if kind == "feature" else ["id", "grade"].index(kind)
+            lines[at] = ",".join(fields[:column] + [text] + fields[column + 1 :])
+        elif kind == "insert":
+            cut = draw(st.integers(0, len(lines[at])))
+            lines[at] = lines[at][:cut] + text + lines[at][cut:]
+        elif kind == "line":
+            lines[at] = text
+        elif kind == "append":
+            lines[at] += text
+        else:
+            lines[at] = lines[at].rsplit(",", 1)[0]
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    ends[-1] = draw(st.sampled_from([ends[-1], ""]))
+    text = "".join(line + end for line, end in zip(lines, ends))
+    bom = draw(st.sampled_from([b"", b"\xef\xbb\xbf"]))
+    return bom + text.encode("utf-8", "surrogateescape")
+
+
+def parse_outcome(path, run_rows):
+    """Every run ``_feature_runs`` yields, as ids, feature bits and grades, then its error."""
+    runs = []
+    try:
+        for ids, X, grades in _feature_runs(path, run_rows):
+            runs.append((ids, X.shape, X.tobytes(), grades.tolist()))
+    except ParseError as exc:
+        return runs, str(exc)
+    return runs, None
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    text=feature_files(),
+    run_rows=st.sampled_from([None, 1, 2, 3]),
+    field_limit=st.sampled_from([csv.field_size_limit(), 8]),
+)
+def test_the_fast_path_reads_each_file_as_the_row_loop_does(
+    tmp_path_factory, text, run_rows, field_limit
+):
+    """Each file is accepted with the same ids, grades and feature bits, or rejected with the
+    same message and line, after the same runs, and neither route warns. Chunks of two lines,
+    so a one-run load of three or more records has more than one, and a run may switch route
+    in its middle. A field limit of 8 puts longer lines past it."""
+    path = tmp_path_factory.getbasetemp() / "differential.csv"
+    path.write_bytes(text)
+    default_limit = csv.field_size_limit(field_limit)
+    try:
+        with mock.patch.object(gpgrade.data, "_CHUNK", 2), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fast = parse_outcome(path, run_rows)
+            with mock.patch.object(gpgrade.data, "_fast_rows", lambda *run: False):
+                assert parse_outcome(path, run_rows) == fast
+    finally:
+        csv.field_size_limit(default_limit)
 
 
 @settings(max_examples=100, deadline=None)
