@@ -40,12 +40,13 @@ def build_parser() -> argparse.ArgumentParser:
     train.set_defaults(run=cmd_train)
     train.add_argument("--train-csv", required=True, type=Path)
     train.add_argument("--model", required=True, type=Path, help="output archive path")
-    two_stage = (f"from {gp._TWO_STAGE_MIN_N:,} rows with 2+ restarts, restarts search a seeded "
-                 f"{gp._COARSE_SUBSET_N}-row subset")
     train.add_argument("--max-train", type=int, default=2000,
-                       help=f"training rows kept, drawn with --seed; {two_stage}")
-    train.add_argument("--restarts", type=int, default=3,
-                       help=f"{two_stage}, and a full-set guard searches from the first start")
+                       help="training rows kept, drawn with --seed")
+    grid = ", ".join(f"{scale:g}" for scale in gp._START_GRID)
+    train.add_argument("--restarts", type=int,
+                       help=f"searches, one from each of the length-scales {grid} x the median "
+                            f"distance with the most evidence; default 2 below "
+                            f"{gp._ONE_SEARCH_MIN_N:,} rows, else 1")
     train.add_argument("--seed", type=int, default=0)
 
     # predict, evaluate and sweep score a test CSV against a model the same way.

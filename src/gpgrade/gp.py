@@ -3,9 +3,10 @@
 Standard Cholesky formulation: the training system (K + noise*I) alpha = y
 is factorized once per hyperparameter setting. The log marginal likelihood,
 with the signal variance profiled out in closed form, and its analytic
-log-space gradients drive an L-BFGS-B search (with restarts) over the
-length-scale and the noise-to-signal ratio, and prediction reads the
-posterior mean and standard deviation off the inverse of the training factor.
+log-space gradients drive L-BFGS-B searches, from the best-ranked points of a
+fixed start grid, over the length-scale and the noise-to-signal ratio, and
+prediction reads the posterior mean and standard deviation off the inverse of
+the training factor.
 """
 
 from __future__ import annotations
@@ -39,11 +40,6 @@ JITTER_LEVELS = (0.0, 1e-10, 1e-8, 1e-6, 1e-4)
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
-# Objective value reported to the optimizer when the evidence is not
-# computable at a trial point and no point of its search has been yet;
-# large enough to reject the point, finite so L-BFGS-B keeps going.
-_BAD_OBJECTIVE = 1e25
-
 # Query rows per predict block. At n = 2,000, 512-row blocks score as fast as
 # 2,048-row ones with a quarter of the block memory; 256 rows were slower.
 _PREDICT_BLOCK = 512
@@ -51,9 +47,10 @@ _PREDICT_BLOCK = 512
 # L-BFGS-B stopping rules for every evidence search.
 LBFGS_OPTIONS = {"maxiter": 200, "ftol": 1e-6, "gtol": 1e-5}
 
-# The two-stage fit's least training rows and its subset size (see fit).
-_TWO_STAGE_MIN_N = 2000
-_COARSE_SUBSET_N = 500
+# Start length-scales, as multiples of the median pairwise distance, that fit ranks by
+# evidence, and the least training rows from which it searches from the best one alone.
+_START_GRID = (0.125, 0.25, 0.5, 1.0, 2.0)
+_ONE_SEARCH_MIN_N = 2000
 
 
 def minimize(*args, **kwargs):
@@ -266,7 +263,7 @@ def fit(
     y,
     *,
     max_train: int = 2000,
-    restarts: int = 3,
+    restarts: int | None = None,
     seed: int = 0,
     normalizer: "NormStats | None" = None,
 ) -> GPModel:
@@ -276,86 +273,72 @@ def fit(
     ``max_train``, a uniform random subset is drawn with ``seed`` (recorded
     on the model). The searches run over theta = (log l, log r), r = noise / s2,
     with the signal variance s2 at its closed-form optimum for each theta.
-    Each restart starts from r = 0.1 and a seeded length-scale draw around the
-    median pairwise distance. Each search returns the best point it evaluates,
-    never worse than its start, and the best of those records wins. A point
-    whose evidence is not computable reads as that best value minus its
-    distance from the best point, so the search backs off and goes on.
 
-    Below 2,000 rows, or with one restart, a search runs from each start over
-    every training row. Otherwise each start's search runs over one seeded
-    500-row subset, and only the best subset optimum is kept: a full-set search
-    from the first start (the guard, which is the one-restart search) runs,
-    then one from that optimum (the polish) if one full-set evaluation there
-    beats the guard's end. Synth seed 14 needs the polish, seed 1 the guard (README).
+    The evidence at r = 0.1 ranks the length-scales ``_START_GRID`` times the median
+    pairwise distance, ties to the earlier, and one search runs from each of the top
+    ``restarts`` computable ones (default 2 below ``_ONE_SEARCH_MIN_N`` rows, else 1).
+    Each search returns the best point it evaluates, never worse than its start, and the
+    best of those records wins. A point whose evidence is not computable reads as that
+    best value minus its distance from the best point, so the search backs off and goes on.
     """
     X, y = _validate_training_data(X, y)
     if max_train < 2:
         raise InputError("max_train must be at least 2")
-    if restarts < 1:
+    if restarts is not None and restarts < 1:
         raise InputError("restarts must be at least 1")
     if seed < 0:
         raise InputError("seed must be non-negative")
 
-    rng = np.random.default_rng(seed)
     if X.shape[0] > max_train:
+        rng = np.random.default_rng(seed)
         idx = np.sort(rng.choice(X.shape[0], size=max_train, replace=False))
-        X = X[idx]
-        y = y[idx]
+        X, y = X[idx], y[idx]
     S = pairwise_sq_dists(X)
     n = X.shape[0]
+    if restarts is None:
+        restarts = 2 if n < _ONE_SEARCH_MIN_N else 1
 
     with np.errstate(over="ignore"):  # two middle distances at the float maximum average to inf
         median_dist = math.sqrt(np.median(S[np.tri(n, k=-1, dtype=bool)], overwrite_input=True))
     if not 0.0 < median_dist < math.inf:
         median_dist = 1.0
-    low, high = math.log(0.5 * median_dist), math.log(2.0 * median_dist)
-    starts = [np.array([rng.uniform(low, high), math.log(0.1)]) for _ in range(restarts)]
 
-    def evidence(S, y, theta, **kwargs):
+    def evidence(theta, gradient=True):
         """``_profiled_evidence`` at theta; lml is nan where it is not computable."""
         try:
-            return _profiled_evidence(S, y, theta, **kwargs)
+            return _profiled_evidence(S, y, theta, gradient=gradient)
         except (InputError, NumericalError, OverflowError, FloatingPointError):
             return math.nan, None, None
 
-    def search(S, y, theta0):
-        """(lml, theta, Hyperparams) of the best computable point L-BFGS-B evaluates from
-        theta0, the earliest of ties; Hyperparams is None if no point was computable."""
-        record = (-math.inf, np.array(theta0), None)
+    def search(record):
+        """The record (lml, theta, Hyperparams) of the best point, the earliest of ties, of
+        the start's record and every point L-BFGS-B evaluates from it."""
 
         def negative_evidence(theta):
             nonlocal record
-            lml, grad, hp = evidence(S, y, theta)
+            lml, grad, hp = evidence(theta)
             if math.isfinite(lml) and np.isfinite(grad).all():
                 if lml > record[0]:
                     record = (lml, np.array(theta), hp)
                 return -lml, -grad
-            if record[2] is None:
-                return _BAD_OBJECTIVE, np.zeros(2)
             # Worse than the best point by the distance to it: the line search backs off.
             step = theta - record[1]
             distance = math.hypot(*step)
             return distance - record[0], step / (distance or 1.0)
 
-        minimize(negative_evidence, theta0, jac=True, method="L-BFGS-B", options=LBFGS_OPTIONS)
+        minimize(negative_evidence, record[1], jac=True, method="L-BFGS-B", options=LBFGS_OPTIONS)
         return record
 
-    if n >= _TWO_STAGE_MIN_N and restarts >= 2:
-        # A subset drawn by a child generator of the seed; each search's copy of its distances
-        # is freed when the search ends, before the guard.
-        sub_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-        sub = np.sort(sub_rng.choice(n, size=_COARSE_SUBSET_N, replace=False))
-        coarse = (search(S[np.ix_(sub, sub)], y[sub], theta0) for theta0 in starts)
-        best = max(coarse, key=lambda record: record[0])[1]
-        records = [search(S, y, starts[0])]  # a guard against a basin only the subset has
-        if evidence(S, y, best, gradient=False)[0] > records[0][0]:  # false where it is nan
-            records.append(search(S, y, best))
-    else:
-        records = [search(S, y, theta0) for theta0 in starts]
-    _, _, hp = max(records, key=lambda record: record[0])
-    if hp is None:
+    starts = []  # the computable grid points' records
+    for scale in _START_GRID:
+        theta = np.array([math.log(scale * median_dist), math.log(0.1)])
+        lml, _, hp = evidence(theta, gradient=False)
+        if math.isfinite(lml):
+            starts.append((lml, theta, hp))
+    starts.sort(key=lambda start: -start[0])  # stable: a tie keeps the earlier grid point
+    if not starts:
         raise NumericalError("evidence was non-finite at every restart")
+    _, _, hp = max(map(search, starts[:restarts]), key=lambda record: record[0])
 
     del S  # freed before the model's buffer is touched
     return build_model(X, y, hp, normalizer, seed)

@@ -161,15 +161,35 @@ class TestTrain:
             usage = out.split("\n\n")[0]
             assert re.findall(r"--[a-z-]+", usage) == FLAGS[argv[0]]
 
-    def test_train_help_follows_the_two_stage_constants(self, capsys, monkeypatch):
-        monkeypatch.setattr(gp, "_TWO_STAGE_MIN_N", 3000)
-        monkeypatch.setattr(gp, "_COARSE_SUBSET_N", 750)
-        monkeypatch.setenv("COLUMNS", "1000")  # one line per flag: no wrap inside "750-row"
+    @pytest.mark.parametrize(
+        "flags, searches", [([], 2), (["--restarts", 3], 3)], ids=["default", "three"]
+    )
+    def test_restarts_sets_the_number_of_searches(
+        self, workspace, tmp_path, monkeypatch, flags, searches
+    ):
+        """100 training rows, below the one-search threshold: two searches by default."""
+        calls = []
+        minimize = gp.minimize
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return minimize(*args, **kwargs)
+
+        monkeypatch.setattr(gp, "minimize", counting)
+        model = tmp_path / "m.model"
+        assert run(["train", "--train-csv", workspace["train"], "--model", model, *flags]) == 0
+        assert len(calls) == searches
+
+    def test_train_help_follows_the_start_grid_constants(self, capsys, monkeypatch):
+        monkeypatch.setattr(gp, "_START_GRID", (0.25, 1.0, 4.0))
+        monkeypatch.setattr(gp, "_ONE_SEARCH_MIN_N", 3000)
+        monkeypatch.setenv("COLUMNS", "1000")  # one line per flag: no wrap inside the rule
         with pytest.raises(SystemExit):
             run(["train", "--help"])
         lines = capsys.readouterr().out.splitlines()
-        two_stage = "from 3,000 rows with 2+ restarts, restarts search a seeded 750-row subset"
-        assert sum(two_stage in line for line in lines) == 2
+        rule = ("searches, one from each of the length-scales 0.25, 1, 4 x the median distance "
+                "with the most evidence; default 2 below 3,000 rows, else 1")
+        assert sum(rule in line for line in lines) == 1
 
 
 class TestPredict:

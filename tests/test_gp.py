@@ -576,28 +576,153 @@ class TestFit:
             assert target in y[matches]
 
     def test_result_beats_every_initialization(self):
-        """The returned evidence is at least the evidence at each start point."""
-        hp_star = hp_of(1.5, 2.0, 0.1)
-        X, y = sample_from_prior(hp_star, n=40, D=3, seed=21)
-        restarts, seed = 4, 21
-        model = fit(X, y, restarts=restarts, seed=seed)
+        """The returned evidence is at least the evidence at each start grid point."""
+        X, y = sample_from_prior(hp_of(1.5, 2.0, 0.1), n=40, D=3, seed=21)
+        model = fit(X, y, seed=21)
         best, _ = log_marginal_likelihood(model.X_train, model.y_train, model.hp)
-
-        # Replay the seeded initialization draws the same way fit makes them.
         S = pairwise_sq_dists(X)
-        median_dist = math.sqrt(float(np.median(S[np.triu_indices(40, 1)])))
-        var_y = float(np.var(y))
-        rng = np.random.default_rng(seed)
-        for _ in range(restarts):
-            log_l0 = rng.uniform(
-                math.log(0.5 * median_dist), math.log(2.0 * median_dist)
-            )
-            hp0 = Hyperparams(log_l0, math.log(var_y), math.log(0.1 * var_y))
-            at_init, _ = log_marginal_likelihood(X, y, hp0)
-            assert best >= at_init - 1e-9
+        for theta in start_grid(X):
+            at_start = gp_module._profiled_evidence(S, y, theta, gradient=False)[0]
+            assert best >= at_start - 1e-9
+
+    def test_default_fit_finds_the_short_length_scale_basin(self):
+        """Targets of two length-scales: the evidence has a short-l, low-noise optimum and a
+        long-l, noisy one 32.6 nats below it (Rasmussen & Williams 2006, sec. 5.4.1). The
+        grid's short starts reach the first; starts within [0.5, 2]x the median distance did not.
+        """
+        rng = np.random.default_rng(2)
+        X = rng.normal(size=(2000, 4))
+        grades = np.round(2 + 1.2 * np.sin(4 * X[:, 0]) + 1.2 * np.tanh(0.4 * X[:, 1]))
+        grades = np.clip(grades, 0, 4)
+        X = X[:500]
+        model = fit((X - X.mean(axis=0)) / X.std(axis=0), grades[:500])
+        assert model.log_evidence >= -636.47
+        assert model.hp.length_scale < 1.0
+
+    def test_default_fit_reaches_the_best_basin_of_synth_seed_14(self, monkeypatch):
+        """2,000 z-scored synthetic rows with more than one basin: the one default search,
+        from the best grid point, ends in the best basin that any start found."""
+        _, X, grades = synthesize_dataset([400] * 5, 8, 6.0, 1.0, 14)
+        calls = record_searches(monkeypatch)
+        model = fit(apply_normalizer(fit_normalizer(X), X), grades.astype(float))
+        assert len(calls) == 1
+        assert model.log_evidence >= SYNTH_14_LML - 1e-4
+
+    def test_same_seed_gives_identical_hyperparameters(self):
+        X, y = sample_from_prior(hp_of(1.5, 2.0, 0.1), n=100, D=3, seed=31)
+        first = log_array(fit(X, y, restarts=3, seed=31).hp)
+        second = log_array(fit(X, y, restarts=3, seed=31).hp)
+        assert first.tobytes() == second.tobytes()
+
+    def test_subsample_is_the_seeds_and_the_search_starts_at_the_best_grid_point(
+        self, monkeypatch
+    ):
+        calls = record_searches(monkeypatch)
+        X, y = sample_from_prior(hp_of(1.5, 2.0, 0.1), n=120, D=3, seed=30)
+        model = fit(X, y, max_train=100, restarts=1, seed=30)
+        idx = np.sort(np.random.default_rng(30).choice(120, size=100, replace=False))
+        np.testing.assert_array_equal(model.X_train, X[idx])
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0][0], ranked_starts(X[idx], y[idx])[0])
+
+    def test_ranking_evaluates_each_grid_point_once_value_only(self, monkeypatch):
+        """The ranking is one value-only evaluation per grid point, in grid order, at r = 0.1;
+        every other evaluation is a search's, with its gradient."""
+        value_only = []
+        profiled = gp_module._profiled_evidence
+
+        def recording(S, y, theta, gradient=True):
+            if not gradient:
+                value_only.append(np.array(theta))
+            return profiled(S, y, theta, gradient=gradient)
+
+        monkeypatch.setattr(gp_module, "_profiled_evidence", recording)
+        X, y = sample_from_prior(hp_of(1.5, 2.0, 0.1), n=40, D=3, seed=34)
+        fit(X, y, restarts=2, seed=34)
+        assert len(value_only) == len(gp_module._START_GRID)
+        for theta, expected in zip(value_only, start_grid(X)):
+            np.testing.assert_array_equal(theta, expected)
+
+    @pytest.mark.parametrize(
+        "values, order",
+        [
+            ([-1.0] * 5, [0, 1, 2, 3, 4]),
+            ([-3.0, -1.0, -2.0, -1.0, -5.0], [1, 3, 2, 0, 4]),
+            ([-1.0, -4.0, -2.0, -3.0, -4.0], [0, 2, 3, 1, 4]),
+        ],
+        ids=["all tied", "tie for best", "tie for last"],
+    )
+    def test_a_tie_in_the_ranking_goes_to_the_earlier_grid_point(
+        self, monkeypatch, values, order
+    ):
+        """The searches run from the grid points best evidence first, the earlier of a tie
+        first; each search evaluates the true evidence."""
+        X, y = sample_from_prior(hp_of(1.5, 2.0, 0.1), n=40, D=3, seed=35)
+        grid = start_grid(X)
+        profiled = gp_module._profiled_evidence
+
+        def ranked_by_table(S, y, theta, gradient=True):
+            lml, grad, hp = profiled(S, y, theta, gradient=gradient)
+            if not gradient:
+                i = next(i for i, point in enumerate(grid) if np.array_equal(point, theta))
+                return values[i], grad, hp
+            return lml, grad, hp
+
+        monkeypatch.setattr(gp_module, "_profiled_evidence", ranked_by_table)
+        calls = record_searches(monkeypatch)
+        fit(X, y, restarts=5, seed=35)
+        assert len(calls) == 5
+        for (x0, _), i in zip(calls, order):
+            np.testing.assert_array_equal(x0, grid[i])
+
+    @pytest.mark.parametrize(
+        "failure",
+        [NumericalError("no factor"), OverflowError("overflow"), math.nan, math.inf],
+        ids=["raises", "overflows", "nan", "inf"],
+    )
+    def test_a_grid_point_whose_evidence_is_not_computable_is_not_searched(
+        self, monkeypatch, failure
+    ):
+        """The best-ranked grid point fails: five restarts search from the other four, in
+        their rank order. An infinite evidence is not computable either, and does not rank
+        first."""
+        X, y = sample_from_prior(hp_of(1.5, 2.0, 0.1), n=40, D=3, seed=36)
+        best, *rest = ranked_starts(X, y)
+        profiled = gp_module._profiled_evidence
+
+        def failing_best(S, y, theta, gradient=True):
+            lml, grad, hp = profiled(S, y, theta, gradient=gradient)
+            if not gradient and np.array_equal(theta, best):
+                if isinstance(failure, Exception):
+                    raise failure
+                return failure, grad, hp
+            return lml, grad, hp
+
+        monkeypatch.setattr(gp_module, "_profiled_evidence", failing_best)
+        calls = record_searches(monkeypatch)
+        model = fit(X, y, restarts=5, seed=36)
+        assert len(calls) == 4
+        for (x0, _), theta in zip(calls, rest):
+            np.testing.assert_array_equal(x0, theta)
+        assert math.isfinite(model.log_evidence)
+
+    @pytest.mark.parametrize(
+        "n, restarts, searches", [(79, None, 2), (80, None, 1), (80, 3, 3), (80, 9, 5)]
+    )
+    def test_one_search_per_restart(self, monkeypatch, n, restarts, searches):
+        """From the top ``restarts`` grid points, all five at most; by default two below
+        ``_ONE_SEARCH_MIN_N`` rows and one from there on."""
+        monkeypatch.setattr(gp_module, "_ONE_SEARCH_MIN_N", 80)
+        calls = record_searches(monkeypatch)
+        X, y = sample_from_prior(hp_of(1.5, 2.0, 0.1), n=n, D=3, seed=33)
+        fit(X, y, restarts=restarts, seed=33)
+        assert len(calls) == searches
+        for (x0, _), theta in zip(calls, ranked_starts(X, y)):
+            np.testing.assert_array_equal(x0, theta)
 
     def test_one_factorization_per_optimizer_evaluation(self, monkeypatch):
-        """No evidence call outside the optimizer's own, plus the final build."""
+        """No evidence call outside the grid's ranking and the optimizer's own, plus the
+        final build."""
         nfev = []
         factorizations = []
         minimize, cholesky = gp_module.minimize, gp_module.cholesky_with_jitter
@@ -616,7 +741,7 @@ class TestFit:
         X, y = sample_from_prior(hp_of(1.5, 2.0, 0.1), n=40, D=3, seed=22)
         fit(X, y, restarts=3, seed=22)
         assert len(nfev) == 3
-        assert len(factorizations) == sum(nfev) + 1
+        assert len(factorizations) == len(gp_module._START_GRID) + sum(nfev) + 1
 
     def test_one_distance_pass_per_fit(self, monkeypatch):
         """One pass of pairwise_sq_dists for the search, whose distances are freed before the
@@ -660,7 +785,7 @@ class TestFit:
         ids=["nan", "raises"],
     )
     def test_evidence_that_fails_at_every_restart(self, monkeypatch, evidence):
-        def failing_evidence(S, y, theta):
+        def failing_evidence(S, y, theta, gradient=True):
             if isinstance(evidence, Exception):
                 raise evidence
             return evidence
@@ -671,63 +796,83 @@ class TestFit:
             fit(X, y, restarts=2, seed=1)
 
     @pytest.mark.parametrize("slope", [0.0, 1.0], ids=["zero gradient", "gradient"])
-    @pytest.mark.parametrize("n", [60, 100], ids=["one stage", "two stages"])
-    def test_tied_evidence_freezes_the_first_start(self, two_stage, monkeypatch, n, slope):
-        """Every point ties, so the earliest point evaluated wins: the first restart's start.
+    def test_tied_evidence_freezes_the_first_start(self, monkeypatch, slope):
+        """Every point ties, so the grid keeps its order and the earliest point evaluated
+        wins: the first grid point, the first search's start.
 
         With a zero gradient each search stops at its start; with a gradient
         that the flat value never bears out, it evaluates more tied points.
         """
 
-        def flat(S, y, theta, **kwargs):
+        def flat(S, y, theta, gradient=True):
             hp = Hyperparams(float(theta[0]), 0.0, float(theta[1]))
             return -1.0, np.array([slope, 0.0]), hp
 
         monkeypatch.setattr(gp_module, "_profiled_evidence", flat)
         calls = record_searches(monkeypatch)
-        X, y = sample_from_prior(hp_of(1.5, 2.0, 0.1), n=n, D=3, seed=42)
+        X, y = sample_from_prior(hp_of(1.5, 2.0, 0.1), n=60, D=3, seed=42)
         model = fit(X, y, restarts=3, seed=42)
-        assert len({x0[0] for x0, _ in calls[:3]}) == 3
-        first = calls[0][0]
-        assert model.hp == Hyperparams(first[0], 0.0, first[1])
+        grid = start_grid(X)
+        assert len(calls) == 3
+        for (x0, _), theta in zip(calls, grid):
+            np.testing.assert_array_equal(x0, theta)
+        assert model.hp == Hyperparams(grid[0][0], 0.0, grid[0][1])
 
     @pytest.mark.parametrize("finite_lml", [False, True], ids=["raises", "nan gradient"])
-    @pytest.mark.parametrize("n", [60, 100], ids=["one stage", "two stages"])
-    def test_evidence_that_fails_early_in_every_search(
-        self, two_stage, monkeypatch, n, finite_lml
-    ):
+    def test_evidence_that_fails_early_in_every_search(self, monkeypatch, finite_lml):
         """Failed points are passed over: the best computable point is frozen.
 
-        The first search fails at its start, so it ends with no computable
-        point. Every other search fails at its first trial step, its second
-        evaluation, and goes on from there. That step raises, or, under
-        ``finite_lml``, has a higher evidence than any other but a NaN gradient.
+        The best-ranked grid point is not computable, so no search starts there: the next
+        three do. Each fails at its first trial step, its second evaluation, and goes on
+        from there. That step raises, or, under ``finite_lml``, has a higher evidence than
+        any other but a NaN gradient.
         """
+        X, y = sample_from_prior(hp_of(1.5, 2.0, 0.1), n=60, D=3, seed=41)
+        best, *rest = ranked_starts(X, y)
         calls = record_searches(monkeypatch)
         searches, computed = [], []
         profiled = gp_module._profiled_evidence
 
-        def failing_early(S, y, theta, **kwargs):
+        def failing_early(S, y, theta, gradient=True):
+            if not gradient:  # the grid's ranking
+                if np.array_equal(theta, best):
+                    raise NumericalError("no factor")
+                return profiled(S, y, theta, gradient=False)
             search = len(calls)  # a search is recorded once it has finished
             searches.append(search)
-            if search == 0:
-                raise NumericalError("no factor")
-            lml, grad, hp = profiled(S, y, theta, **kwargs)
+            lml, grad, hp = profiled(S, y, theta)
             if searches.count(search) == 2:
                 if not finite_lml:
                     raise NumericalError("no factor")
                 return 0.0, np.full(2, np.nan), hp
-            computed.append((y.shape[0], lml, hp))
+            computed.append((lml, hp))
             return lml, grad, hp
 
         monkeypatch.setattr(gp_module, "_profiled_evidence", failing_early)
-        X, y = sample_from_prior(hp_of(1.5, 2.0, 0.1), n=n, D=3, seed=41)
         model = fit(X, y, restarts=3, seed=41)
-        evaluations = [searches.count(i) for i in range(len(calls))]
-        assert evaluations[0] == 1 and min(evaluations[1:]) > 2
-        lml, hp = max(((lml, hp) for rows, lml, hp in computed if rows == n), key=lambda p: p[0])
+        assert len(calls) == 3
+        for (x0, _), theta in zip(calls, rest):
+            np.testing.assert_array_equal(x0, theta)
+        assert min(searches.count(i) for i in range(3)) > 2
+        lml, hp = max(computed, key=lambda point: point[0])
         assert model.hp == hp
         assert model.log_evidence == pytest.approx(lml, rel=1e-9)
+
+    def test_searches_from_every_computable_grid_point_if_fewer_than_restarts(self, monkeypatch):
+        """Only the two longest grid points are computable: four restarts search from both."""
+        X, y = sample_from_prior(hp_of(1.5, 2.0, 0.1), n=40, D=3, seed=43)
+        grid = start_grid(X)
+        profiled = gp_module._profiled_evidence
+
+        def failing_short(S, y, theta, gradient=True):
+            if not gradient and theta[0] < grid[3][0]:
+                raise NumericalError("no factor")
+            return profiled(S, y, theta, gradient=gradient)
+
+        monkeypatch.setattr(gp_module, "_profiled_evidence", failing_short)
+        calls = record_searches(monkeypatch)
+        fit(X, y, restarts=4, seed=43)
+        assert sorted(x0[0] for x0, _ in calls) == [grid[3][0], grid[4][0]]
 
     @pytest.mark.parametrize("failing", [(2,), (2, 3)], ids=["second", "second and third"])
     def test_failed_trial_steps_do_not_stop_a_search(self, monkeypatch, failing):
@@ -738,7 +883,9 @@ class TestFit:
         searches = []
         profiled = gp_module._profiled_evidence
 
-        def failing_steps(S, y, theta):
+        def failing_steps(S, y, theta, gradient=True):
+            if not gradient:  # the grid's ranking
+                return profiled(S, y, theta, gradient=False)
             searches.append(len(calls))  # a search is recorded once it has finished
             if searches.count(searches[-1]) in failing:
                 raise NumericalError("no factor")
@@ -750,20 +897,19 @@ class TestFit:
         assert model.log_evidence == pytest.approx(unwrapped, rel=1e-9)
 
     def test_identical_rows_start_around_unit_length_scale(self, monkeypatch):
-        """Every pairwise distance is 0, so the median falls back to 1."""
+        """Every pairwise distance is 0, so the median falls back to 1: the grid is 1's."""
         calls = record_searches(monkeypatch)
         X = np.full((12, 3), 0.25)
         y = np.random.default_rng(2).normal(size=12)
         model = fit(X, y, restarts=3, seed=2)
         assert len(calls) == 3
-        for x0, _ in calls:
-            assert math.log(0.5) <= x0[0] <= math.log(2.0)
+        assert {x0[0] for x0, _ in calls} <= {math.log(scale) for scale in gp_module._START_GRID}
         mean, std = predict(model, X[:1])
         assert mean[0] == pytest.approx(y.mean(), abs=0.05)
         assert np.isfinite(std).all()
 
     def test_rows_farther_apart_than_the_float_range(self, monkeypatch):
-        """The median distance overflows: the starts fall back to it being 1.
+        """The median distance overflows: the grid falls back to it being 1.
 
         Distances beyond the float range are capped at the float maximum, so
         K * S is 0 for the pairs that far apart, not 0 * inf, and the fit
@@ -775,19 +921,18 @@ class TestFit:
         model = fit(X, np.arange(5.0), restarts=2, seed=3)
         assert math.isfinite(model.log_evidence)
         assert len(calls) == 2
-        for x0, _ in calls:
-            assert math.log(0.5) <= x0[0] <= math.log(2.0)
+        assert {x0[0] for x0, _ in calls} <= {math.log(scale) for scale in gp_module._START_GRID}
 
-    @pytest.mark.parametrize("n", [60, 100], ids=["one stage", "two stages"])
-    def test_fit_ends_at_a_profile_optimum(self, two_stage, monkeypatch, n):
-        """At the fitted point the evidence is flat along log s2 at fixed r."""
+    @pytest.mark.parametrize("restarts", [1, 3, 5])
+    def test_fit_ends_at_a_profile_optimum(self, monkeypatch, restarts):
+        """At the fitted point the evidence is flat along log s2 at fixed r, and it is the
+        best evidence that the ranking or any search evaluated."""
         values = record_evidence(monkeypatch)
-        X, y = sample_from_prior(hp_of(1.5, 2.0, 0.1), n=n, D=3, seed=40)
-        model = fit(X, y, restarts=3, seed=40)
+        X, y = sample_from_prior(hp_of(1.5, 2.0, 0.1), n=60, D=3, seed=40)
+        model = fit(X, y, restarts=restarts, seed=40)
         _, grad = log_marginal_likelihood(model.X_train, model.y_train, model.hp)
         assert abs(grad[1] + grad[2]) < 1e-4
-        best = max(lml for rows, lml in values if rows == n)
-        assert model.log_evidence == pytest.approx(best, rel=1e-9)
+        assert model.log_evidence == pytest.approx(max(values), rel=1e-9)
 
     def test_all_zero_targets_fit_a_finite_model(self):
         X = np.random.default_rng(4).normal(size=(20, 3))
@@ -805,7 +950,7 @@ class TestFit:
         assert math.exp(model.hp.log_noise_variance) < NOISE_VARIANCE_FLOOR
         assert model.hp.noise_variance >= NOISE_VARIANCE_FLOOR
         assert math.isfinite(model.log_evidence)
-        assert model.log_evidence == max(lml for _, lml in values)
+        assert model.log_evidence == max(values)
 
     def test_rejects_bad_config(self):
         X = np.zeros((4, 2))
@@ -818,35 +963,30 @@ class TestFit:
             fit(X, y, restarts=1, seed=-3)
 
 
-@pytest.fixture
-def two_stage(monkeypatch):
-    """Shrink the two-stage constants so that a 100-row fit searches in two stages."""
-    monkeypatch.setattr(gp_module, "_TWO_STAGE_MIN_N", 80)
-    monkeypatch.setattr(gp_module, "_COARSE_SUBSET_N", 40)
+# The best evidence known on synth seed 14 (2,000 rows, z-scored), to five decimals.
+SYNTH_14_LML = 771.02642
 
 
 def record_evidence(monkeypatch):
-    """(rows, evidence) at every point the searches evaluate, in call order."""
+    """The evidence at every point the ranking and the searches evaluate, in call order."""
     values = []
     profiled = gp_module._profiled_evidence
 
     def recording(S, y, theta, **kwargs):
         lml, grad, hp = profiled(S, y, theta, **kwargs)
-        values.append((y.shape[0], lml))
+        values.append(lml)
         return lml, grad, hp
 
     monkeypatch.setattr(gp_module, "_profiled_evidence", recording)
     return values
 
 
-def record_searches(monkeypatch, steer=None):
-    """Record (x0, result) of every L-BFGS-B search; ``steer(i, x0)`` may move a start."""
+def record_searches(monkeypatch):
+    """Record (x0, result) of every L-BFGS-B search."""
     calls = []
     minimize = gp_module.minimize
 
     def recording(fun, x0, **kwargs):
-        if steer is not None:
-            x0 = steer(len(calls), x0)
         result = minimize(fun, x0, **kwargs)
         calls.append((x0, result))
         return result
@@ -855,154 +995,19 @@ def record_searches(monkeypatch, steer=None):
     return calls
 
 
-def first_start(rng, X):
-    """The first restart's theta for training rows X, drawn from rng the way fit draws it."""
+def start_grid(X):
+    """fit's start grid for training rows X, in grid order: theta = (log l, log 0.1)."""
     S = pairwise_sq_dists(X)
     median_dist = math.sqrt(float(np.median(S[np.triu_indices(X.shape[0], 1)])))
-    log_l0 = rng.uniform(math.log(0.5 * median_dist), math.log(2.0 * median_dist))
-    return np.array([log_l0, math.log(0.1)])
+    scales = gp_module._START_GRID
+    return [np.array([math.log(scale * median_dist), math.log(0.1)]) for scale in scales]
 
 
-def record_guard_points(monkeypatch, calls):
-    """(lml, Hyperparams) of every point the guard, the fourth ``record_searches`` search, evaluates."""
-    points = []
-    profiled = gp_module._profiled_evidence
-
-    def recording(S, y, theta, **kwargs):
-        lml, grad, hp = profiled(S, y, theta, **kwargs)
-        if len(calls) == 3:
-            points.append((lml, hp))
-        return lml, grad, hp
-
-    monkeypatch.setattr(gp_module, "_profiled_evidence", recording)
-    return points
-
-
-def best_subset_x(calls):
-    """The end of the best of the three subset searches in ``record_searches`` calls."""
-    return min((result for _, result in calls[:3]), key=lambda result: result.fun).x
-
-
-class TestTwoStageFit:
-    """Restarts on a subset, then a guard restart on the full set, and a polish only
-    from a subset optimum whose full-set evidence beats the guard's end."""
-
-    HP = hp_of(1.5, 2.0, 0.1)
-
-    FAR = np.array([8.0, math.log(0.1)])
-
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_guard_catches_a_polish_stuck_in_a_poor_basin(self, two_stage, monkeypatch, seed):
-        # Every subset search starts at a length-scale of e^8, far past the
-        # data, where the evidence is flat in it: the subset optimum stays
-        # there, ranks below the guard's end, and no polish runs.
-        calls = record_searches(monkeypatch, lambda i, x0: self.FAR if i < 3 else x0)
-        points = record_guard_points(monkeypatch, calls)
-        X, y = sample_from_prior(self.HP, n=100, D=3, seed=seed)
-        model = fit(X, y, restarts=3, seed=seed)
-        assert len(calls) == 4
-        guard = calls[3][1]
-        np.testing.assert_array_equal(calls[3][0], first_start(np.random.default_rng(seed), X))
-        assert model.hp == max(points, key=lambda point: point[0])[1]
-        far_lml = gp_module._profiled_evidence(pairwise_sq_dists(X), y, self.FAR)[0]
-        assert model.log_evidence >= -guard.fun - 1e-9 * abs(guard.fun)
-        assert model.log_evidence > far_lml + 10.0
-
-    # Not seed 3: its best subset optimum sits at the noise floor, below the far guard's end.
-    @pytest.mark.parametrize("seed", [1, 2, 4])
-    def test_polish_starts_at_the_best_subset_optimum_when_the_guard_ends_far(
-        self, two_stage, monkeypatch, seed
-    ):
-        calls = record_searches(monkeypatch, lambda i, x0: self.FAR if i == 3 else x0)
-        X, y = sample_from_prior(self.HP, n=100, D=3, seed=seed)
-        model = fit(X, y, restarts=3, seed=seed)
-        assert len(calls) == 5
-        np.testing.assert_array_equal(calls[4][0], best_subset_x(calls))
-        assert model.log_evidence > -calls[3][1].fun + 10.0
-
-    def test_guard_is_the_model_if_the_ranking_evaluation_fails(self, two_stage, monkeypatch):
-        # The guard ends far, so only the failure stops a polish from the subset optimum.
-        calls = record_searches(monkeypatch, lambda i, x0: self.FAR if i == 3 else x0)
-        points = record_guard_points(monkeypatch, calls)
-        profiled, failed = gp_module._profiled_evidence, []
-
-        def failing_value_alone(S, y, theta, gradient=True):
-            if not gradient:
-                failed.append(theta.copy())
-                raise NumericalError("not positive definite")
-            return profiled(S, y, theta)
-
-        monkeypatch.setattr(gp_module, "_profiled_evidence", failing_value_alone)
-        X, y = sample_from_prior(self.HP, n=100, D=3, seed=1)
-        model = fit(X, y, restarts=3, seed=1)
-        assert len(calls) == 4
-        assert len(failed) == 1
-        np.testing.assert_array_equal(failed[0], best_subset_x(calls))
-        assert model.hp == max(points, key=lambda point: point[0])[1]
-        assert model.log_evidence >= -calls[3][1].fun - 1e-9 * abs(calls[3][1].fun)
-
-    def test_subsample_and_first_start_are_those_of_one_stage(self, two_stage, monkeypatch):
-        calls = record_searches(monkeypatch)
-        X, y = sample_from_prior(self.HP, n=120, D=3, seed=30)
-        model = fit(X, y, max_train=100, restarts=3, seed=30)
-
-        # Replay the training subsample and the first start the way fit draws them.
-        rng = np.random.default_rng(30)
-        idx = np.sort(rng.choice(120, size=100, replace=False))
-        np.testing.assert_array_equal(model.X_train, X[idx])
-        theta0 = first_start(rng, X[idx])
-        np.testing.assert_array_equal(calls[0][0], theta0)  # first subset search
-        np.testing.assert_array_equal(calls[3][0], theta0)  # full-set guard
-
-    def test_same_seed_gives_identical_hyperparameters(self, two_stage):
-        X, y = sample_from_prior(self.HP, n=100, D=3, seed=31)
-        first = log_array(fit(X, y, restarts=3, seed=31).hp)
-        second = log_array(fit(X, y, restarts=3, seed=31).hp)
-        assert first.tobytes() == second.tobytes()
-
-    @pytest.mark.parametrize("far", [range(3), [3]], ids=["guard-wins", "subset-wins"])
-    def test_one_factorization_per_optimizer_evaluation(self, two_stage, monkeypatch, far):
-        """The ranking evaluation and the final model cost one factorization each; if the
-        guard wins, no polish runs, and if not, the polish factors its first point again."""
-        calls = record_searches(monkeypatch, lambda i, x0: self.FAR if i in far else x0)
-        shapes = []
-        cholesky = gp_module.cholesky_with_jitter
-
-        def counting_cholesky(K, noise=0.0, **kwargs):
-            shapes.append(K.shape)
-            return cholesky(K, noise, **kwargs)
-
-        monkeypatch.setattr(gp_module, "cholesky_with_jitter", counting_cholesky)
-        X, y = sample_from_prior(self.HP, n=100, D=3, seed=32)
-        fit(X, y, restarts=3, seed=32)
-        nfev = [result.nfev for _, result in calls]
-        assert shapes.count((40, 40)) == sum(nfev[:3])
-        if far == range(3):
-            assert len(nfev) == 3 + 1
-            assert len(shapes) == sum(nfev) + 2
-        else:
-            assert len(nfev) == 3 + 2
-            assert len(shapes) == sum(nfev) + 2
-            np.testing.assert_array_equal(calls[4][0], best_subset_x(calls))
-
-    def test_polish_beats_the_guard_on_a_multi_basin_input(self, monkeypatch):
-        """The input that keeps the subset stage, at the real constants: 2,000 z-scored
-        synthetic rows on which the guard, the one-restart search, ends in a worse
-        basin than the polish from the best subset optimum."""
-        _, X, grades = synthesize_dataset([400] * 5, 8, 6.0, 1.0, 14)
-        calls = record_searches(monkeypatch)
-        model = fit(apply_normalizer(fit_normalizer(X), X), grades.astype(float),
-                    restarts=3, seed=0)
-        assert len(calls) == 5
-        assert model.log_evidence > -calls[3][1].fun + 10.0
-
-    @pytest.mark.parametrize("n, restarts", [(100, 1), (79, 3)])
-    def test_one_search_per_restart_otherwise(self, two_stage, monkeypatch, n, restarts):
-        calls = record_searches(monkeypatch)
-        X, y = sample_from_prior(self.HP, n=n, D=3, seed=33)
-        model = fit(X, y, restarts=restarts, seed=33)
-        assert len(calls) == restarts
-        assert model.X_train.shape == (n, 3)
+def ranked_starts(X, y):
+    """fit's start grid for (X, y), best evidence first, a tie to the earlier grid point."""
+    S, grid = pairwise_sq_dists(X), start_grid(X)
+    values = [gp_module._profiled_evidence(S, y, theta, gradient=False)[0] for theta in grid]
+    return [grid[i] for i in sorted(range(len(grid)), key=lambda i: -values[i])]
 
 
 def floor_noise_model(jitter):
