@@ -3,10 +3,10 @@
 Standard Cholesky formulation: the training system (K + noise*I) alpha = y
 is factorized once per hyperparameter setting. The log marginal likelihood,
 with the signal variance profiled out in closed form, and its analytic
-log-space gradients drive L-BFGS-B searches, from the best-ranked points of a
-fixed start grid, over the length-scale and the noise-to-signal ratio, and
-prediction reads the posterior mean and standard deviation off the inverse of
-the training factor.
+log-space gradients drive two-variable L-BFGS searches (``minimize``, no
+scipy.optimize), from the best-ranked points of a fixed start grid, over the
+length-scale and the noise-to-signal ratio, and prediction reads the posterior
+mean and standard deviation off the inverse of the training factor.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import mmap
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -44,7 +45,7 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # 2,048-row ones with a quarter of the block memory; 256 rows were slower.
 _PREDICT_BLOCK = 512
 
-# L-BFGS-B stopping rules for every evidence search.
+# Stop rules of every evidence search, L-BFGS-B's: steps, relative f reduction, max |g|.
 LBFGS_OPTIONS = {"maxiter": 200, "ftol": 1e-6, "gtol": 1e-5}
 
 # Start length-scales, as multiples of the median pairwise distance, that fit ranks by
@@ -53,11 +54,45 @@ _START_GRID = (0.125, 0.25, 0.5, 1.0, 2.0)
 _ONE_SEARCH_MIN_N = 2000
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on the first call: only ``fit`` needs it."""
-    from scipy.optimize import minimize
-
-    return minimize(*args, **kwargs)
+def minimize(fun, x0) -> SimpleNamespace:
+    """Minimize ``fun(x) -> (f, gradient)`` over two variables from x0 by L-BFGS with 10 pairs
+    (Nocedal & Wright 2006, Alg. 7.4) and Armijo backtracking, each trial cut to the quadratic's
+    minimizer within [0.1, 0.5] of it (Alg. 3.1). A point whose f or gradient is not finite
+    counts as f = inf, and no step is taken from such a start. As in L-BFGS-B, the first step
+    is -g / ||g||, a pair with s^T y <= eps * -g^T s is skipped, 20 failed trials clear the pairs
+    (or stop, if none) and ``LBFGS_OPTIONS`` holds the stop rules. 2-vectors are complex numbers,
+    so the algebra runs in Python floats, never in numpy's BLAS."""
+    dot = lambda u, v: u.real * v.real + u.imag * v.imag
+    def evaluate(x):
+        f, g = fun(np.array([x.real, x.imag]))
+        return (float(f), complex(*g)) if all(map(math.isfinite, (f, *g))) else (math.inf, 0j)
+    x, pairs, nit, reduction, stuck = complex(*x0), [], 0, math.inf, False
+    (f, g), nfev = evaluate(x), 1
+    while not (message := "no step lowers f" if stuck or f == math.inf
+               else "max |g| <= gtol" if max(abs(g.real), abs(g.imag)) <= LBFGS_OPTIONS["gtol"]
+               else "relative reduction of f <= ftol" if reduction <= LBFGS_OPTIONS["ftol"]
+               else "maxiter iterations" if nit >= LBFGS_OPTIONS["maxiter"] else ""):
+        d, alphas = -g, []  # the two-loop recursion: d = -H g
+        for s, y in reversed(pairs):
+            alphas.append(dot(s, d) / dot(s, y))
+            d -= alphas[-1] * y
+        d *= dot(*pairs[-1]) / dot(pairs[-1][1], pairs[-1][1]) if pairs else 1.0 / abs(g)
+        for (s, y), alpha in zip(pairs, reversed(alphas)):
+            d += (alpha - dot(y, d) / dot(s, y)) * s
+        slope, t = dot(g, d), 1.0
+        for _ in range(20 if slope < 0 else 0):
+            (f_t, g_t), nfev = evaluate(x + t * d), nfev + 1
+            if f_t <= f + 1e-4 * t * slope:
+                break
+            t *= min(max(-slope * t / (2.0 * (f_t - f - slope * t)), 0.1), 0.5)
+        else:
+            stuck, pairs = not pairs, []
+            continue
+        s, y, reduction = t * d, g_t - g, (f - f_t) / max(abs(f), abs(f_t), 1.0)
+        if dot(s, y) > -np.finfo(float).eps * dot(g, s):
+            pairs = pairs[-9:] + [(s, y)]
+        x, f, g, nit = x + s, f_t, g_t, nit + 1
+    return SimpleNamespace(x=np.array([x.real, x.imag]), fun=f, nfev=nfev, nit=nit, message=message)
 
 
 @dataclass(frozen=True)
@@ -277,9 +312,8 @@ def fit(
     The evidence at r = 0.1 ranks the length-scales ``_START_GRID`` times the median
     pairwise distance, ties to the earlier, and one search runs from each of the top
     ``restarts`` computable ones (default 2 below ``_ONE_SEARCH_MIN_N`` rows, else 1).
-    Each search returns the best point it evaluates, never worse than its start, and the
-    best of those records wins. A point whose evidence is not computable reads as that
-    best value minus its distance from the best point, so the search backs off and goes on.
+    Each search (``minimize``, which backs off from a point whose evidence is not computable)
+    returns the best point it evaluates, never worse than its start; the best record wins.
     """
     X, y = _validate_training_data(X, y)
     if max_train < 2:
@@ -299,7 +333,8 @@ def fit(
         restarts = 2 if n < _ONE_SEARCH_MIN_N else 1
 
     with np.errstate(over="ignore"):  # two middle distances at the float maximum average to inf
-        median_dist = math.sqrt(np.median(S[np.tri(n, k=-1, dtype=bool)], overwrite_input=True))
+        median_dist = math.sqrt(np.median(  # of the strict lower triangle, gathered by rows
+            np.concatenate([S[i, :i] for i in range(n)]), overwrite_input=True))
     if not 0.0 < median_dist < math.inf:
         median_dist = 1.0
 
@@ -308,25 +343,20 @@ def fit(
         try:
             return _profiled_evidence(S, y, theta, gradient=gradient)
         except (InputError, NumericalError, OverflowError, FloatingPointError):
-            return math.nan, None, None
+            return math.nan, np.full(2, math.nan), None
 
     def search(record):
         """The record (lml, theta, Hyperparams) of the best point, the earliest of ties, of
-        the start's record and every point L-BFGS-B evaluates from it."""
+        the start's record and every point ``minimize`` evaluates from it."""
 
         def negative_evidence(theta):
             nonlocal record
             lml, grad, hp = evidence(theta)
-            if math.isfinite(lml) and np.isfinite(grad).all():
-                if lml > record[0]:
-                    record = (lml, np.array(theta), hp)
-                return -lml, -grad
-            # Worse than the best point by the distance to it: the line search backs off.
-            step = theta - record[1]
-            distance = math.hypot(*step)
-            return distance - record[0], step / (distance or 1.0)
+            if record[0] < lml < math.inf and np.isfinite(grad).all():
+                record = (lml, theta, hp)
+            return -lml, -grad  # minimize backs off from a point where either is not finite
 
-        minimize(negative_evidence, record[1], jac=True, method="L-BFGS-B", options=LBFGS_OPTIONS)
+        minimize(negative_evidence, record[1])
         return record
 
     starts = []  # the computable grid points' records
