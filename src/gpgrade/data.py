@@ -352,15 +352,16 @@ def _atomic_write(path, content) -> None:
 
 
 def _model_digests(model: gp.GPModel) -> dict:
-    alpha = model.alpha
-    return {"chol_l_fro": model.chol_l_fro, "alpha_l2": math.sqrt(blas.ddot(alpha, alpha))}
+    hp, alpha = model.hp, model.alpha
+    trace = alpha.size * (hp.signal_variance + hp.noise_variance + model.jitter)
+    return {"chol_l_fro": math.sqrt(trace), "alpha_l2": math.sqrt(blas.ddot(alpha, alpha))}
 
 
 def save_model(model: gp.GPModel, path) -> None:
     """Serialize a trained model to a versioned, checksummed archive.
 
-    The Cholesky factor and solve vector are not stored; numeric digests
-    of both are, so the load path can verify its recomputation.
+    The Cholesky factor and solve vector are not stored; digests of both are
+    (||L||_F from the factor's trace, and ||alpha||), so the load path can verify its rebuild.
     """
     arrays = [("X_train", model.X_train), ("y_train", model.y_train)]
     if model.normalizer is not None:
@@ -429,8 +430,8 @@ def load_model(path) -> gp.GPModel:
     version, checksum mismatch, truncation, a header with missing,
     mistyped or inconsistent entries, hyperparameters, normalizer
     statistics or training rows that ``Hyperparams``, ``NormStats`` or
-    ``gp.build_model`` reject, or when the recomputed factor/solve digests
-    deviate from the saved ones.
+    ``gp.build_model`` reject, or when the digests of the rebuilt model,
+    ||L||_F from its factor's trace and ||alpha||, deviate from the saved ones.
     """
     path = Path(path)
     with _reading(path):

@@ -45,7 +45,7 @@ _LOG_2PI = math.log(2.0 * math.pi)
 # 2,048-row ones with a quarter of the block memory; 256 rows were slower.
 _PREDICT_BLOCK = 512
 
-# Stop rules of every evidence search, L-BFGS-B's: steps, relative f reduction, max |g|.
+# Stop rules of every evidence search, taken from L-BFGS-B: steps, relative f reduction, max |g|.
 LBFGS_OPTIONS = {"maxiter": 200, "ftol": 1e-6, "gtol": 1e-5}
 
 # Start length-scales, as multiples of the median pairwise distance, that fit ranks by
@@ -55,17 +55,23 @@ _ONE_SEARCH_MIN_N = 2000
 
 
 def minimize(fun, x0) -> SimpleNamespace:
-    """Minimize ``fun(x) -> (f, gradient)`` over two variables from x0 by L-BFGS with 10 pairs
-    (Nocedal & Wright 2006, Alg. 7.4) and Armijo backtracking, each trial cut to the quadratic's
-    minimizer within [0.1, 0.5] of it (Alg. 3.1). A point whose f or gradient is not finite
-    counts as f = inf, and no step is taken from such a start. As in L-BFGS-B, the first step
-    is -g / ||g||, a pair with s^T y <= eps * -g^T s is skipped, 20 failed trials clear the pairs
-    (or stop, if none) and ``LBFGS_OPTIONS`` holds the stop rules. 2-vectors are complex numbers,
+    """Minimize ``fun(x) -> (f, gradient[, note])`` over two variables from x0 by L-BFGS with 10
+    pairs (Nocedal & Wright 2006, Alg. 7.4) and Armijo backtracking, each trial cut to the
+    quadratic's minimizer within [0.1, 0.5] of it (Alg. 3.1). A point whose f or gradient is not
+    finite counts as f = inf, and no step is taken from such a start. As in L-BFGS-B, the first
+    step is -g / ||g||, a pair with s^T y <= eps * -g^T s is skipped, 20 failed trials clear the
+    pairs (or stop, if none) and ``LBFGS_OPTIONS`` holds the stop rules. The result's ``best`` is
+    the note of the first point of least f whose f and gradient are finite, a trial the Armijo
+    test refused included (None if there is none, or no note). 2-vectors are complex numbers,
     so the algebra runs in Python floats, never in numpy's BLAS."""
     dot = lambda u, v: u.real * v.real + u.imag * v.imag
+    finite = []  # (f, note) of each point whose f and gradient are finite, in call order
     def evaluate(x):
-        f, g = fun(np.array([x.real, x.imag]))
-        return (float(f), complex(*g)) if all(map(math.isfinite, (f, *g))) else (math.inf, 0j)
+        f, g, *note = fun(np.array([x.real, x.imag]))
+        if not all(map(math.isfinite, (f, *g))):
+            return math.inf, 0j
+        finite.append((float(f), note[0] if note else None))
+        return finite[-1][0], complex(*g)
     x, pairs, nit, reduction, stuck = complex(*x0), [], 0, math.inf, False
     (f, g), nfev = evaluate(x), 1
     while not (message := "no step lowers f" if stuck or f == math.inf
@@ -92,14 +98,15 @@ def minimize(fun, x0) -> SimpleNamespace:
         if dot(s, y) > -np.finfo(float).eps * dot(g, s):
             pairs = pairs[-9:] + [(s, y)]
         x, f, g, nit = x + s, f_t, g_t, nit + 1
-    return SimpleNamespace(x=np.array([x.real, x.imag]), fun=f, nfev=nfev, nit=nit, message=message)
+    return SimpleNamespace(x=np.array([x.real, x.imag]), fun=f, nfev=nfev, nit=nit, message=message,
+                           best=min(finite, key=lambda point: point[0], default=(0, None))[1])
 
 
 @dataclass(frozen=True)
 class GPModel:
     """Trained regressor state, never changed once built. ``L_inv`` holds L^-1 for the
-    lower Cholesky factor L of the training system, inverted in L's own buffer;
-    ``log_evidence`` and ``chol_l_fro`` (||L||_F) are read off L before that. That buffer is
+    lower Cholesky factor L of K + (noise + ``jitter``)*I, the jitter that factoring took,
+    inverted in L's own buffer; ``log_evidence`` is read off L before that. That buffer is
     a private anonymous mapping whose other triangle is never written, so unless transparent
     huge pages are ``always`` on, only the pages that hold some of L are resident.
     """
@@ -110,7 +117,7 @@ class GPModel:
     L_inv: np.ndarray
     alpha: np.ndarray
     log_evidence: float
-    chol_l_fro: float
+    jitter: float
     normalizer: "NormStats | None" = None
     train_subset_seed: int = 0
 
@@ -275,22 +282,20 @@ def build_model(
     normalizer: "NormStats | None" = None,
     train_subset_seed: int = 0,
 ) -> GPModel:
-    """Assemble a GPModel at fixed hyperparameters (no optimization), its kernel built from X
-    into a zero-filled mapping that numpy does not advise into huge pages (see GPModel)."""
+    """Assemble a GPModel at fixed hyperparameters (no optimization) and its factor's jitter, the
+    kernel built from X into a zero-filled mapping numpy does not advise into huge pages."""
     X, y = _validate_training_data(X, y)
     # Private, as an anonymous mapping already is where there is no MAP_PRIVATE (Windows).
     private = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
     K = np.frombuffer(mmap.mmap(-1, 8 * y.size**2, **private)).reshape(y.size, -1)
-    L, _ = cholesky_with_jitter(K, hp.noise_variance, hp=hp, X=X)
+    L, jitter = cholesky_with_jitter(K, hp.noise_variance, hp=hp, X=X)
     alpha = cho_solve((L, True), y, check_finite=False)
     half_logdet = float(np.sum(np.log(np.diag(L))))
     lml = -0.5 * blas.ddot(y, alpha) - half_logdet - 0.5 * y.shape[0] * _LOG_2PI
-    flat = L.ravel(order="K")
-    chol_l_fro = math.sqrt(blas.ddot(flat, flat))
     L_inv, info = lapack.dtrtri(L, lower=1, overwrite_c=1)  # in L's own buffer: no n x n copy
     if info != 0:
         raise NumericalError(f"the training factor is singular: diagonal {info - 1} is zero")
-    return GPModel(hp, X, y, L_inv, alpha, lml, chol_l_fro, normalizer, train_subset_seed)
+    return GPModel(hp, X, y, L_inv, alpha, lml, jitter, normalizer, train_subset_seed)
 
 
 def fit(
@@ -313,7 +318,7 @@ def fit(
     pairwise distance, ties to the earlier, and one search runs from each of the top
     ``restarts`` computable ones (default 2 below ``_ONE_SEARCH_MIN_N`` rows, else 1).
     Each search (``minimize``, which backs off from a point whose evidence is not computable)
-    returns the best point it evaluates, never worse than its start; the best record wins.
+    reports the best point it evaluates, or else its start; the best record wins.
     """
     X, y = _validate_training_data(X, y)
     if max_train < 2:
@@ -338,37 +343,26 @@ def fit(
     if not 0.0 < median_dist < math.inf:
         median_dist = 1.0
 
-    def evidence(theta, gradient=True):
-        """``_profiled_evidence`` at theta; lml is nan where it is not computable."""
+    def negative_evidence(theta, gradient=True):
+        """(-lml, -gradient, record (lml, theta, Hyperparams)) of ``_profiled_evidence`` at
+        theta; lml is nan where it is not computable."""
         try:
-            return _profiled_evidence(S, y, theta, gradient=gradient)
+            lml, grad, hp = _profiled_evidence(S, y, theta, gradient=gradient)
         except (InputError, NumericalError, OverflowError, FloatingPointError):
-            return math.nan, np.full(2, math.nan), None
-
-    def search(record):
-        """The record (lml, theta, Hyperparams) of the best point, the earliest of ties, of
-        the start's record and every point ``minimize`` evaluates from it."""
-
-        def negative_evidence(theta):
-            nonlocal record
-            lml, grad, hp = evidence(theta)
-            if record[0] < lml < math.inf and np.isfinite(grad).all():
-                record = (lml, theta, hp)
-            return -lml, -grad  # minimize backs off from a point where either is not finite
-
-        minimize(negative_evidence, record[1])
-        return record
+            lml, grad, hp = math.nan, np.full(2, math.nan), None
+        return -lml, -grad, (lml, theta, hp)
 
     starts = []  # the computable grid points' records
     for scale in _START_GRID:
         theta = np.array([math.log(scale * median_dist), math.log(0.1)])
-        lml, _, hp = evidence(theta, gradient=False)
-        if math.isfinite(lml):
-            starts.append((lml, theta, hp))
+        _, _, start = negative_evidence(theta, gradient=False)
+        if math.isfinite(start[0]):
+            starts.append(start)
     starts.sort(key=lambda start: -start[0])  # stable: a tie keeps the earlier grid point
     if not starts:
         raise NumericalError("evidence was non-finite at every restart")
-    _, _, hp = max(map(search, starts[:restarts]), key=lambda record: record[0])
+    records = (minimize(negative_evidence, start[1]).best or start for start in starts[:restarts])
+    _, _, hp = max(records, key=lambda record: record[0])
 
     del S  # freed before the model's buffer is touched
     return build_model(X, y, hp, normalizer, seed)

@@ -27,7 +27,10 @@ from gpgrade import (
 )
 from gpgrade.data import MODEL_MAGIC, STD_FLOOR, NormStats, _feature_runs, _normalize_in_place
 from gpgrade.errors import ModelFormatError, ParseError
-from gpgrade.kernel import Hyperparams, pairwise_sq_dists
+from gpgrade.gp import cholesky_with_jitter
+from gpgrade.kernel import Hyperparams, kernel_matrix, pairwise_sq_dists
+
+from test_gp import duplicated_dyadic_rows
 
 
 def write_csv(path, rows, dim=4):
@@ -659,6 +662,64 @@ class TestModelArchive:
         save_model(model, tmp_path / "a.model")
         save_model(model, tmp_path / "b.model")
         assert (tmp_path / "a.model").read_bytes() == (tmp_path / "b.model").read_bytes()
+
+
+def digest_rows(jittered):
+    """200 training rows, targets and hyperparameters whose factor takes no jitter, or, on
+    ``duplicated_dyadic_rows``, an escalated one."""
+    if jittered:
+        X, hp, rng = duplicated_dyadic_rows()
+    else:
+        rng = np.random.default_rng(34)
+        X, hp = rng.normal(size=(200, 5)), Hyperparams(math.log(1.5), math.log(1.5), -2.0)
+    return X, rng.normal(size=X.shape[0]), hp
+
+
+def copying_factor(X, hp):
+    """||L||_F and the jitter of the copying path's factor of the training system."""
+    L, jitter = cholesky_with_jitter(kernel_matrix(X, X, hp), hp.noise_variance)
+    return float(np.linalg.norm(L)), jitter
+
+
+class TestModelDigests:
+    """``chol_l_fro`` is ||L||_F from the factor's trace, sqrt(n * (s2 + noise + jitter))."""
+
+    @pytest.mark.parametrize("jittered", [False, True], ids=["no jitter", "jitter"])
+    def test_chol_l_fro_is_the_norm_of_the_copying_factor(self, jittered):
+        X, y, hp = digest_rows(jittered)
+        model = build_model(X, y, hp)
+        norm, jitter = copying_factor(X, hp)
+        assert model.jitter == jitter
+        assert (jitter > 0.0) == jittered
+        derived = gpgrade.data._model_digests(model)["chol_l_fro"]
+        assert derived == pytest.approx(norm, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("jittered", [False, True], ids=["no jitter", "jitter"])
+    def test_an_archive_with_the_measured_norm_loads(self, tmp_path, monkeypatch, jittered):
+        """An archive whose digest is ||L||_F measured on the factor, as archives were written
+        before the digest was derived from the jitter."""
+        X, y, hp = digest_rows(jittered)
+        model = build_model(X, y, hp)
+        digests = gpgrade.data._model_digests
+        measured = {**digests(model), "chol_l_fro": copying_factor(X, hp)[0]}
+        monkeypatch.setattr(gpgrade.data, "_model_digests", lambda model: measured)
+        save_model(model, tmp_path / "m.model")
+        monkeypatch.undo()
+        loaded = load_model(tmp_path / "m.model")
+        assert (loaded.hp, loaded.jitter) == (model.hp, model.jitter)
+        for got, want in zip(predict(loaded, X[:20]), predict(model, X[:20])):
+            np.testing.assert_array_equal(got, want)
+
+    def test_a_norm_off_by_1e_9_is_rejected(self, tmp_path):
+        X, y, hp = digest_rows(jittered=True)
+        save_model(build_model(X, y, hp), tmp_path / "m.model")
+
+        def scale(header):
+            header["digests"]["chol_l_fro"] *= 1 + 1e-9
+
+        rewrite_header(tmp_path / "m.model", scale)
+        with pytest.raises(ModelFormatError, match="digest chol_l_fro mismatch"):
+            load_model(tmp_path / "m.model")
 
 
 def reseal(path, edit):

@@ -1133,6 +1133,57 @@ class TestMinimize:
         np.testing.assert_array_equal(points[3], x)
         np.testing.assert_allclose(points[24], x - g / math.hypot(*g), rtol=1e-15)
 
+    @pytest.mark.parametrize(
+        "fun", [quadratic((0.8, -1.4)), rosenbrock], ids=["quadratic", "rosenbrock"]
+    )
+    def test_best_is_the_note_of_the_first_point_of_least_f(self, fun):
+        values = []
+
+        def noted(x):
+            f, g = fun(x)
+            values.append(f)
+            return f, g, len(values) - 1
+
+        result = gp_module.minimize(noted, np.array([-1.2, 1.0]))
+        assert result.best == values.index(min(values))
+        assert values[result.best] == result.fun
+
+    def test_a_tie_goes_to_the_earliest_point(self):
+        """f is flat but its gradient is not: every trial ties with the start, call 1, which
+        is best."""
+        counted, points = recorded(lambda x: (1.0, np.array([1.0, 0.0]), len(points)))
+        result = gp_module.minimize(counted, np.array([0.5, 0.5]))
+        assert (result.message, result.nfev) == (STUCK, 21)
+        assert result.best == 1
+
+    def test_a_trial_the_armijo_test_refuses_can_be_best(self):
+        """The first trial lowers f by 1e-5, less than the Armijo test's 1e-4 along a unit
+        step of slope -1, so no step is taken; no later trial is lower, so it, call 2, is
+        best."""
+
+        def barely_lower(x):
+            points.append(x)
+            return 1.0 - (len(points) == 2) * 1e-5, np.array([1.0, 0.0]), len(points)
+
+        points = []
+        result = gp_module.minimize(barely_lower, np.array([0.5, 0.5]))
+        assert (result.message, result.nfev, result.nit) == (STUCK, 21, 0)
+        np.testing.assert_array_equal(result.x, [0.5, 0.5])
+        assert result.fun == 1.0
+        assert result.best == 2
+
+    @pytest.mark.parametrize("start", [(math.nan, 0.0), (1.0, math.inf)], ids=["f", "gradient"])
+    def test_a_start_that_is_not_finite_has_no_best(self, start):
+        f, g = start
+        result = gp_module.minimize(lambda x: (f, np.full(2, g), "start"), np.array([1.0, 2.0]))
+        assert result.best is None
+
+    def test_a_fun_without_notes_still_minimizes_and_has_no_best(self):
+        result = gp_module.minimize(quadratic((0.8, -1.4)), np.array([4.0, -3.0]))
+        assert result.message == GTOL_STOP
+        np.testing.assert_allclose(result.x, [0.8, -1.4], rtol=0, atol=1e-5)
+        assert result.best is None
+
 
 # The best evidence known on synth seed 14 (2,000 rows, z-scored), to five decimals.
 SYNTH_14_LML = 771.02642
