@@ -27,7 +27,6 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import blas
 
 from . import gp
 from .errors import InputError, ModelFormatError, ParseError
@@ -316,7 +315,7 @@ def synthesize_dataset(
         raise InputError("seed must be non-negative")
     rng = np.random.default_rng(seed)
     u = rng.normal(size=D)
-    u /= math.sqrt(blas.ddot(u, u))
+    u /= math.sqrt(u @ u)
     total = int(sum(n_per_grade))
     eps = rng.normal(size=(total, D))
     grades = np.repeat(np.arange(5), [int(n) for n in n_per_grade])
@@ -354,7 +353,8 @@ def _atomic_write(path, content) -> None:
 def _model_digests(model: gp.GPModel) -> dict:
     hp, alpha = model.hp, model.alpha
     trace = alpha.size * (hp.signal_variance + hp.noise_variance + model.jitter)
-    return {"chol_l_fro": math.sqrt(trace), "alpha_l2": math.sqrt(blas.ddot(alpha, alpha))}
+    with np.errstate(over="ignore"):  # inf: such a model's archive does not load
+        return {"chol_l_fro": math.sqrt(trace), "alpha_l2": math.sqrt(alpha @ alpha)}
 
 
 def save_model(model: gp.GPModel, path) -> None:

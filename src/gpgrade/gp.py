@@ -18,8 +18,8 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.linalg import blas, cho_solve, lapack
 
+from . import _lapack
 from .errors import InputError, NumericalError
 from .kernel import (
     _STRIP,
@@ -153,7 +153,7 @@ def cholesky_with_jitter(K, noise: float = 0.0, hp: Hyperparams | None = None, X
             _kernel_from_lower(K, hp, X)
         A = K if hp is not None else K.copy()
         np.fill_diagonal(A, diag + jitter)
-        L, info = lapack.dpotrf(A.T, lower=1, clean=int(hp is None), overwrite_a=1)
+        L, info = _lapack.dpotrf(A.T, lower=1, clean=int(hp is None), overwrite_a=1)
         if info == 0:
             return L, jitter
     raise NumericalError(
@@ -201,27 +201,29 @@ def _evidence_terms(S, y, hp: Hyperparams, noise: float, gradient: bool = True) 
     ends there with the diagonal. D is symmetric with a zero diagonal, so a^T D a and
     tr(Ky^-1 D) are twice their strict lower sums, read in strips of rows: K*S rebuilt
     from the rows' distances (the diagonal tile's Ky^-1 masked to 0 first), Ky^-1 from
-    the mirrored columns (einsum; BLAS ddot is slow to wake).
+    the mirrored columns (einsum). A product that overflows is inf, as the evidence then is.
     """
     L, jitter = cholesky_with_jitter(S, noise, hp=hp)
-    alpha = cho_solve((L, True), y, check_finite=False)
+    alpha, _ = _lapack.dpotrs(L, y, lower=1)
     half_logdet = float(np.sum(np.log(np.diag(L))))
-    if not gradient:
-        return (blas.ddot(y, alpha), half_logdet) + (math.nan,) * 5
-    _, info = lapack.dpotri(L, lower=1, overwrite_c=1)
-    if info != 0:
-        raise NumericalError(f"inverting the training system failed (dpotri info {info})")
-    a_D_a = tr_D = 0.0
-    for i in range(0, y.shape[0], _STRIP):
-        rows = slice(i, i + _STRIP)
-        D = np.tril(S[rows, : rows.stop], i - 1)  # the diagonal tile's upper triangle is Ky^-1
-        KS = rbf_from_sq_dists(D, hp)
-        KS *= D
-        a_D_a += blas.ddot(alpha[rows], blas.dgemv(1.0, KS.T, alpha[: rows.stop], trans=1))
-        tr_D += np.einsum("ij,ji->", KS, S[: rows.stop, rows])
-    l2 = hp.length_scale**2
-    return (blas.ddot(y, alpha), half_logdet, 2.0 * a_D_a / l2, 2.0 * tr_D / l2,
-            blas.ddot(alpha, alpha), float(np.trace(S)), noise + jitter)
+    with np.errstate(over="ignore"):
+        y_alpha = float(y @ alpha)
+        if not gradient:
+            return (y_alpha, half_logdet) + (math.nan,) * 5
+        _, info = _lapack.dpotri(L, lower=1, overwrite_c=1)
+        if info != 0:
+            raise NumericalError(f"inverting the training system failed (dpotri info {info})")
+        a_D_a = tr_D = 0.0
+        for i in range(0, y.shape[0], _STRIP):
+            rows = slice(i, i + _STRIP)
+            D = np.tril(S[rows, : rows.stop], i - 1)  # the diagonal tile's upper triangle is Ky^-1
+            KS = rbf_from_sq_dists(D, hp)
+            KS *= D
+            a_D_a += alpha[rows] @ (KS @ alpha[: rows.stop])
+            tr_D += np.einsum("ij,ji->", KS, S[: rows.stop, rows])
+        l2 = hp.length_scale**2
+        return (y_alpha, half_logdet, 2.0 * a_D_a / l2, 2.0 * tr_D / l2,
+                float(alpha @ alpha), float(np.trace(S)), noise + jitter)
 
 
 def _lml_and_gradient(terms: tuple, n: int, noise_deriv: float):
@@ -242,8 +244,9 @@ def _profiled_evidence(S: np.ndarray, y: np.ndarray, theta, gradient: bool = Tru
 
     For Ky = s2 * (K~ + r*I), K~ of unit variance, the evidence peaks at
     s2 = y^T (K~ + r*I)^-1 y / n with a zero s2 derivative, so one factorization
-    gives the value and the l and noise entries. Where the floor clamps r * s2,
-    both are the floored noise's, from a second factorization (chain rule via s2).
+    gives the value and the l and noise entries. Where r * s2 is below the floor, the noise
+    stays at the floor and s2 = floor / r, from a second factorization; r then moves the
+    evidence through s2 and the jitter, which scales with s2, so its entry is minus both.
     Without gradient, the gradient is nan, and the lml the same bits from the factors alone.
     """
     log_l, log_r = (float(t) for t in theta)
@@ -257,10 +260,11 @@ def _profiled_evidence(S: np.ndarray, y: np.ndarray, theta, gradient: bool = Tru
                   a_a / s2 / s2, tr_inv / s2, nu * s2)
         lml, grad = _lml_and_gradient(scaled, n, r * s2)
         return lml, grad[[0, 2]], hp
-    # The noise is at the floor, so its derivative is 0.
-    lml, grad = _lml_and_gradient(_evidence_terms(S, y, hp, hp.noise_variance, gradient), n, 0.0)
-    dlog_s2 = np.array([a_D_a, r * a_a]) / (-n * s2)
-    return lml, np.array([grad[0], 0.0]) + grad[1] * dlog_s2, hp
+    log_floor = math.log(NOISE_VARIANCE_FLOOR)
+    hp = Hyperparams(log_l, log_floor - log_r, log_floor)
+    terms = _evidence_terms(S, y, hp, hp.noise_variance, gradient)
+    lml, grad = _lml_and_gradient(terms, n, terms[-1] - hp.noise_variance)
+    return lml, np.array([grad[0], -grad[1] - grad[2]]), hp
 
 
 def log_marginal_likelihood(X, y, hp: Hyperparams) -> tuple[float, np.ndarray]:
@@ -289,10 +293,11 @@ def build_model(
     private = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
     K = np.frombuffer(mmap.mmap(-1, 8 * y.size**2, **private)).reshape(y.size, -1)
     L, jitter = cholesky_with_jitter(K, hp.noise_variance, hp=hp, X=X)
-    alpha = cho_solve((L, True), y, check_finite=False)
+    alpha, _ = _lapack.dpotrs(L, y, lower=1)
     half_logdet = float(np.sum(np.log(np.diag(L))))
-    lml = -0.5 * blas.ddot(y, alpha) - half_logdet - 0.5 * y.shape[0] * _LOG_2PI
-    L_inv, info = lapack.dtrtri(L, lower=1, overwrite_c=1)  # in L's own buffer: no n x n copy
+    with np.errstate(over="ignore"):  # an archive's alpha may overflow: load_model rejects it
+        lml = -0.5 * float(y @ alpha) - half_logdet - 0.5 * y.shape[0] * _LOG_2PI
+    L_inv, info = _lapack.dtrtri(L, lower=1, overwrite_c=1)  # in L's own buffer: no n x n copy
     if info != 0:
         raise NumericalError(f"the training factor is singular: diagonal {info - 1} is zero")
     return GPModel(hp, X, y, L_inv, alpha, lml, jitter, normalizer, train_subset_seed)
@@ -382,8 +387,8 @@ def predict(model: GPModel, X_query) -> tuple[np.ndarray, np.ndarray]:
     for start in range(0, Xq.shape[0], _PREDICT_BLOCK):
         block = slice(start, start + _PREDICT_BLOCK)
         Kq = kernel_matrix(Xq[block], model.X_train, model.hp)
-        mean[block] = blas.dgemv(1.0, Kq.T, model.alpha, trans=1)
-        W = blas.dtrmm(1.0, model.L_inv, Kq.T, lower=1, overwrite_b=1)  # in Kq's own buffer
+        mean[block] = Kq @ model.alpha
+        W = _lapack.dtrmm(1.0, model.L_inv, Kq.T, lower=1, overwrite_b=1)  # in Kq's own buffer
         var = prior - np.einsum("ij,ij->j", W, W)
         del Kq, W  # the next block is built after this one is freed
         np.clip(var, 0.0, None, out=var)

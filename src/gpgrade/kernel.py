@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import blas
 
+from . import _lapack
 from .errors import InputError
 
 # Learned noise variances below this value are clamped so the training
@@ -127,10 +127,10 @@ def _sq_dists(A, B=None, out: np.ndarray | None = None) -> np.ndarray:
     """``pairwise_sq_dists`` before the mirror; on the self path, into the C-ordered n x n out
     if given, of which only the upper triangle and the strips' diagonal tiles are written.
 
-    The products run on scipy's BLAS, the OpenBLAS its LAPACK uses, so
-    numpy's separate thread pool never wakes. Each reads Fortran-ordered
-    transpose views (no copy), applies the exact factor -1/2 itself and
-    writes its own buffer, the result's: the norm sum is added into it (the
+    The products run on numpy's OpenBLAS, the one the factorizations use: the
+    self one by ``_lapack.dsyrk`` on A's transpose view (no copy) into one
+    triangle of out, the cross one by ``@``. Each takes the exact factor -1/2
+    and writes its own buffer, the result's: the norm sum is added into it (the
     same sum, so the same bits, as the product added into the norm sum),
     clipped and scaled in strips of _STRIP rows; on the self path over the
     upper triangle only.
@@ -140,12 +140,12 @@ def _sq_dists(A, B=None, out: np.ndarray | None = None) -> np.ndarray:
     if self_gram:
         b_norms = a_norms
         c = None if out is None else out.T  # its Fortran lower triangle is out's upper one
-        S = blas.dsyrk(-0.5, A.T, trans=1, lower=1, c=c, overwrite_c=1).T
+        S = _lapack.dsyrk(-0.5, A.T, trans=1, lower=1, c=c, overwrite_c=1).T
     else:
         B, b_norms = row_sq_norms(B, "B")
         if A.shape[1] != B.shape[1]:
             raise InputError(f"feature dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
-        S = blas.dgemm(-0.5, B.T, A.T, trans_a=1).T
+        S = (-0.5 * A) @ B.T
     a_quarter, b_quarter = 0.25 * a_norms, 0.25 * b_norms
     with np.errstate(over="ignore"):
         for i in range(0, S.shape[0], _STRIP):

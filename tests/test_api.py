@@ -51,7 +51,7 @@ def test_src_stays_within_its_line_budget():
     """``wc -l src/gpgrade/*.py`` is at most the bound (ROADMAP item 10, less code). A change
     that has to grow ``src/`` raises the bound and says why in CHANGES.md."""
     src = Path(__file__).resolve().parents[1] / "src" / "gpgrade"
-    assert sum(path.read_bytes().count(b"\n") for path in src.glob("*.py")) <= 1618
+    assert sum(path.read_bytes().count(b"\n") for path in src.glob("*.py")) <= 1728
 
 
 def test_every_public_name_resolves():
@@ -85,10 +85,10 @@ def test_readme_module_rows_stay_short():
 
 
 # Runs in a fresh interpreter: import the CLI, run the arguments, and report
-# which of the heavy scipy subpackages each step left loaded.
+# which scipy modules each step left loaded (none: LAPACK comes from numpy's OpenBLAS).
 _IMPORT_PROBE = """
 import json, sys
-heavy = lambda: [m for m in ("scipy.stats", "scipy.optimize") if m in sys.modules]
+heavy = lambda: sorted(m for m in sys.modules if m.startswith("scipy"))
 import gpgrade.cli
 after_import = heavy()
 status = gpgrade.cli.main(sys.argv[1:])
@@ -96,7 +96,8 @@ print(json.dumps({"after_import": after_import, "status": status, "after_run": h
 """
 
 
-@pytest.mark.parametrize("command", ["train", "predict"])
+@pytest.mark.skipif(gpgrade._lapack._call is None, reason="numpy links no scipy-openblas here")
+@pytest.mark.parametrize("command", ["train", "predict", "evaluate", "sweep"])
 def test_cli_import_and_command_skip_scipy_stats_and_optimize(tmp_path, command):
     csv, model, out = tmp_path / "d.csv", tmp_path / "m.model", tmp_path / "p.csv"
     assert cli.main(["synth", "--out", str(csv), "--n-per-grade", "4", "--dim", "3"]) == 0
@@ -106,6 +107,9 @@ def test_cli_import_and_command_skip_scipy_stats_and_optimize(tmp_path, command)
     args = {
         "train": ["train", "--train-csv", str(csv), "--model", str(out)],
         "predict": ["predict", "--test-csv", str(csv), "--model", str(model), "--out", str(out)],
+        "evaluate": ["evaluate", "--test-csv", str(csv), "--model", str(model), "--out", str(out)],
+        "sweep": ["sweep", "--test-csv", str(csv), "--model", str(model), "--out", str(out),
+                  "--std-thresholds", "0.5,1"],
     }[command]
     proc = subprocess.run(
         [sys.executable, "-c", _IMPORT_PROBE, *args],

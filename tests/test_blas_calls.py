@@ -1,72 +1,30 @@
-"""Every matrix product in the package runs on scipy's BLAS, and its imports stay lean.
+"""One BLAS at run time: numpy's OpenBLAS, with no scipy in the process.
 
-The numpy and scipy wheels each load their own OpenBLAS, each with its own
-worker threads. After a numpy product, numpy's workers keep spinning on
-the CPUs that scipy's LAPACK factorization runs on next, which slows it
-about twofold. The package therefore sends every BLAS call through
-``scipy.linalg.blas``, and this test keeps numpy's products out.
+numpy's wheel ships the LAPACK routines the package needs in its own OpenBLAS, and
+``gpgrade._lapack`` binds them through ctypes. Importing ``scipy.linalg`` cost every process
+about 0.2 s and 24 MB and loaded a second OpenBLAS with a second thread pool. So no module
+imports scipy, except ``_lapack``'s fallback (``if _call is None:``) for numpy builds that
+link another BLAS, and a train and an evaluate leave no scipy module loaded.
 
-Importing ``scipy.stats`` costs about a second and ``scipy.optimize`` about
-a third of one, so no module imports either, not even inside a function:
-training runs the package's own two-variable search.
+Importing ``scipy.stats`` costs about a second and ``scipy.optimize`` about a third of one, so
+no module imports either, not even inside a function or the fallback: training runs the
+package's own two-variable search.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gpgrade
+from gpgrade import _lapack, cli, fit, predict
 
 SOURCES = sorted(Path(gpgrade.__file__).parent.glob("*.py"))
-NUMPY_PRODUCTS = {"dot", "matmul", "vdot", "inner", "tensordot", "linalg"}
-
-
-def numpy_blas_uses(source: str) -> list[str]:
-    """``@`` products and numpy product or linalg calls in ``source``."""
-    found = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
-            found.append(f"line {node.lineno}: @")
-        elif isinstance(node, ast.Attribute) and (
-            node.attr == "dot"
-            or (
-                node.attr in NUMPY_PRODUCTS
-                and isinstance(node.value, ast.Name)
-                and node.value.id in ("np", "numpy")
-            )
-        ):
-            found.append(f"line {node.lineno}: .{node.attr}")
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy"):
-            names = {alias.name for alias in node.names}
-            if "linalg" in node.module or names & NUMPY_PRODUCTS:
-                found.append(f"line {node.lineno}: from {node.module} import")
-    return found
-
-
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_no_numpy_blas(path):
-    assert numpy_blas_uses(path.read_text()) == []
-
-
-@pytest.mark.parametrize(
-    "snippet",
-    [
-        "c = a @ b",
-        "a @= b",
-        "c = np.dot(a, b)",
-        "c = a.dot(b)",
-        "c = np.matmul(a, b)",
-        "c = np.vdot(a, b)",
-        "c = np.inner(a, b)",
-        "c = np.tensordot(a, b, 1)",
-        "c = np.linalg.norm(a)",
-        "from numpy.linalg import norm",
-        "from numpy import dot",
-    ],
-)
-def test_guard_finds_numpy_products(snippet):
-    assert numpy_blas_uses(snippet) != []
 
 
 def _imported_modules(node) -> list[str]:
@@ -76,6 +34,59 @@ def _imported_modules(node) -> list[str]:
     if isinstance(node, ast.ImportFrom) and node.module:
         return [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
     return []
+
+
+def scipy_imports(source: str) -> list[str]:
+    """Imports of scipy anywhere but in the body of an ``if _call is None:``, the fallback."""
+    tree = ast.parse(source)
+    fallback = {
+        id(node)
+        for block in ast.walk(tree)
+        if isinstance(block, ast.If) and ast.unparse(block.test) == "_call is None"
+        for statement in block.body
+        for node in ast.walk(statement)
+    }
+    return [
+        f"line {node.lineno}: {module}"
+        for node in ast.walk(tree)
+        if id(node) not in fallback
+        for module in _imported_modules(node)
+        if module.split(".")[0] == "scipy"
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_scipy_imports(path):
+    assert scipy_imports(path.read_text()) == []
+
+
+def test_only_the_fallback_imports_scipy():
+    source = (Path(gpgrade.__file__).parent / "_lapack.py").read_text()
+    assert scipy_imports(source) == []
+    assert "scipy.linalg" in source
+
+
+@pytest.mark.parametrize(
+    "snippet",
+    [
+        "import scipy",
+        "import scipy.linalg",
+        "from scipy.linalg import blas",
+        "from scipy import linalg",
+        "def f():\n    from scipy.linalg import lapack",
+        "import scipy.stats",
+        "from scipy.optimize import minimize",
+        "try:\n    from scipy.optimize import minimize\nexcept ImportError:\n    pass",
+        "if other is None:\n    from scipy.linalg import blas",
+        "if _call is None:\n    pass\nelse:\n    from scipy.linalg import blas",
+    ],
+)
+def test_guard_finds_scipy_imports(snippet):
+    assert scipy_imports(snippet) != []
+
+
+def test_guard_allows_the_fallback():
+    assert scipy_imports("if _call is None:\n    from scipy.linalg import blas") == []
 
 
 def heavy_scipy_imports(source: str) -> list[str]:
@@ -112,3 +123,72 @@ def test_guard_finds_heavy_scipy_imports(snippet):
 
 def test_guard_finds_optimize_inside_a_function():
     assert heavy_scipy_imports("def f():\n    from scipy.optimize import minimize") != []
+
+
+def run_probe(code: str, *args: str) -> dict:
+    """The JSON that ``code`` prints last, run in a fresh interpreter on this package."""
+    src = str(Path(gpgrade.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+# Runs each argument list through the CLI, then reports every scipy module loaded.
+_SCIPY_PROBE = """
+import json, sys
+import gpgrade.cli
+status = [gpgrade.cli.main(args) for args in json.loads(sys.argv[1])]
+print(json.dumps({"status": status, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+"""
+
+
+@pytest.mark.skipif(_lapack._call is None, reason="numpy links no scipy-openblas here")
+def test_train_then_evaluate_load_no_scipy(tmp_path):
+    csv, model = tmp_path / "d.csv", tmp_path / "m.model"
+    assert cli.main(["synth", "--out", str(csv), "--n-per-grade", "6", "--dim", "3"]) == 0
+    commands = [
+        ["train", "--train-csv", str(csv), "--model", str(model), "--restarts", "2"],
+        ["evaluate", "--test-csv", str(csv), "--model", str(model), "--out", str(tmp_path / "r.json")],
+    ]
+    assert run_probe(_SCIPY_PROBE, json.dumps(commands)) == {"status": [0, 0], "scipy": []}
+
+
+# Makes every symbol lookup fail, so _lapack falls back to scipy; then fits and predicts.
+_FALLBACK_PROBE = """
+import ctypes, json, sys
+
+class NoSymbols(ctypes.CDLL):
+    def __getattr__(self, name):
+        raise AttributeError(name)
+
+ctypes.CDLL = NoSymbols
+from gpgrade import _lapack
+from test_blas_calls import small_fit
+
+print(json.dumps({"bound": _lapack._call is not None, "scipy": "scipy.linalg" in sys.modules,
+                  **small_fit()}))
+"""
+
+
+def small_fit() -> dict:
+    """A fit of 60 rows and a predict of 20 others, as JSON-ready lists."""
+    rng = np.random.default_rng(5)
+    X, y = rng.normal(size=(60, 3)), np.sin(rng.normal(size=60))
+    model = fit(X, y, restarts=2)
+    mean, std = predict(model, rng.normal(size=(20, 3)))
+    hp = [model.hp.log_length_scale, model.hp.log_signal_variance, model.hp.log_noise_variance]
+    return {"lml": model.log_evidence, "hp": hp, "mean": mean.tolist(), "std": std.tolist()}
+
+
+def test_fallback_runs_on_scipy_and_agrees():
+    """Where the symbols are missing, the same surface from scipy.linalg fits and predicts alike."""
+    tests = str(Path(__file__).resolve().parent)
+    report = run_probe(f"import sys; sys.path.insert(0, {tests!r})\n" + _FALLBACK_PROBE)
+    assert (report.pop("bound"), report.pop("scipy")) == (False, True)
+    expected = small_fit()
+    assert report.keys() == expected.keys()
+    for key, value in expected.items():
+        np.testing.assert_allclose(report[key], value, rtol=1e-10, atol=1e-10, err_msg=key)

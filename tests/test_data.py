@@ -851,6 +851,8 @@ BAD_ARRAYS = {
     "row inf": ("X_train", set_entry((3, 1), np.inf), "training row 3 is non-finite"),
     "row near the float limit": ("X_train", set_entry((0, 0), 1.3e154), "digest"),
     "target NaN": ("y_train", set_entry(2, np.nan), "training targets must be finite"),
+    # y^T alpha and alpha^T alpha overflow: inf, without a warning, and the digest differs.
+    "target 1e300": ("y_train", set_entry(2, 1e300), "digest alpha_l2 mismatch"),
 }
 
 

@@ -7,7 +7,6 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from scipy.linalg import blas
 
 from gpgrade import Hyperparams, InputError
 from gpgrade import kernel as kernel_module
@@ -202,11 +201,11 @@ def out_of_place_sq_dists(A, B=None):
     quarter = np.einsum("ij,ij->i", A, A) / 4
     cap = np.finfo(np.float64).max / 4
     if B is None:
-        S = quarter[:, None] + quarter[None, :] + blas.dsyrk(-0.5, A.T, trans=1, lower=1).T
+        S = quarter[:, None] + quarter[None, :] + np.triu(-0.5 * (A @ A.T))
         upper = np.triu(np.clip(S, 0.0, cap), 1) * 4.0
         return upper + upper.T
     b_quarter = np.einsum("ij,ij->i", B, B) / 4
-    S = quarter[:, None] + b_quarter[None, :] + blas.dgemm(-0.5, B.T, A.T, trans_a=1).T
+    S = quarter[:, None] + b_quarter[None, :] + -0.5 * (A @ B.T)
     return np.clip(S, 0.0, cap) * 4.0
 
 
