@@ -1,8 +1,8 @@
-"""LAPACK and BLAS routines from the OpenBLAS numpy has loaded, bound through ctypes: no process
-imports scipy, and numpy's ``@`` runs every other product on the same library and thread pool.
-Each has its ``scipy.linalg`` namesake's results and defaults, for the keywords the package
-passes, and works in place on a Fortran-ordered float64 array it may overwrite, else on a copy.
-Where numpy's build names another BLAS or lacks a routine, they are scipy's own (imported then).
+"""LAPACK and BLAS routines from the OpenBLAS numpy has loaded, bound through ctypes, so that no
+process imports scipy and numpy's ``@`` shares their library and thread pool. Each has its
+``scipy.linalg`` namesake's keywords and results for the calls the package makes, on a Fortran
+float64 array: the one given if it may be overwritten, else a copy. Where numpy's build names
+another BLAS or lacks a routine, the names are scipy's own routines.
 """
 
 import ctypes
@@ -32,7 +32,6 @@ def _bind():
     for name, signature in _SIGNATURES.items():
         lengths = [ctypes.c_size_t] * signature.count("c")
         routines[name].argtypes = [kinds[k][0] for k in signature] + lengths
-        routines[name].restype = None
 
     def call(name, *arguments):
         values = [kinds[k][1](v) for k, v in zip(_SIGNATURES[name], arguments, strict=True)]
@@ -44,22 +43,17 @@ def _bind():
 
 def _fortran(a, overwrite, *shape):
     """a as a Fortran-ordered float64 array, itself if it may be overwritten; ValueError unless
-    its shape is ``shape``, where None matches any length."""
+    its shape is ``shape``."""
     a = np.require(a, np.float64, "FW") if overwrite else np.array(a, np.float64, order="F")
-    if a.ndim != len(shape) or any(s not in (None, t) for s, t in zip(shape, a.shape)):
+    if a.shape != shape:
         raise ValueError(f"expected an array of shape {shape}, got {a.shape}")
     return a
 
 
-def _in_place(name, c, lower, overwrite, *diag):
-    """(c or its copy, info) after the LAPACK routine name on that square matrix."""
-    c = _fortran(c, overwrite, len(c), len(c))
-    return c, _call(name, "UL"[lower], *diag, len(c), c, max(len(c), 1), 0)
-
-
 def dpotrf(a, lower=0, clean=1, overwrite_a=0):
     """Cholesky factor of a in its lower (or upper) triangle, and info; clean zeroes the other."""
-    c, info = _in_place("dpotrf", a, lower, overwrite_a)
+    c = _fortran(a, overwrite_a, len(a), len(a))
+    info = _call("dpotrf", "UL"[lower], len(c), c, max(len(c), 1), 0)
     if clean:
         np.copyto(c.T if lower else c, 0.0, where=np.tri(len(c), k=-1, dtype=bool))
     return c, info
@@ -67,35 +61,36 @@ def dpotrf(a, lower=0, clean=1, overwrite_a=0):
 
 def dpotri(c, lower=0, overwrite_c=0):
     """The inverse of the matrix whose Cholesky factor is c, in c's triangle, and info."""
-    return _in_place("dpotri", c, lower, overwrite_c)
+    c = _fortran(c, overwrite_c, len(c), len(c))
+    return c, _call("dpotri", "UL"[lower], len(c), c, max(len(c), 1), 0)
 
 
 def dtrtri(c, lower=0, overwrite_c=0):
     """The inverse of the triangular c, and info: a zero diagonal's index from 1."""
-    return _in_place("dtrtri", c, lower, overwrite_c, "N")
+    c = _fortran(c, overwrite_c, len(c), len(c))
+    return c, _call("dtrtri", "UL"[lower], "N", len(c), c, max(len(c), 1), 0)
 
 
-def dpotrs(c, b, lower=0, overwrite_b=0):
+def dpotrs(c, b, lower=0):
     """x solving A x = b for a vector b and the A whose Cholesky factor is c, and info."""
-    c = _fortran(c, True, len(c), len(c))
-    x, n = _fortran(b, overwrite_b, len(c)), max(len(c), 1)
-    return x, _call("dpotrs", "UL"[lower], len(c), 1, c, n, x, n, 0)
+    c, x = _fortran(c, True, len(c), len(c)), _fortran(b, False, len(c))
+    return x, _call("dpotrs", "UL"[lower], len(c), 1, c, max(len(c), 1), x, max(len(c), 1), 0)
 
 
 def dtrmm(alpha, a, b, lower=0, overwrite_b=0):
-    """alpha * a @ b for the triangular a, in b if it may be overwritten."""
-    a = _fortran(a, True, len(a), len(a))
-    b, m = _fortran(b, overwrite_b, len(a), None), max(len(a), 1)
-    _call("dtrmm", "L", "UL"[lower], "N", "N", len(a), b.shape[1], alpha, a, m, b, m)
+    """alpha * a @ b for the triangular a and a matrix b, in b if it may be overwritten."""
+    a, m = _fortran(a, True, len(a), len(a)), max(len(a), 1)
+    b = _fortran(b, overwrite_b, len(a), np.shape(b)[-1])
+    _call("dtrmm", "L", "UL"[lower], "N", "N", *b.shape, alpha, a, m, b, m)
     return b
 
 
 def dsyrk(alpha, a, c=None, trans=0, lower=0, overwrite_c=0):
     """One triangle of alpha * a @ a.T (a.T @ a with trans), in c if it may be overwritten."""
-    a = _fortran(a, True, None, None)
-    (n, k), lda = a.shape[::-1] if trans else a.shape, max(len(a), 1)
+    a = _fortran(a, True, *np.shape(a))
+    n, k = a.shape[::-1] if trans else a.shape
     c = np.zeros((n, n), order="F") if c is None else _fortran(c, overwrite_c, n, n)
-    _call("dsyrk", "UL"[lower], "NT"[trans], n, k, alpha, a, lda, 0.0, c, max(n, 1))
+    _call("dsyrk", "UL"[lower], "NT"[trans], n, k, alpha, a, max(len(a), 1), 0.0, c, max(n, 1))
     return c
 
 

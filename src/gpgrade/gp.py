@@ -207,23 +207,24 @@ def _evidence_terms(S, y, hp: Hyperparams, noise: float, gradient: bool = True) 
     alpha, _ = _lapack.dpotrs(L, y, lower=1)
     half_logdet = float(np.sum(np.log(np.diag(L))))
     with np.errstate(over="ignore"):
-        y_alpha = float(y @ alpha)
-        if not gradient:
-            return (y_alpha, half_logdet) + (math.nan,) * 5
-        _, info = _lapack.dpotri(L, lower=1, overwrite_c=1)
-        if info != 0:
-            raise NumericalError(f"inverting the training system failed (dpotri info {info})")
-        a_D_a = tr_D = 0.0
-        for i in range(0, y.shape[0], _STRIP):
-            rows = slice(i, i + _STRIP)
-            D = np.tril(S[rows, : rows.stop], i - 1)  # the diagonal tile's upper triangle is Ky^-1
-            KS = rbf_from_sq_dists(D, hp)
-            KS *= D
+        y_alpha, a_a = float(y @ alpha), float(alpha @ alpha)
+    if not gradient:
+        return (y_alpha, half_logdet) + (math.nan,) * 5
+    _, info = _lapack.dpotri(L, lower=1, overwrite_c=1)
+    if info != 0:
+        raise NumericalError(f"inverting the training system failed (dpotri info {info})")
+    a_D_a = tr_D = 0.0
+    for i in range(0, y.shape[0], _STRIP):
+        rows = slice(i, i + _STRIP)
+        D = np.tril(S[rows, : rows.stop], i - 1)  # the diagonal tile's upper triangle is Ky^-1
+        KS = rbf_from_sq_dists(D, hp)
+        KS *= D
+        with np.errstate(over="ignore"):
             a_D_a += alpha[rows] @ (KS @ alpha[: rows.stop])
-            tr_D += np.einsum("ij,ji->", KS, S[: rows.stop, rows])
-        l2 = hp.length_scale**2
-        return (y_alpha, half_logdet, 2.0 * a_D_a / l2, 2.0 * tr_D / l2,
-                float(alpha @ alpha), float(np.trace(S)), noise + jitter)
+        tr_D += np.einsum("ij,ji->", KS, S[: rows.stop, rows])
+    l2 = hp.length_scale**2
+    return (y_alpha, half_logdet, 2.0 * a_D_a / l2, 2.0 * tr_D / l2,
+            a_a, float(np.trace(S)), noise + jitter)
 
 
 def _lml_and_gradient(terms: tuple, n: int, noise_deriv: float):
@@ -244,9 +245,8 @@ def _profiled_evidence(S: np.ndarray, y: np.ndarray, theta, gradient: bool = Tru
 
     For Ky = s2 * (K~ + r*I), K~ of unit variance, the evidence peaks at
     s2 = y^T (K~ + r*I)^-1 y / n with a zero s2 derivative, so one factorization
-    gives the value and the l and noise entries. Where r * s2 is below the floor, the noise
-    stays at the floor and s2 = floor / r, from a second factorization; r then moves the
-    evidence through s2 and the jitter, which scales with s2, so its entry is minus both.
+    gives the value and the l and noise entries. Below the floor, the noise is the floor and
+    s2 = floor / r, from a second factorization; the r entry is minus the s2 and jitter ones.
     Without gradient, the gradient is nan, and the lml the same bits from the factors alone.
     """
     log_l, log_r = (float(t) for t in theta)

@@ -12,6 +12,7 @@ import pytest
 
 import gpgrade
 from gpgrade import cli
+from test_blas_calls import barred_scipy
 
 PUBLIC_NAMES = [
     "BoxStats",
@@ -51,7 +52,7 @@ def test_src_stays_within_its_line_budget():
     """``wc -l src/gpgrade/*.py`` is at most the bound (ROADMAP item 10, less code). A change
     that has to grow ``src/`` raises the bound and says why in CHANGES.md."""
     src = Path(__file__).resolve().parents[1] / "src" / "gpgrade"
-    assert sum(path.read_bytes().count(b"\n") for path in src.glob("*.py")) <= 1728
+    assert sum(path.read_bytes().count(b"\n") for path in src.glob("*.py")) <= 1723
 
 
 def test_every_public_name_resolves():
@@ -85,7 +86,7 @@ def test_readme_module_rows_stay_short():
 
 
 # Runs in a fresh interpreter: import the CLI, run the arguments, and report
-# which scipy modules each step left loaded (none: LAPACK comes from numpy's OpenBLAS).
+# which scipy modules each step left loaded.
 _IMPORT_PROBE = """
 import json, sys
 heavy = lambda: sorted(m for m in sys.modules if m.startswith("scipy"))
@@ -96,9 +97,10 @@ print(json.dumps({"after_import": after_import, "status": status, "after_run": h
 """
 
 
-@pytest.mark.skipif(gpgrade._lapack._call is None, reason="numpy links no scipy-openblas here")
 @pytest.mark.parametrize("command", ["train", "predict", "evaluate", "sweep"])
 def test_cli_import_and_command_skip_scipy_stats_and_optimize(tmp_path, command):
+    """No scipy module loads where numpy's OpenBLAS is bound, and on the scipy.linalg
+    fallback neither scipy.stats nor scipy.optimize does."""
     csv, model, out = tmp_path / "d.csv", tmp_path / "m.model", tmp_path / "p.csv"
     assert cli.main(["synth", "--out", str(csv), "--n-per-grade", "4", "--dim", "3"]) == 0
     assert cli.main(["train", "--train-csv", str(csv), "--model", str(model), "--restarts", "1"]) == 0
@@ -116,5 +118,8 @@ def test_cli_import_and_command_skip_scipy_stats_and_optimize(tmp_path, command)
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     report = json.loads(proc.stdout.splitlines()[-1])
-    assert report == {"after_import": [], "status": 0, "after_run": []}
+    assert report["status"] == 0
+    fallback = gpgrade._lapack._call is None
+    assert barred_scipy(report["after_import"], fallback) == []
+    assert barred_scipy(report["after_run"], fallback) == []
     assert out.is_file()

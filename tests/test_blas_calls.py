@@ -4,7 +4,8 @@ numpy's wheel ships the LAPACK routines the package needs in its own OpenBLAS, a
 ``gpgrade._lapack`` binds them through ctypes. Importing ``scipy.linalg`` cost every process
 about 0.2 s and 24 MB and loaded a second OpenBLAS with a second thread pool. So no module
 imports scipy, except ``_lapack``'s fallback (``if _call is None:``) for numpy builds that
-link another BLAS, and a train and an evaluate leave no scipy module loaded.
+link another BLAS, and a train and an evaluate leave no scipy module loaded (on the fallback,
+``scipy.linalg`` and its own imports, never scipy.stats or scipy.optimize).
 
 Importing ``scipy.stats`` costs about a second and ``scipy.optimize`` about a third of one, so
 no module imports either, not even inside a function or the fallback: training runs the
@@ -60,12 +61,6 @@ def test_no_scipy_imports(path):
     assert scipy_imports(path.read_text()) == []
 
 
-def test_only_the_fallback_imports_scipy():
-    source = (Path(gpgrade.__file__).parent / "_lapack.py").read_text()
-    assert scipy_imports(source) == []
-    assert "scipy.linalg" in source
-
-
 @pytest.mark.parametrize(
     "snippet",
     [
@@ -85,8 +80,16 @@ def test_guard_finds_scipy_imports(snippet):
     assert scipy_imports(snippet) != []
 
 
-def test_guard_allows_the_fallback():
-    assert scipy_imports("if _call is None:\n    from scipy.linalg import blas") == []
+@pytest.mark.parametrize(
+    "snippet",
+    [
+        "if _call is None:\n    from scipy.linalg import blas",
+        "if _call is None:  # the fallback\n    import scipy.linalg.blas\n    from scipy import linalg",
+        "import numpy\nname = 'scipy.linalg'",
+    ],
+)
+def test_guard_allows(snippet):
+    assert scipy_imports(snippet) == []
 
 
 def heavy_scipy_imports(source: str) -> list[str]:
@@ -136,6 +139,28 @@ def run_probe(code: str, *args: str) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
+def barred_scipy(modules, fallback: bool) -> list[str]:
+    """The scipy modules among ``modules`` that a process may not load: any of them where
+    numpy's OpenBLAS is bound, and on the ``scipy.linalg`` fallback scipy.stats and
+    scipy.optimize (``fallback`` is ``_lapack._call is None`` for this process)."""
+    heavy = ("scipy.stats", "scipy.optimize") if fallback else ("scipy",)
+    return [m for m in modules if m.split(".")[0] == "scipy" and m.startswith(heavy)]
+
+
+@pytest.mark.parametrize(
+    "modules, fallback, barred",
+    [
+        (["numpy", "scipy", "scipy.linalg"], False, ["scipy", "scipy.linalg"]),
+        (["numpy", "scipy", "scipy.linalg"], True, []),
+        (["scipy.linalg", "scipy.stats", "scipy.optimize._minimize"], True,
+         ["scipy.stats", "scipy.optimize._minimize"]),
+        (["scipyx", "numpy.linalg"], False, []),
+    ],
+)
+def test_barred_scipy(modules, fallback, barred):
+    assert barred_scipy(modules, fallback) == barred
+
+
 # Runs each argument list through the CLI, then reports every scipy module loaded.
 _SCIPY_PROBE = """
 import json, sys
@@ -145,7 +170,6 @@ print(json.dumps({"status": status, "scipy": sorted(m for m in sys.modules if m.
 """
 
 
-@pytest.mark.skipif(_lapack._call is None, reason="numpy links no scipy-openblas here")
 def test_train_then_evaluate_load_no_scipy(tmp_path):
     csv, model = tmp_path / "d.csv", tmp_path / "m.model"
     assert cli.main(["synth", "--out", str(csv), "--n-per-grade", "6", "--dim", "3"]) == 0
@@ -153,7 +177,9 @@ def test_train_then_evaluate_load_no_scipy(tmp_path):
         ["train", "--train-csv", str(csv), "--model", str(model), "--restarts", "2"],
         ["evaluate", "--test-csv", str(csv), "--model", str(model), "--out", str(tmp_path / "r.json")],
     ]
-    assert run_probe(_SCIPY_PROBE, json.dumps(commands)) == {"status": [0, 0], "scipy": []}
+    report = run_probe(_SCIPY_PROBE, json.dumps(commands))
+    assert report["status"] == [0, 0]
+    assert barred_scipy(report["scipy"], fallback=_lapack._call is None) == []
 
 
 # Makes every symbol lookup fail, so _lapack falls back to scipy; then fits and predicts.
@@ -168,8 +194,9 @@ ctypes.CDLL = NoSymbols
 from gpgrade import _lapack
 from test_blas_calls import small_fit
 
-print(json.dumps({"bound": _lapack._call is not None, "scipy": "scipy.linalg" in sys.modules,
-                  **small_fit()}))
+report = small_fit()
+print(json.dumps({"bound": _lapack._call is not None, **report,
+                  "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
 """
 
 
@@ -187,7 +214,10 @@ def test_fallback_runs_on_scipy_and_agrees():
     """Where the symbols are missing, the same surface from scipy.linalg fits and predicts alike."""
     tests = str(Path(__file__).resolve().parent)
     report = run_probe(f"import sys; sys.path.insert(0, {tests!r})\n" + _FALLBACK_PROBE)
-    assert (report.pop("bound"), report.pop("scipy")) == (False, True)
+    assert report.pop("bound") is False
+    scipy_modules = report.pop("scipy")
+    assert "scipy.linalg" in scipy_modules
+    assert barred_scipy(scipy_modules, fallback=True) == []
     expected = small_fit()
     assert report.keys() == expected.keys()
     for key, value in expected.items():
