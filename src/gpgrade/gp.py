@@ -334,19 +334,19 @@ def fit(
         raise InputError("seed must be non-negative")
 
     if X.shape[0] > max_train:
-        rng = np.random.default_rng(seed)
-        idx = np.sort(rng.choice(X.shape[0], size=max_train, replace=False))
+        idx = np.sort(np.random.default_rng(seed).choice(X.shape[0], max_train, replace=False))
         X, y = X[idx], y[idx]
     S = pairwise_sq_dists(X)
     n = X.shape[0]
     if restarts is None:
         restarts = 2 if n < _ONE_SEARCH_MIN_N else 1
 
-    with np.errstate(over="ignore"):  # two middle distances at the float maximum average to inf
-        median_dist = math.sqrt(np.median(  # of the strict lower triangle, gathered by rows
-            np.concatenate([S[i, :i] for i in range(n)]), overwrite_input=True))
-    if not 0.0 < median_dist < math.inf:
-        median_dist = 1.0
+    lower = np.concatenate([S[i, :i] for i in range(n)])  # the strict lower triangle, by rows
+    half = lower.size // 2  # np.median's bits from a partition in place, without numpy.ma
+    lower.partition([half - 1, half])  # an even count averages two floats, inf if they overflow
+    median = lower[half] if lower.size % 2 else (lower[half - 1].item() + lower[half].item()) / 2
+    median_dist = math.sqrt(median) if 0.0 < median < math.inf else 1.0
+    del lower  # freed before the first evidence evaluation
 
     def negative_evidence(theta, gradient=True):
         """(-lml, -gradient, record (lml, theta, Hyperparams)) of ``_profiled_evidence`` at

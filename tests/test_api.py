@@ -86,21 +86,23 @@ def test_readme_module_rows_stay_short():
 
 
 # Runs in a fresh interpreter: import the CLI, run the arguments, and report
-# which scipy modules each step left loaded.
+# which scipy modules each step left loaded, and whether the run loaded numpy.ma.
 _IMPORT_PROBE = """
 import json, sys
 heavy = lambda: sorted(m for m in sys.modules if m.startswith("scipy"))
 import gpgrade.cli
 after_import = heavy()
 status = gpgrade.cli.main(sys.argv[1:])
-print(json.dumps({"after_import": after_import, "status": status, "after_run": heavy()}))
+print(json.dumps({"after_import": after_import, "status": status, "after_run": heavy(),
+                  "numpy.ma": "numpy.ma" in sys.modules}))
 """
 
 
 @pytest.mark.parametrize("command", ["train", "predict", "evaluate", "sweep"])
 def test_cli_import_and_command_skip_scipy_stats_and_optimize(tmp_path, command):
     """No scipy module loads where numpy's OpenBLAS is bound, and on the scipy.linalg
-    fallback neither scipy.stats nor scipy.optimize does."""
+    fallback neither scipy.stats nor scipy.optimize does. train takes its median distance
+    without numpy.ma (evaluate and sweep still load it through np.quantile)."""
     csv, model, out = tmp_path / "d.csv", tmp_path / "m.model", tmp_path / "p.csv"
     assert cli.main(["synth", "--out", str(csv), "--n-per-grade", "4", "--dim", "3"]) == 0
     assert cli.main(["train", "--train-csv", str(csv), "--model", str(model), "--restarts", "1"]) == 0
@@ -123,3 +125,5 @@ def test_cli_import_and_command_skip_scipy_stats_and_optimize(tmp_path, command)
     assert barred_scipy(report["after_import"], fallback) == []
     assert barred_scipy(report["after_run"], fallback) == []
     assert out.is_file()
+    if command == "train":
+        assert not report["numpy.ma"]

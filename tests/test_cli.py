@@ -4,16 +4,20 @@ import csv
 import errno
 import io
 import json
+import math
 import re
 import stat
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gpgrade import cli, data, gp
 from gpgrade.errors import NumericalError
 from gpgrade.kernel import Hyperparams
+
+from test_gp import benchmark_rows
 
 
 def run(argv):
@@ -46,6 +50,34 @@ def workspace(tmp_path_factory):
         == 0
     )
     return {"root": root, "train": train_csv, "test": test_csv, "model": model}
+
+
+@pytest.fixture(scope="module")
+def console(tmp_path_factory):
+    """The README walk-through's files and model (250 rows, --restarts 3), a default-flag
+    model of 2,000 rows, 2,250 query rows (five runs of 512), and 150 rows on a half-integer
+    grid, each odd one a copy of the one before, with a model whose factor took jitter."""
+    root = tmp_path_factory.mktemp("console")
+    for name, seed, count in [("train", 0, 50), ("test", 1, 50), ("train2k", 3, 400),
+                              ("big", 2, 450)]:
+        argv = ["synth", "--out", root / f"{name}.csv", "--seed", seed, "--n-per-grade", count]
+        assert run(argv) == 0
+    train = ["train", "--seed", 0, "--train-csv"]
+    assert run([*train, root / "train.csv", "--model", root / "dr.model", "--restarts", 3]) == 0
+    assert run([*train, root / "train2k.csv", "--model", root / "model2k.model"]) == 0
+    X = 0.5 * np.random.default_rng(0).integers(-4, 5, size=(150, 2))
+    X[1::2] = X[0::2]
+    grades = np.clip(np.round(X[:, 0] + 2), 0, 4).astype(int)
+    data.write_feature_csv([f"d{i:03d}" for i in range(150)], X, grades, root / "dup.csv")
+    # At s2 = e^20 and the noise floor the model's factor escalates the jitter, the model
+    # keeps it, and the archive's digest, from the factor's trace, counts it.
+    _, X, grades = data.load_feature_csv(root / "dup.csv")
+    stats = data.fit_normalizer(X)
+    X, hp = data.apply_normalizer(stats, X), Hyperparams(0.0, 20.0, math.log(1e-8))
+    model = gp.build_model(X, grades.astype(float), hp, normalizer=stats)
+    data.save_model(model, root / "dup_jitter.model")
+    assert data.load_model(root / "dup_jitter.model").jitter > 0.0
+    return root
 
 
 # Every flag of each subcommand, in usage order. predict, evaluate and sweep
@@ -180,6 +212,21 @@ class TestTrain:
         assert run(["train", "--train-csv", workspace["train"], "--model", model, *flags]) == 0
         assert len(calls) == searches
 
+    @pytest.mark.parametrize("csv, archive, flags", [
+        ("train", "dr.model", ["--restarts", 3]), ("train2k", "model2k.model", []),
+        ("train2k", "model2k.model", ["--restarts", 1]), ("dup", None, ["--restarts", 3]),
+    ], ids=["readme", "2000-rows", "2000-rows-one-search", "duplicated-rows"])
+    def test_same_seed_writes_the_same_archive(self, console, tmp_path, csv, archive, flags):
+        """At 2,000 rows the default fit runs one search, from the best grid point, so its
+        archive is the --restarts 1 one. On the duplicated rows the noise reaches its floor,
+        and factorizations inside fit escalate the jitter."""
+        archives = [console / archive] if archive else []
+        while len(archives) < 2:
+            archives.append(tmp_path / f"{len(archives)}.model")
+            argv = ["train", "--train-csv", console / f"{csv}.csv", "--model", archives[-1]]
+            assert run([*argv, *flags, "--seed", 0]) == 0
+        assert archives[0].read_bytes() == archives[1].read_bytes()
+
     def test_train_help_follows_the_start_grid_constants(self, capsys, monkeypatch):
         monkeypatch.setattr(gp, "_START_GRID", (0.25, 1.0, 4.0))
         monkeypatch.setattr(gp, "_ONE_SEARCH_MIN_N", 3000)
@@ -309,12 +356,6 @@ class TestEvaluate:
             workspace, tmp_path / "r.json", extra=["--std-threshold", "1e9"]
         )
         assert doc["n_flipped"] == 0
-
-    def test_same_inputs_byte_identical_reports(self, workspace, tmp_path):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        self.evaluate(workspace, a)
-        self.evaluate(workspace, b)
-        assert a.read_bytes() == b.read_bytes()
 
     def test_evaluating_training_set_is_strong(self, workspace, tmp_path):
         out = tmp_path / "train-report.json"
@@ -581,6 +622,24 @@ class TestRejections:
         argv = ["predict", "--test-csv", test_csv, "--model", workspace["model"], "--out", out]
         self.assert_rejected(argv, out, capsys, "not UTF-8")
 
+    @pytest.mark.parametrize("defect, match", [
+        ("no-features", "line 1: malformed header"),
+        ("line-break", "line 2: a record must be one line"),
+    ], ids=["no-features", "line-break"])
+    def test_query_file_without_features_or_with_a_two_line_record(
+        self, console, tmp_path, capsys, defect, match
+    ):
+        """A header without feature columns; a quoted line break in the first record's last
+        feature."""
+        header, first = (console / "test.csv").read_text().splitlines()[:2]
+        head, last = first.rsplit(",", 1)
+        test_csv = tmp_path / "query.csv"
+        test_csv.write_text("id,grade\nx,0\n" if defect == "no-features" else
+                            f'{header}\n{head},"{last}\n"\n')
+        out = tmp_path / "preds.csv"
+        argv = ["predict", "--test-csv", test_csv, "--model", console / "dr.model", "--out", out]
+        self.assert_rejected(argv, out, capsys, match)
+
     def test_header_the_csv_module_cannot_read(self, workspace, tmp_path, capsys):
         """predict has opened its temp file when the header fails to parse."""
         test_csv = tmp_path / "test.csv"
@@ -739,26 +798,6 @@ class TestStreamedScoring:
         assert [r["mean"] for r in rows] == [repr(m) for m in mean.tolist()]
         assert [r["std"] for r in rows] == [repr(s) for s in std.tolist()]
 
-    @pytest.mark.parametrize("edit", ["bom", "quoted-id"])
-    def test_a_bom_or_a_quoted_id_scores_as_the_plain_file(self, workspace, tmp_path, edit):
-        """A leading BOM is skipped; a quoted id in the second run is read by the csv row
-        loop from there to the end of the file, with the bits of the fast path."""
-        lines = workspace["test"].read_bytes().splitlines(keepends=True)
-        if edit == "bom":
-            lines[0] = b"\xef\xbb\xbf" + lines[0]
-        else:
-            record_id, rest = lines[11].split(b",", 1)
-            lines[11] = b'"' + record_id + b'",' + rest
-        edited = tmp_path / "edited.csv"
-        edited.write_bytes(b"".join(lines))
-        outs = []
-        for test_csv in (workspace["test"], edited):
-            out = tmp_path / f"{test_csv.stem}.preds.csv"
-            argv = ["predict", "--test-csv", test_csv, "--model", workspace["model"]]
-            assert run(argv + ["--out", out]) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
-
     @pytest.mark.parametrize(
         "record, match",
         [
@@ -848,55 +887,110 @@ class TestStreamedScoring:
         assert list(tmp_path.iterdir()) == [test_csv]
 
 
-def test_scoring_memory_does_not_grow_with_the_query_features(tmp_path):
-    """evaluate holds one run of 512 feature rows: 6,000 more query rows of 64 features
-    (3 MB) add less than half their bytes to the traced peak; only per-row outputs grow."""
-    _, X, grades = data.synthesize_dataset([20] * 5, 64, 6.0, 1.0, 0)
-    stats = data.fit_normalizer(X)
-    model = tmp_path / "m.model"
-    X = data.apply_normalizer(stats, X)
-    hp = Hyperparams(2.4, 0.0, -2.0)
-    data.save_model(gp.build_model(X, grades.astype(float), hp, normalizer=stats), model)
-    peaks = []
-    for n_per_grade in (400, 1600):
-        test_csv = tmp_path / f"q{n_per_grade}.csv"
-        queries = data.synthesize_dataset([n_per_grade] * 5, 64, 6.0, 1.0, 1)
-        data.write_feature_csv(*queries, test_csv)
-        argv = ["evaluate", "--test-csv", test_csv, "--model", model, "--out", tmp_path / "r.json"]
-        tracemalloc.start()
-        try:
-            assert run(argv) == 0
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[1] - peaks[0] < 6000 * 64 * 8 / 2
+@pytest.mark.parametrize("edit", ["bom", "quoted-id", "crlf"])
+@pytest.mark.parametrize("shape", ["runs-of-8", "2000-rows"])
+def test_an_edited_file_scores_as_the_plain_file(request, tmp_path, monkeypatch, shape, edit):
+    """A leading BOM is skipped; CRLF line ends split the runs alike; a quoted id in the
+    second run is read by the csv row loop from there to the end of the file. Each scores
+    with the bits of the plain file: the workspace's 100 test rows in runs of 8, and 2,250
+    rows in runs of 512 through the model of 2,000 rows."""
+    if shape == "runs-of-8":
+        monkeypatch.setattr(gp, "_PREDICT_BLOCK", 8)
+        workspace = request.getfixturevalue("workspace")
+        plain, model, quoted = workspace["test"], workspace["model"], 11
+    else:
+        console = request.getfixturevalue("console")
+        plain, model, quoted = console / "big.csv", console / "model2k.model", 600
+    lines = plain.read_bytes().splitlines(keepends=True)
+    if edit == "bom":
+        lines[0] = b"\xef\xbb\xbf" + lines[0]
+    elif edit == "crlf":
+        lines = [line.replace(b"\n", b"\r\n") for line in lines]
+    else:
+        record_id, rest = lines[quoted].split(b",", 1)
+        lines[quoted] = b'"' + record_id + b'",' + rest
+        assert sum(b'"' in line for line in lines) == 1
+    edited = tmp_path / "edited.csv"
+    edited.write_bytes(b"".join(lines))
+    outs = []
+    for test_csv in (plain, edited):
+        out = tmp_path / f"{test_csv.stem}.preds.csv"
+        assert run(["predict", "--test-csv", test_csv, "--model", model, "--out", out]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("files, command, test_csv, model, lines", [
+    ("workspace", "evaluate", "test.csv", "fundus.model", None),
+    ("console", "evaluate", "test.csv", "dr.model", None),
+    ("console", "sweep", "test.csv", "dr.model", 4),
+    ("console", "predict", "big.csv", "dr.model", 2251),
+    ("console", "predict", "big.csv", "model2k.model", 2251),
+    ("console", "evaluate", "big.csv", "model2k.model", None),
+    ("console", "predict", "dup.csv", "dup_jitter.model", 151),
+], ids=["workspace-evaluate", "readme-evaluate", "readme-sweep", "readme-predict-big",
+        "2000-rows-predict-big", "2000-rows-evaluate-big", "jitter-predict"])
+def test_same_inputs_score_to_the_same_bytes(
+    request, tmp_path, files, command, test_csv, model, lines
+):
+    """Twice the same command, the same bytes: the README walk-through's model, the
+    model of 2,000 rows on five 512-row runs, and the model whose factor took jitter."""
+    root = request.getfixturevalue(files)
+    root = root["root"] if files == "workspace" else root
+    outs = []
+    for name in ("a", "b"):
+        argv = [command, "--test-csv", root / test_csv, "--model", root / model]
+        argv += ["--std-thresholds", "0.5,0.84,1.2"] if command == "sweep" else []
+        assert run([*argv, "--out", tmp_path / name]) == 0
+        outs.append((tmp_path / name).read_bytes())
+    assert outs[0] == outs[1]
+    assert lines is None or outs[0].count(b"\n") == lines
 
 
 @pytest.fixture(scope="module")
 def scoring_memory(tmp_path_factory):
-    """The n = 100 archive and the 2,000- and 8,000-row query files of the test above."""
-    root = tmp_path_factory.mktemp("scoring_memory")
-    _, X, grades = data.synthesize_dataset([20] * 5, 64, 6.0, 1.0, 0)
-    stats = data.fit_normalizer(X)
-    X = data.apply_normalizer(stats, X)
-    model = gp.build_model(X, grades.astype(float), Hyperparams(2.4, 0.0, -2.0), normalizer=stats)
-    data.save_model(model, root / "m.model")
-    for n_per_grade in (400, 1600):
-        queries = data.synthesize_dataset([n_per_grade] * 5, 64, 6.0, 1.0, 1)
-        data.write_feature_csv(*queries, root / f"q{n_per_grade}.csv")
-    return root
+    """Per shape, made once: an archive, and query files of fewer and of more rows of 64
+    features. n = 100 with 2,000 and 8,000 rows, or the benchmark's n = 2,000 with the first
+    2,000 of 20,000 rows and all of them."""
+    made = {}
+
+    def files(shape):
+        if shape in made:
+            return made[shape]
+        made[shape] = root = tmp_path_factory.mktemp("scoring_memory")
+        if shape == "n=2,000":
+            X, y, stats = benchmark_rows()
+            hp = Hyperparams(2.7, 0.4, -1.45)
+            more = data.synthesize_dataset([4000] * 5, 64, 6.0, 1.0, 1)
+            fewer = [part[:2000] for part in more]
+        else:
+            _, X, grades = data.synthesize_dataset([20] * 5, 64, 6.0, 1.0, 0)
+            stats = data.fit_normalizer(X)
+            X, y = data.apply_normalizer(stats, X), grades.astype(float)
+            hp = Hyperparams(2.4, 0.0, -2.0)
+            fewer, more = (data.synthesize_dataset([k] * 5, 64, 6.0, 1.0, 1) for k in (400, 1600))
+        data.save_model(gp.build_model(X, y, hp, normalizer=stats), root / "m.model")
+        data.write_feature_csv(*fewer, root / "fewer.csv")
+        data.write_feature_csv(*more, root / "more.csv")
+        return root
+
+    return files
 
 
-@pytest.mark.parametrize(
-    "command, bound", [("predict", 48_000), ("evaluate", 6000 * 32), ("sweep", 6000 * 32)]
-)
-def test_scoring_keeps_only_what_its_output_needs(scoring_memory, tmp_path, command, bound):
-    """predict writes each run as it is scored, so 6,000 more query rows leave its traced
-    peak where it was; evaluate and sweep keep three arrays (17 B a row) and no ids."""
+@pytest.mark.parametrize("shape, command, growth", [
+    ("n=100", "predict", (-math.inf, 48_000)), ("n=100", "evaluate", (-math.inf, 6000 * 32)),
+    ("n=100", "sweep", (-math.inf, 6000 * 32)), ("n=2,000", "predict", (-0.25e6, 0.25e6)),
+    ("n=2,000", "evaluate", None),
+], ids=["predict-48000", "evaluate-192000", "sweep-192000", "n=2,000-predict", "n=2,000-evaluate"])
+def test_scoring_keeps_only_what_its_output_needs(scoring_memory, tmp_path, shape, command, growth):
+    """predict writes each run as it is scored, so more query rows leave its traced peak
+    where it was; evaluate and sweep keep three arrays (17 B a row) and no ids. At the
+    benchmark's shape, evaluate holds L^-1, one kernel block and one 512-row run of features."""
+    root = scoring_memory(shape)
     peaks = []
-    for n_per_grade in (400, 1600):
-        argv = [command, "--test-csv", scoring_memory / f"q{n_per_grade}.csv"]
-        argv += ["--model", scoring_memory / "m.model", "--out", tmp_path / "out"]
+    for rows in ("fewer", "more"):
+        argv = [command, "--test-csv", root / f"{rows}.csv"]
+        argv += ["--model", root / "m.model", "--out", tmp_path / "out"]
         argv += ["--std-thresholds=0.5,0.84,1.2"] if command == "sweep" else []
         tracemalloc.start()
         try:
@@ -904,16 +998,26 @@ def test_scoring_keeps_only_what_its_output_needs(scoring_memory, tmp_path, comm
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-    assert peaks[1] - peaks[0] < bound
+    if growth is None:
+        assert peaks[1] < 1.45 * 2000 * 2000 * 8
+    else:
+        assert growth[0] < peaks[1] - peaks[0] < growth[1]
 
 
 class TestAtomicWrite:
     """An existing ``<out>.tmp`` is left alone: outputs go through a fresh temp name."""
 
-    @pytest.mark.parametrize("kind", ["directory", "file"])
-    def test_stale_temp_name_is_untouched(self, tmp_path, capsys, kind):
+    @pytest.mark.parametrize("command, kind", [("synth", "directory"), ("synth", "file"),
+                                               ("predict", "directory")],
+                             ids=["directory", "file", "predict-directory"])
+    def test_stale_temp_name_is_untouched(self, request, tmp_path, capsys, command, kind):
+        """Also for predict, with the README walk-through's model."""
+        argv = [command, "--n-per-grade", 3]
+        if command == "predict":
+            console = request.getfixturevalue("console")
+            argv = [command, "--test-csv", console / "test.csv", "--model", console / "dr.model"]
         clean = tmp_path / "clean.csv"
-        assert run(["synth", "--out", clean, "--n-per-grade", 3]) == 0
+        assert run([*argv, "--out", clean]) == 0
         work = tmp_path / "work"
         work.mkdir()
         stale = work / "preds.csv.tmp"
@@ -924,7 +1028,7 @@ class TestAtomicWrite:
             stale.write_text("someone else's file")
         before = {p.relative_to(work): p.read_bytes() for p in work.rglob("*") if p.is_file()}
         out = work / "preds.csv"
-        assert run(["synth", "--out", out, "--n-per-grade", 3]) == 0
+        assert run([*argv, "--out", out]) == 0
         assert capsys.readouterr().err == ""
         assert out.read_bytes() == clean.read_bytes()
         assert stale.is_dir() == (kind == "directory")

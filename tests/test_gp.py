@@ -2,6 +2,7 @@
 
 import copy
 import math
+import mmap
 import pickle
 import sys
 import tracemalloc
@@ -39,6 +40,26 @@ def huge_pages_always() -> bool:
     """Whether transparent huge pages back every anonymous mapping, touched or not."""
     path = Path("/sys/kernel/mm/transparent_hugepage/enabled")
     return path.exists() and "[always]" in path.read_text()
+
+
+def written_bytes(array) -> int:
+    """Bytes of the pages under array that this process alone maps (/proc/self/pagemap, bit
+    56): the pages it has written. Untouched pages, and read ones that map the shared zero
+    page, are not counted, nor is a neighbouring mapping the kernel merged into the same VMA."""
+    first = array.ctypes.data // mmap.PAGESIZE
+    stop = -(-(array.ctypes.data + array.nbytes) // mmap.PAGESIZE)  # rounded up
+    with open("/proc/self/pagemap", "rb") as fh:  # one 8-byte entry per page
+        fh.seek(8 * first)
+        entries = np.frombuffer(fh.read(8 * (stop - first)), dtype="<u8")
+    return int(np.count_nonzero(entries & np.uint64(1 << 56))) * mmap.PAGESIZE
+
+
+def benchmark_rows():
+    """The benchmark's shape: 2,000 synthesized rows of 64 features, normalized as train
+    normalizes them, their grades as targets, and the normalizer."""
+    _, X, grades = synthesize_dataset([400] * 5, 64, 6.0, 1.0, 0)
+    stats = fit_normalizer(X)
+    return apply_normalizer(stats, X), grades.astype(float), stats
 
 
 def hp_of(length_scale=1.0, signal_variance=1.0, noise_variance=1.0):
@@ -763,19 +784,21 @@ class TestFit:
         assert calls == {"pairwise": 1, "distances": 2}
         assert model.L_inv.tobytes() == build_model(X, y, model.hp).L_inv.tobytes()
 
-    def test_fit_holds_one_n_by_n_array(self):
+    @pytest.mark.parametrize("shape", ["n=600", "benchmark"])
+    def test_fit_holds_one_n_by_n_array(self, shape):
         """The distances, in whose buffer every kernel is built, factored and inverted: the
         median partitions one copy of their strict lower triangle, gathered row by row with
-        no mask or index array, in place."""
-        rng = np.random.default_rng(38)
-        n = 600
-        X, y = rng.normal(size=(n, 8)), rng.normal(size=n)
-        tracemalloc.start()
-        try:
-            fit(X, y, restarts=1, seed=38)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        no mask or index array, in place. At the benchmark's shape the default fit ranks the
+        grid and runs one search."""
+        if shape == "benchmark":
+            X, y, _ = benchmark_rows()
+            options = {}
+        else:
+            rng = np.random.default_rng(38)
+            X, y = rng.normal(size=(600, 8)), rng.normal(size=600)
+            options = {"restarts": 1, "seed": 38}
+        n = X.shape[0]
+        _, peak = traced_peak(lambda: fit(X, y, **options))
         assert peak < 1.6 * n * n * 8
 
     @pytest.mark.parametrize(
@@ -1377,23 +1400,20 @@ class TestPredict:
         not sys.platform.startswith("linux") or huge_pages_always(),
         reason="needs Linux, with transparent huge pages not always on",
     )
-    def test_model_inverse_leaves_its_other_triangle_off_the_resident_set(self):
+    @pytest.mark.parametrize("shape, bound", [("n=1,536", 0.70), ("benchmark", 0.75)])
+    def test_model_inverse_leaves_its_other_triangle_off_the_resident_set(self, shape, bound):
         """L^-1 lives in a mapping of 4 KiB pages of which only its triangle is written, so
-        about half of it is resident; every VMA it overlaps counts, huge-page advice or not."""
-        rng = np.random.default_rng(37)
-        n = 1536
-        model = build_model(rng.normal(size=(n, 3)), rng.normal(size=n), hp_of(1.0, 1.0, 0.1))
-        start = model.L_inv.ctypes.data
-        stop, resident, overlaps = start + n * n * 8, 0, False
-        with open("/proc/self/smaps", encoding="utf-8", errors="replace") as fh:
-            for line in fh:
-                field = line.split(maxsplit=1)[0]
-                if not field.endswith(":"):  # a VMA's header: its address range first
-                    low, high = (int(address, 16) for address in field.split("-"))
-                    overlaps = low < stop and start < high
-                elif overlaps and field == "Rss:":
-                    resident += int(line.split()[1]) * 1024
-        assert resident <= 0.70 * n * n * 8
+        about half of its pages are written, huge-page advice or not; also at the benchmark's
+        shape, at the hyperparameters its archive is built at."""
+        if shape == "benchmark":
+            X, y, stats = benchmark_rows()
+            model = build_model(X, y, Hyperparams(2.7, 0.4, -1.45), normalizer=stats)
+        else:
+            rng = np.random.default_rng(37)
+            X, y = rng.normal(size=(1536, 3)), rng.normal(size=1536)
+            model = build_model(X, y, hp_of(1.0, 1.0, 0.1))
+        n = model.L_inv.shape[0]
+        assert written_bytes(model.L_inv) <= bound * n * n * 8
         assert not np.triu(model.L_inv, 1).any()
 
     def test_interpolates_training_point_at_noise_floor(self):
