@@ -16,21 +16,10 @@ from .diagnosis import (
     apply_uncertainty_flip,
     binarize,
 )
-from .errors import (
-    GPGradeError,
-    InputError,
-    ModelFormatError,
-    NumericalError,
-    ParseError,
-)
+from .errors import GPGradeError, InputError, ModelFormatError, NumericalError, ParseError
 from .gp import GPModel, build_model, fit, predict
 from .kernel import Hyperparams
-from .metrics import (
-    BoxStats,
-    EvalReport,
-    box_stats_table,
-    evaluate,
-)
+from .metrics import BoxStats, EvalReport, box_stats_table, evaluate
 
 __version__ = "0.1.0"
 

@@ -96,8 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _scored_runs(args):
     """Check --out's directory and load the archive, then draw the test CSV's runs in predict's
     blocks, scored as read: (ids, true referable labels (grades 2..4), means, stds) each."""
-    if not args.out.parent.is_dir():  # before the archive is loaded and a temp file opened
-        raise InputError(f"cannot write {args.out}: no directory {args.out.parent}")
+    data._writable(args.out)  # before the archive is loaded and a temp file opened
     model = data.load_model(args.model)
     if model.normalizer is None:
         raise InputError("model archive has no normalization statistics")
@@ -119,8 +118,7 @@ def _scored_arrays(args):
 
 
 def cmd_train(args) -> int:
-    if not args.model.parent.is_dir():
-        raise InputError(f"cannot write {args.model}: no directory {args.model.parent}")
+    data._writable(args.model)  # before the rows are read and fitted
     ids, X, grades = data.load_feature_csv(args.train_csv)
     stats = data.fit_normalizer(X)
     model = gp.fit(

@@ -87,10 +87,11 @@ def load_feature_csv(path) -> tuple[list[str], np.ndarray, np.ndarray]:
 
 @contextlib.contextmanager
 def _reading(path: Path):
-    """Raise InputError if path is not a file, or for an OSError in the block that reads it."""
+    """Raise InputError unless path is a regular file, and for an OSError in the reading block."""
     try:
-        if not path.is_file():
-            raise InputError(f"no such file: {path}")
+        if not path.is_file():  # a directory or a device exists: it cannot be read as a file
+            raise InputError(f"cannot read {path}: not a regular file" if path.exists()
+                             else f"no such file: {path}")
         yield
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
@@ -313,13 +314,18 @@ def synthesize_dataset(
         raise InputError("separation and noise must be finite and positive")
     if seed < 0:
         raise InputError("seed must be non-negative")
+    total = int(sum(n_per_grade))
+    if max(total, 1) * D * 8 > np.iinfo(np.intp).max:  # numpy cannot size it: a ValueError
+        raise InputError(f"{total} records of {D} features are more than memory can address")
     rng = np.random.default_rng(seed)
     u = rng.normal(size=D)
     u /= math.sqrt(u @ u)
-    total = int(sum(n_per_grade))
     eps = rng.normal(size=(total, D))
     grades = np.repeat(np.arange(5), [int(n) for n in n_per_grade])
-    X = (grades * separation)[:, None] * u + noise * eps
+    with np.errstate(over="ignore", invalid="ignore"):
+        X = (grades * separation)[:, None] * u + noise * eps
+    if not np.isfinite(X).all():
+        raise InputError("separation and noise are too large: a feature overflows")
     ids = [f"synth-{idx:05d}" for idx in range(total)]
     return ids, X, grades
 
@@ -328,10 +334,19 @@ def synthesize_dataset(
 # model persistence
 
 
+def _writable(path) -> Path:
+    """Path(path); InputError unless it names a file (not '.', '' or '/') in a directory."""
+    path = Path(path)
+    if not path.name or not os.path.isdir(path.parent):  # isdir raises no OSError
+        reason = f"no directory {path.parent}" if path.name else "not a file name"
+        raise InputError(f"cannot write {path}: {reason}")
+    return path
+
+
 def _atomic_write(path, content) -> None:
     """Write text (as UTF-8), bytes or an iterable of text chunks, each as it comes, through a
     temp file and a rename. If a chunk cannot be made, its exception propagates, no file left."""
-    path = Path(path)
+    path = _writable(path)
     # A fresh name, created exclusively, so no existing path is overwritten or
     # removed; the mode follows the umask as a plain open's does.
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
@@ -470,13 +485,8 @@ def load_model(path) -> gp.GPModel:
         normalizer = None
         if header["has_normalizer"]:
             normalizer = NormStats(mean=loaded["norm_mean"], std=loaded["norm_std"])
-        model = gp.build_model(
-            loaded["X_train"],
-            loaded["y_train"],
-            hp,
-            normalizer=normalizer,
-            train_subset_seed=int(header["train_subset_seed"]),
-        )
+        model = gp.build_model(loaded["X_train"], loaded["y_train"], hp, normalizer=normalizer,
+                               train_subset_seed=int(header["train_subset_seed"]))
     except InputError as exc:
         raise ModelFormatError(f"archive does not rebuild: {exc}") from None
     recomputed = _model_digests(model)

@@ -227,14 +227,15 @@ def _evidence_terms(S, y, hp: Hyperparams, noise: float, gradient: bool = True) 
             a_a, float(np.trace(S)), noise + jitter)
 
 
-def _lml_and_gradient(terms: tuple, n: int, noise_deriv: float):
-    """Evidence and its gradient by (log l, log s2, log noise), from ``_evidence_terms``.
-
-    Entry k is 0.5 * (alpha^T D_k alpha - tr(Ky^-1 D_k)) for the derivative
-    D_k of Ky. Signal variance: D = K = Ky - nu*I, so no terms of size
-    s2/jitter cancel. Noise: D = noise_deriv * I, 0 where the floor clamps it.
+def _lml_and_gradient(terms: tuple, n: int, noise_deriv: float, s2: float = 1.0):
+    """Evidence and its gradient by (log l, log s2, log noise) of s2 * Ky, from the
+    ``_evidence_terms`` of Ky; s2 = 1 leaves their bits. Entry k is 0.5 * (alpha^T D_k alpha
+    - tr(Ky^-1 D_k)) for the derivative D_k of Ky. Signal variance: D = K = Ky - nu*I, so no
+    terms of size s2/jitter cancel. Noise: D = noise_deriv * I, 0 where the floor clamps it.
     """
-    y_alpha, half_logdet, a_D_a, tr_D, a_a, tr_inv, nu = terms
+    y_alpha, half_logdet, a_D_a, tr_D, a_a, tr_inv, nu = (
+        terms[0] / s2, terms[1] + 0.5 * n * math.log(s2), terms[2] / s2, terms[3],
+        terms[4] / s2 / s2, terms[5] / s2, terms[6] * s2)
     lml = -0.5 * y_alpha - half_logdet - 0.5 * n * _LOG_2PI
     grad = [a_D_a - tr_D, y_alpha - n - nu * (a_a - tr_inv), (a_a - tr_inv) * noise_deriv]
     return lml, 0.5 * np.array(grad)
@@ -246,24 +247,20 @@ def _profiled_evidence(S: np.ndarray, y: np.ndarray, theta, gradient: bool = Tru
     For Ky = s2 * (K~ + r*I), K~ of unit variance, the evidence peaks at
     s2 = y^T (K~ + r*I)^-1 y / n with a zero s2 derivative, so one factorization
     gives the value and the l and noise entries. Below the floor, the noise is the floor and
-    s2 = floor / r, from a second factorization; the r entry is minus the s2 and jitter ones.
+    s2 = floor / r scales the same factor's sums; the r entry is minus the s2 and jitter ones.
     Without gradient, the gradient is nan, and the lml the same bits from the factors alone.
     """
     log_l, log_r = (float(t) for t in theta)
     r, n = math.exp(log_r), y.shape[0]
     terms = _evidence_terms(S, y, Hyperparams(log_l, 0.0, 0.0), r, gradient)
-    y_alpha, half_logdet, a_D_a, tr_D, a_a, tr_inv, nu = terms
-    s2 = max(y_alpha / n, np.finfo(float).tiny)  # all-zero targets: no optimum, finite log
-    hp = Hyperparams(log_l, math.log(s2), log_r + math.log(s2))
-    if r * s2 > NOISE_VARIANCE_FLOOR:  # the same sums for Ky scaled by s2
-        scaled = (y_alpha / s2, half_logdet + 0.5 * n * math.log(s2), a_D_a / s2, tr_D,
-                  a_a / s2 / s2, tr_inv / s2, nu * s2)
-        lml, grad = _lml_and_gradient(scaled, n, r * s2)
-        return lml, grad[[0, 2]], hp
+    s2 = max(terms[0] / n, np.finfo(float).tiny)  # all-zero targets: no optimum, finite log
+    if r * s2 > NOISE_VARIANCE_FLOOR:
+        lml, grad = _lml_and_gradient(terms, n, r * s2, s2)
+        return lml, grad[[0, 2]], Hyperparams(log_l, math.log(s2), log_r + math.log(s2))
     log_floor = math.log(NOISE_VARIANCE_FLOOR)
     hp = Hyperparams(log_l, log_floor - log_r, log_floor)
-    terms = _evidence_terms(S, y, hp, hp.noise_variance, gradient)
-    lml, grad = _lml_and_gradient(terms, n, terms[-1] - hp.noise_variance)
+    s2 = hp.signal_variance
+    lml, grad = _lml_and_gradient(terms, n, terms[-1] * s2 - hp.noise_variance, s2)
     return lml, np.array([grad[0], -grad[1] - grad[2]]), hp
 
 

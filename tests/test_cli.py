@@ -165,6 +165,12 @@ class TestTrain:
         assert code == 1
         assert "no such file" in capsys.readouterr().err
 
+    def test_directory_csv_exits_one(self, tmp_path, capsys):
+        """A path that exists but is no regular file is unreadable, not missing."""
+        assert run(["train", "--train-csv", tmp_path, "--model", tmp_path / "m"]) == 1
+        assert capsys.readouterr().err == f"error: cannot read {tmp_path}: not a regular file\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_numerical_failure_exits_two(self, workspace, tmp_path, monkeypatch, capsys):
         def boom(*args, **kwargs):
             raise NumericalError("factorization failed")
@@ -551,6 +557,10 @@ class TestRejections:
             ("--separation", "nan", "finite"),
             ("--noise", "inf", "finite"),
             ("--seed", "-1", "seed"),
+            ("--dim", "99999999999999999999", "more than memory can address"),
+            ("--n-per-grade", "0,0,0,0,99999999999999999999", "more than memory can address"),
+            ("--separation", "1e308", "separation and noise are too large"),
+            ("--noise", "1e308", "separation and noise are too large"),
         ],
     )
     def test_bad_synth_argument(self, tmp_path, capsys, flag, value, match):
@@ -717,6 +727,28 @@ class TestRejections:
         argv += ["--out", out, "--std-thresholds=0.5"] if command == "sweep" else ["--out", out]
         self.assert_rejected(argv, out, capsys, f"cannot write {out}: no directory {out.parent}")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("out", [".", "", "/"], ids=["dot", "empty", "root"])
+    @pytest.mark.parametrize("command", ["train", "predict", "evaluate", "sweep", "synth"])
+    def test_output_without_a_file_name(
+        self, workspace, tmp_path, capsys, monkeypatch, command, out
+    ):
+        """'.', '' and '/' name a directory: exit 1, nothing written in it, and no rows fitted
+        or archive loaded first."""
+        def no_work(*args):
+            raise AssertionError(f"{command} did work before checking its output path")
+
+        monkeypatch.setattr(gp, "fit", no_work)
+        monkeypatch.setattr(data, "load_model", no_work)
+        monkeypatch.chdir(tmp_path)
+        scoring = ["--test-csv", workspace["test"], "--model", workspace["model"], "--out", out]
+        argv = {"train": ["--train-csv", workspace["train"], "--model", out],
+                "synth": ["--n-per-grade", 3, "--out", out],
+                "sweep": [*scoring, "--std-thresholds", "0.5"]}.get(command, scoring)
+        before = sorted(Path(out).resolve().iterdir())
+        assert run([command, *argv]) == 1
+        assert capsys.readouterr().err == f"error: cannot write {Path(out)}: not a file name\n"
+        assert sorted(Path(out).resolve().iterdir()) == before
 
     @pytest.mark.parametrize("blocked", ["r.json", "r.boxstats.txt"])
     def test_evaluate_leaves_neither_file_when_one_cannot_be_written(

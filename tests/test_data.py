@@ -85,6 +85,10 @@ class TestLoadFeatureCsv:
         with pytest.raises(InputError, match="no such file"):
             load_feature_csv(tmp_path / "absent.csv")
 
+    def test_directory_is_not_a_regular_file(self, tmp_path):
+        with pytest.raises(InputError, match=f"^cannot read {tmp_path}: not a regular file$"):
+            load_feature_csv(tmp_path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_bytes(b"")
@@ -575,6 +579,13 @@ class TestSynthesizeDataset:
         with pytest.raises(InputError):
             synthesize_dataset([1] * 5, 4, separation, noise, seed)
 
+    @pytest.mark.parametrize("n_per_grade, D", [([0] * 5, 2**60), ([0, 0, 0, 0, 2**62], 2),
+                                                ([1] * 5, 10**20)], ids=["u", "rows", "dim"])
+    def test_rejects_sizes_past_the_address_space(self, n_per_grade, D):
+        """Past 2**63 - 1 bytes, numpy cannot size the array (a ValueError): nothing is drawn."""
+        with pytest.raises(InputError, match="more than memory can address"):
+            synthesize_dataset(n_per_grade, D, 6.0, 1.0, 0)
+
 
 def trained_model(seed=0):
     _, X_raw, grades = synthesize_dataset([8] * 5, 5, 6.0, 1.0, seed)
@@ -656,6 +667,10 @@ class TestModelArchive:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError, match="no such file"):
             load_model(tmp_path / "absent.model")
+
+    def test_directory_is_not_a_regular_file(self, tmp_path):
+        with pytest.raises(InputError, match=f"^cannot read {tmp_path}: not a regular file$"):
+            load_model(tmp_path)
 
     def test_save_is_deterministic(self, tmp_path):
         model, _ = trained_model(seed=8)

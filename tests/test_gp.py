@@ -496,7 +496,7 @@ class TestProfiledEvidence:
 
     @pytest.mark.parametrize("y_scale", [1.0, 1e-5], ids=["above floor", "floored"])
     def test_value_alone_has_the_same_bits_without_an_inverse(self, monkeypatch, y_scale):
-        """One factorization (two where the floor clamps), and neither dpotri nor strips."""
+        """One factorization on both sides of the noise floor, and neither dpotri nor strips."""
         rng = np.random.default_rng(11)
         X, y = rng.normal(size=(100, 3)), y_scale * rng.normal(size=100)
         S, theta = pairwise_sq_dists(X), np.array([0.1, math.log(0.3)])
@@ -516,9 +516,8 @@ class TestProfiledEvidence:
         assert value.hex() == lml.hex()
         assert value_hp == hp
         assert np.isnan(grad).all()
-        factorizations = 1 if y_scale == 1.0 else 2
-        # Four strips per kernel, each built in two parts: its diagonal tile and the rest.
-        assert calls == (["factor"] + ["exp"] * 8) * factorizations
+        # Four strips, each built in two parts: its diagonal tile and the rest.
+        assert calls == ["factor"] + ["exp"] * 8
 
     def test_one_evaluation_allocates_no_n_by_n_array(self):
         """The kernel is built, factored and inverted in the distances' buffer; K*S is
@@ -740,9 +739,10 @@ class TestFit:
         for (x0, _), theta in zip(calls, ranked_starts(X, y)):
             np.testing.assert_array_equal(x0, theta)
 
-    def test_one_factorization_per_optimizer_evaluation(self, monkeypatch):
+    @pytest.mark.parametrize("floored", [False, True], ids=["above floor", "floored"])
+    def test_one_factorization_per_optimizer_evaluation(self, monkeypatch, floored):
         """No evidence call outside the grid's ranking and the optimizer's own, plus the
-        final build."""
+        final build; also where the noise floor binds (np.sin of 25 points on [0, 3])."""
         nfev = []
         factorizations = []
         minimize, cholesky = gp_module.minimize, gp_module.cholesky_with_jitter
@@ -759,7 +759,11 @@ class TestFit:
         monkeypatch.setattr(gp_module, "minimize", counting_minimize)
         monkeypatch.setattr(gp_module, "cholesky_with_jitter", counting_cholesky)
         X, y = sample_from_prior(hp_of(1.5, 2.0, 0.1), n=40, D=3, seed=22)
-        fit(X, y, restarts=3, seed=22)
+        if floored:
+            X = np.linspace(0.0, 3.0, 25)[:, None]
+            y = np.sin(X[:, 0])
+        model = fit(X, y, restarts=3, seed=22)
+        assert (math.exp(model.hp.log_noise_variance) < NOISE_VARIANCE_FLOOR) == floored
         assert len(nfev) == 3
         assert len(factorizations) == len(gp_module._START_GRID) + sum(nfev) + 1
 
@@ -972,14 +976,24 @@ class TestFit:
         assert np.isfinite(std).all()
 
     def test_noise_free_targets_hold_the_noise_at_the_floor(self, monkeypatch):
-        """The search maximizes the evidence of the floored noise that fit freezes."""
-        values = record_evidence(monkeypatch)
+        """The search maximizes the evidence of the floored noise that fit freezes: the
+        model's hp is the best searched point's, and its evidence, from its own factor of
+        s2 * K~ + floor * I rather than the search's of K~ + r*I, that point's to rounding."""
+        points, profiled = [], gp_module._profiled_evidence
+
+        def recording(*args, **kwargs):
+            points.append(profiled(*args, **kwargs))
+            return points[-1]
+
+        monkeypatch.setattr(gp_module, "_profiled_evidence", recording)
         X = np.linspace(0.0, 3.0, 25)[:, None]
         model = fit(X, np.sin(X[:, 0]), restarts=3, seed=0)
         assert math.exp(model.hp.log_noise_variance) < NOISE_VARIANCE_FLOOR
         assert model.hp.noise_variance >= NOISE_VARIANCE_FLOOR
         assert math.isfinite(model.log_evidence)
-        assert model.log_evidence == max(values)
+        best, _, best_hp = max(points, key=lambda point: point[0])
+        assert model.hp == best_hp
+        assert model.log_evidence == pytest.approx(best, rel=1e-9)
 
     @pytest.mark.parametrize("m, lbfgsb_evaluations, lbfgsb_lml", [(15, 195, 74.835847),
                                                                   (40, 234, 274.407626)])
