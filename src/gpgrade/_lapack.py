@@ -85,11 +85,11 @@ def dtrmm(alpha, a, b, lower=0, overwrite_b=0):
     return b
 
 
-def dsyrk(alpha, a, c=None, trans=0, lower=0, overwrite_c=0):
+def dsyrk(alpha, a, *, c, trans=0, lower=0, overwrite_c=0):
     """One triangle of alpha * a @ a.T (a.T @ a with trans), in c if it may be overwritten."""
     a = _fortran(a, True, *np.shape(a))
     n, k = a.shape[::-1] if trans else a.shape
-    c = np.zeros((n, n), order="F") if c is None else _fortran(c, overwrite_c, n, n)
+    c = _fortran(c, overwrite_c, n, n)
     _call("dsyrk", "UL"[lower], "NT"[trans], n, k, alpha, a, max(len(a), 1), 0.0, c, max(n, 1))
     return c
 

@@ -94,9 +94,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _scored_runs(args):
-    """Check --out's directory and load the archive, then draw the test CSV's runs in predict's
-    blocks, scored as read: (ids, true referable labels (grades 2..4), means, stds) each."""
+    """Check --out and the threshold flags, load the archive, then draw the test CSV's runs in
+    predict's blocks, scored as read: (ids, true referable labels (grades 2..4), means, stds)."""
     data._writable(args.out)  # before the archive is loaded and a temp file opened
+    diagnosis._check_threshold("grade threshold", args.grade_threshold)  # before the n^3 rebuild
+    if "std_threshold" in vars(args):  # predict and evaluate; sweep checks its list as parsed
+        diagnosis._check_threshold("std threshold", args.std_threshold)
     model = data.load_model(args.model)
     if model.normalizer is None:
         raise InputError("model archive has no normalization statistics")
@@ -158,6 +161,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    box_path = data._writable(data._writable(args.out).with_name(args.out.stem + ".boxstats.txt"))
     labels, mean, std, base = _scored_arrays(args)
     referable, flipped = diagnosis.apply_uncertainty_flip(base, std, args.std_threshold)
     report = metrics.evaluate(referable, labels, mean, std)
@@ -168,7 +172,6 @@ def cmd_evaluate(args) -> int:
         **report.to_dict(),
     }
     data._atomic_write(args.out, json.dumps(document, indent=2, sort_keys=True) + "\n")
-    box_path = args.out.with_name(args.out.stem + ".boxstats.txt")
     try:
         data._atomic_write(box_path, metrics.box_stats_table(report.group_stats))
     except InputError:
@@ -181,6 +184,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    data._writable(args.out)  # before the rows are drawn
     parts = [p.strip() for p in str(args.n_per_grade).split(",")]
     try:
         counts = [int(p) for p in parts]
@@ -206,6 +210,8 @@ def cmd_sweep(args) -> int:
         raise InputError(f"bad --std-thresholds value {args.std_thresholds!r}") from None
     if not thresholds:
         raise InputError("--std-thresholds needs at least one value")
+    for t in thresholds:  # before the archive is loaded
+        diagnosis._check_threshold("std threshold", t)
     labels, mean, std, base = _scored_arrays(args)
     lines = ["std_threshold,tp,fp,tn,fn,sensitivity,specificity,n_flipped\n"]
     for t in thresholds:

@@ -3,8 +3,8 @@
 On-disk formats:
 
 * Feature CSV: header ``id,grade,f0,...,f{D-1}``, UTF-8 with or without a
-  BOM, decimal-point reals, no quoting, one line per record. Grades are
-  integers 0..4.
+  BOM, decimal-point reals, one line per record, csv quoting allowed within
+  it (an id holds no quote, comma, NUL, CR or LF). Grades are integers 0..4.
 * Model archive: a single binary file. A little-endian prefix of the
   8-byte ``GPGMODEL`` magic, the uint32 format version, the 32-byte sha256
   of the payload and the uint64 payload length, then the payload: a uint64
@@ -335,10 +335,12 @@ def synthesize_dataset(
 
 
 def _writable(path) -> Path:
-    """Path(path); InputError unless it names a file (not '.', '' or '/') in a directory."""
+    """Path(path); InputError unless it names a file, not '.', '' or '/' nor a directory, in one."""
     path = Path(path)
-    if not path.name or not os.path.isdir(path.parent):  # isdir raises no OSError
-        reason = f"no directory {path.parent}" if path.name else "not a file name"
+    reason = ("not a file name" if not path.name
+              else f"no directory {path.parent}" if not os.path.isdir(path.parent)  # no OSError
+              else "Is a directory" if os.path.isdir(path) else None)
+    if reason:
         raise InputError(f"cannot write {path}: {reason}")
     return path
 

@@ -28,9 +28,6 @@ NOISE_VARIANCE_FLOOR = 1e-8
 # distance beyond the float range is the float maximum, not inf.
 _QUARTER_MAX = np.finfo(np.float64).max / 4
 
-# Width of the column strips a triangle is mirrored in (256 rows: 16 KB of cache lines).
-_MIRROR_BLOCK = 256
-
 # Rows per strip of _sq_dists' norm sum and of gp's kernel and K*S (16 slowed K*S).
 _STRIP = 32
 
@@ -94,23 +91,13 @@ def row_sq_norms(A, name: str, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
     return A, sq_norms
 
 
-def _mirror_upper(M: np.ndarray) -> None:
-    """Copy the strict upper triangle of square M onto its strict lower one, in place, in
-    column strips of _MIRROR_BLOCK, and zero the diagonal."""
-    for i in range(0, M.shape[0], _MIRROR_BLOCK):
-        cols = slice(i, i + _MIRROR_BLOCK)
-        for j in range(i, min(cols.stop, M.shape[0])):  # the diagonal tile, by disjoint copies
-            M[j + 1 : cols.stop, j], M[j, j] = M[j, j + 1 : cols.stop], 0.0
-        M[cols.stop :, cols] = M[cols, cols.stop :].T
-
-
 def pairwise_sq_dists(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     """Pairwise squared Euclidean distances via the dot-product expansion.
 
     Uses ||a||^2 + ||b||^2 - 2 a.b with a clamp at zero to kill negative
     round-off. When ``B`` is omitted (or is the same array object as
     ``A``) the result is exactly symmetric with an exactly zero diagonal:
-    the upper triangle is computed once and mirrored.
+    numpy's ``A @ A.T`` copies its one ``dsyrk`` triangle, and the diagonal is set to 0.
 
     The expansion is summed at a quarter of its scale and scaled back, both
     exact in binary, so rows whose squared norms ``row_sq_norms`` accepts
@@ -119,38 +106,41 @@ def pairwise_sq_dists(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
     """
     S = _sq_dists(A, B)
     if B is None or B is A:
-        _mirror_upper(S)
+        np.fill_diagonal(S, 0.0)
     return S
 
 
 def _sq_dists(A, B=None, out: np.ndarray | None = None) -> np.ndarray:
-    """``pairwise_sq_dists`` before the mirror; on the self path, into the C-ordered n x n out
-    if given, of which only the upper triangle and the strips' diagonal tiles are written.
+    """``pairwise_sq_dists`` before the zero diagonal; on the self path, into the C-ordered
+    n x n out if given, of which only the upper triangle and the strips' diagonal tiles are written.
 
-    The products run on numpy's OpenBLAS, the one the factorizations use: the
-    self one by ``_lapack.dsyrk`` on A's transpose view (no copy) into one
-    triangle of out, the cross one by ``@``. Each takes the exact factor -1/2
-    and writes its own buffer, the result's: the norm sum is added into it (the
-    same sum, so the same bits, as the product added into the norm sum),
-    clipped and scaled in strips of _STRIP rows; on the self path over the
-    upper triangle only.
+    The products run on numpy's OpenBLAS, the one the factorizations use: the self one by
+    ``A @ A.T`` (numpy's own ``dsyrk``, both triangles), or with out by ``_lapack.dsyrk`` on A's
+    transpose view into one triangle, so a model's mapping keeps the other off its resident set;
+    the cross one by ``@``. Each takes the exact factor -1/2 and writes the result's buffer: the
+    norm sum is added into it (the same sum, so the same bits, as the product added into the
+    norm sum), clipped and scaled in strips of _STRIP rows; with out over its upper triangle.
     """
     self_gram = B is None or B is A
     A, a_norms = row_sq_norms(A, "A")
     if self_gram:
         b_norms = a_norms
-        c = None if out is None else out.T  # its Fortran lower triangle is out's upper one
-        S = _lapack.dsyrk(-0.5, A.T, trans=1, lower=1, c=c, overwrite_c=1).T
     else:
         B, b_norms = row_sq_norms(B, "B")
         if A.shape[1] != B.shape[1]:
             raise InputError(f"feature dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
+    if out is not None:  # its Fortran lower triangle (out.T) is out's upper one
+        S = _lapack.dsyrk(-0.5, A.T, trans=1, lower=1, c=out.T, overwrite_c=1).T
+    elif self_gram:
+        S = A @ A.T
+        S *= -0.5
+    else:
         S = (-0.5 * A) @ B.T
     a_quarter, b_quarter = 0.25 * a_norms, 0.25 * b_norms
     with np.errstate(over="ignore"):
         for i in range(0, S.shape[0], _STRIP):
             rows = slice(i, i + _STRIP)
-            cols = slice(i if self_gram else 0, None)
+            cols = slice(0 if out is None else i, None)
             part = S[rows, cols]
             part += np.add.outer(a_quarter[rows], b_quarter[cols])
             np.clip(part, 0.0, _QUARTER_MAX, out=part)

@@ -523,7 +523,14 @@ class TestRejections:
             ("sweep", "--grade-threshold", "nan"),
         ],
     )
-    def test_non_finite_threshold(self, workspace, tmp_path, capsys, command, flag, value):
+    def test_non_finite_threshold(
+        self, workspace, tmp_path, capsys, monkeypatch, command, flag, value
+    ):
+        """Rejected before the archive is rebuilt and the test file scored."""
+        def no_load(path):
+            raise AssertionError(f"{command} loaded {path} before checking {flag}")
+
+        monkeypatch.setattr(data, "load_model", no_load)
         out = tmp_path / "out"
         argv = [command, "--test-csv", workspace["test"], "--model", workspace["model"]]
         argv += ["--out", out, f"{flag}={value}"]
@@ -728,27 +735,52 @@ class TestRejections:
         self.assert_rejected(argv, out, capsys, f"cannot write {out}: no directory {out.parent}")
         assert list(tmp_path.iterdir()) == []
 
+    @staticmethod
+    def writing_to(out, command, workspace, monkeypatch):
+        """argv for ``command`` writing ``out``, with gp.fit, data.load_model and
+        data.synthesize_dataset made to fail."""
+        def no_work(*args):
+            raise AssertionError(f"{command} did work before checking its output path")
+
+        for module, name in ((gp, "fit"), (data, "load_model"), (data, "synthesize_dataset")):
+            monkeypatch.setattr(module, name, no_work)
+        scoring = ["--test-csv", workspace["test"], "--model", workspace["model"], "--out", out]
+        argv = {"train": ["--train-csv", workspace["train"], "--model", out],
+                "synth": ["--n-per-grade", 3, "--out", out],
+                "sweep": [*scoring, "--std-thresholds", "0.5"]}.get(command, scoring)
+        return [command, *argv]
+
     @pytest.mark.parametrize("out", [".", "", "/"], ids=["dot", "empty", "root"])
     @pytest.mark.parametrize("command", ["train", "predict", "evaluate", "sweep", "synth"])
     def test_output_without_a_file_name(
         self, workspace, tmp_path, capsys, monkeypatch, command, out
     ):
         """'.', '' and '/' name a directory: exit 1, nothing written in it, and no rows fitted
-        or archive loaded first."""
-        def no_work(*args):
-            raise AssertionError(f"{command} did work before checking its output path")
-
-        monkeypatch.setattr(gp, "fit", no_work)
-        monkeypatch.setattr(data, "load_model", no_work)
+        or drawn or archive loaded first."""
         monkeypatch.chdir(tmp_path)
-        scoring = ["--test-csv", workspace["test"], "--model", workspace["model"], "--out", out]
-        argv = {"train": ["--train-csv", workspace["train"], "--model", out],
-                "synth": ["--n-per-grade", 3, "--out", out],
-                "sweep": [*scoring, "--std-thresholds", "0.5"]}.get(command, scoring)
         before = sorted(Path(out).resolve().iterdir())
-        assert run([command, *argv]) == 1
+        assert run(self.writing_to(out, command, workspace, monkeypatch)) == 1
         assert capsys.readouterr().err == f"error: cannot write {Path(out)}: not a file name\n"
         assert sorted(Path(out).resolve().iterdir()) == before
+
+    @pytest.mark.parametrize(
+        "command, blocked",
+        [("train", "r.json"), ("predict", "r.json"), ("evaluate", "r.json"),
+         ("evaluate", "r.boxstats.txt"), ("sweep", "r.json"), ("synth", "r.json")],
+    )
+    def test_output_that_is_a_directory(
+        self, workspace, tmp_path, capsys, monkeypatch, command, blocked
+    ):
+        """An existing directory as the output, or as evaluate's box-stats file: exit 1, the
+        directory left as it was, and no rows fitted or drawn or archive loaded first."""
+        (tmp_path / blocked).mkdir()
+        (tmp_path / blocked / "kept").write_text("kept")
+        assert run(self.writing_to(tmp_path / "r.json", command, workspace, monkeypatch)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {tmp_path / blocked}: Is a directory\n"
+        assert [path.name for path in tmp_path.iterdir()] == [blocked]
+        assert [path.name for path in (tmp_path / blocked).iterdir()] == ["kept"]
+        assert (tmp_path / blocked / "kept").read_text() == "kept"
 
     @pytest.mark.parametrize("blocked", ["r.json", "r.boxstats.txt"])
     def test_evaluate_leaves_neither_file_when_one_cannot_be_written(

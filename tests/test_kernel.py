@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from gpgrade import Hyperparams, InputError
-from gpgrade import kernel as kernel_module
 from gpgrade.kernel import (
     NOISE_VARIANCE_FLOOR,
     kernel_matrix,
@@ -176,7 +175,8 @@ class TestPairwiseSqDists:
         np.testing.assert_array_equal(cross[~np.eye(4, dtype=bool)], S[~np.eye(4, dtype=bool)])
 
     def test_self_distances_allocate_little_beyond_their_buffer(self):
-        """The diagonal tiles are mirrored by copies that do not overlap: no tile temporaries."""
+        """The product is written into the result's buffer and the strips add one strip's norm
+        sums at a time: no n x n temporaries."""
         n = 600
         A = np.random.default_rng(3).normal(size=(n, 64))
         tracemalloc.start()
@@ -209,12 +209,8 @@ def out_of_place_sq_dists(A, B=None):
     return np.clip(S, 0.0, cap) * 4.0
 
 
-MIRROR_SIZES = [
-    kernel_module._MIRROR_BLOCK - 1,
-    kernel_module._MIRROR_BLOCK,
-    kernel_module._MIRROR_BLOCK + 1,
-    2 * kernel_module._MIRROR_BLOCK + 1,
-]
+# Sizes just below, at and just above whole multiples of kernel._STRIP (32 rows).
+MIRROR_SIZES = [255, 256, 257, 513]
 
 
 class TestAssemblyBits:
