@@ -122,6 +122,7 @@ def _scored_arrays(args):
 
 def cmd_train(args) -> int:
     data._writable(args.model)  # before the rows are read and fitted
+    gp._check_fit_options(args.max_train, args.restarts, args.seed)
     ids, X, grades = data.load_feature_csv(args.train_csv)
     stats = data.fit_normalizer(X)
     model = gp.fit(

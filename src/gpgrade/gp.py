@@ -300,6 +300,16 @@ def build_model(
     return GPModel(hp, X, y, L_inv, alpha, lml, jitter, normalizer, train_subset_seed)
 
 
+def _check_fit_options(max_train: int, restarts: int | None, seed: int) -> None:
+    """InputError unless ``fit`` can take these; ``train`` checks them before reading rows."""
+    if max_train < 2:
+        raise InputError("max_train must be at least 2")
+    if restarts is not None and restarts < 1:
+        raise InputError("restarts must be at least 1")
+    if seed < 0:
+        raise InputError("seed must be non-negative")
+
+
 def fit(
     X,
     y,
@@ -323,12 +333,7 @@ def fit(
     reports the best point it evaluates, or else its start; the best record wins.
     """
     X, y = _validate_training_data(X, y)
-    if max_train < 2:
-        raise InputError("max_train must be at least 2")
-    if restarts is not None and restarts < 1:
-        raise InputError("restarts must be at least 1")
-    if seed < 0:
-        raise InputError("seed must be non-negative")
+    _check_fit_options(max_train, restarts, seed)
 
     if X.shape[0] > max_train:
         idx = np.sort(np.random.default_rng(seed).choice(X.shape[0], max_train, replace=False))

@@ -1,10 +1,10 @@
 """One scorer for a batch of referral decisions: ``evaluate``.
 
 It counts the confusion groups (TP/FP/TN/FN), takes sensitivity and
-specificity, the ROC-AUC of the posterior means (the midrank U statistic,
-which equals trapezoidal ROC integration), and the posterior-std
-quartiles of each group. Undefined ratios (an empty class) are reported
-as explicit ``None`` markers, never as silent zeros.
+specificity, the ROC-AUC of the posterior means (the Mann-Whitney pair count,
+ties counting half, which equals trapezoidal ROC integration), and the
+posterior-std quartiles of each group. Undefined ratios (an empty class) are
+reported as explicit ``None`` markers, never as silent zeros.
 """
 
 from __future__ import annotations
@@ -68,29 +68,22 @@ class EvalReport:
 
 
 def roc_auc(scores, labels) -> float:
-    """Area under the ROC curve via the midrank U statistic.
+    """Area under the ROC curve: the Mann-Whitney U over the positive-negative pairs, counted.
 
-    Ties between scores count half, so the value equals trapezoidal
-    integration of the ROC curve over all distinct thresholds. A NaN or
-    infinite score raises InputError naming its row.
+    A pair counts 1 when the positive scores higher and 1/2 when they tie, so
+    the value equals trapezoidal integration of the ROC curve over all distinct
+    thresholds. A NaN or infinite score raises InputError naming its row.
     """
     labels = np.asarray(labels, dtype=bool)
     if labels.ndim != 1:
         raise InputError(f"labels must be 1-d, got shape {labels.shape}")
     scores = _finite_vector("score", scores, labels.size)
-    n_pos = int(labels.sum())
-    n_neg = labels.size - n_pos
-    if n_pos == 0 or n_neg == 0:
+    negatives, positives = np.sort(scores[~labels]), scores[labels]
+    if positives.size == 0 or negatives.size == 0:
         raise InputError("AUC needs at least one positive and one negative sample")
-    # Midranks: each run of equal sorted scores shares the mean of its
-    # 1-based positions, first + (count + 1) / 2. They are half-integers, so
-    # the rank sum below is exact.
-    order = np.argsort(scores, kind="mergesort")
-    _, first, counts = np.unique(scores[order], return_index=True, return_counts=True)
-    ranks = np.empty(scores.size)
-    ranks[order] = np.repeat(first + (counts + 1) / 2.0, counts)
-    rank_sum = float(ranks[labels].sum())
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    # Per positive, the negatives below it plus those at or below it: 2U, counted exactly.
+    twice_u = sum(np.searchsorted(negatives, positives, side).sum() for side in ("left", "right"))
+    return float(twice_u) / 2.0 / (positives.size * negatives.size)
 
 
 def _finite_vector(name: str, values, n: int) -> np.ndarray:

@@ -52,7 +52,7 @@ def test_src_stays_within_its_line_budget():
     """``wc -l src/gpgrade/*.py`` is at most the bound (ROADMAP item 10, less code). A change
     that has to grow ``src/`` raises the bound and says why in CHANGES.md."""
     src = Path(__file__).resolve().parents[1] / "src" / "gpgrade"
-    assert sum(path.read_bytes().count(b"\n") for path in src.glob("*.py")) <= 1715
+    assert sum(path.read_bytes().count(b"\n") for path in src.glob("*.py")) <= 1714
 
 
 def test_every_public_name_resolves():

@@ -222,3 +222,42 @@ def test_fallback_runs_on_scipy_and_agrees():
     assert report.keys() == expected.keys()
     for key, value in expected.items():
         np.testing.assert_allclose(report[key], value, rtol=1e-10, atol=1e-10, err_msg=key)
+
+
+# Each wrapper with one mis-shaped argument (a tuple is a random Fortran array of that shape),
+# the shape it expected and the one it got.
+_MISSHAPED = [
+    ("dpotrf", [(3, 4)], {"overwrite_a": 1}, (3, 3), (3, 4)),
+    ("dpotri", [(3, 4)], {"overwrite_c": 1}, (3, 3), (3, 4)),
+    ("dtrtri", [(3, 4)], {"overwrite_c": 1}, (3, 3), (3, 4)),
+    ("dpotrs", [(3, 3), (4,)], {}, (3,), (4,)),
+    ("dtrmm", [1.0, (3, 3), (4, 2)], {"overwrite_b": 1}, (3, 2), (4, 2)),
+    ("dsyrk", [1.0, (3, 3)], {"c": (3, 4), "overwrite_c": 1}, (3, 3), (3, 4)),
+]
+
+
+@pytest.mark.skipif(_lapack._call is None, reason="the scipy fallback checks shapes itself")
+@pytest.mark.parametrize("name, arguments, keywords, expected, got", _MISSHAPED,
+                         ids=[row[0] for row in _MISSHAPED])
+def test_wrapper_rejects_a_misshaped_array_before_the_call(
+    monkeypatch, name, arguments, keywords, expected, got
+):
+    """A wrongly shaped array never reaches a LAPACK pointer: ValueError naming both shapes, no
+    routine called, and every input left as it was, even one the wrapper may overwrite."""
+    def no_call(*arguments):
+        raise AssertionError(f"{arguments[0]} was called")
+
+    rng = np.random.default_rng(8)
+
+    def made(value):
+        return np.asfortranarray(rng.normal(size=value)) if isinstance(value, tuple) else value
+
+    arguments = [made(value) for value in arguments]
+    keywords = {key: made(value) for key, value in keywords.items()}
+    arrays = [a for a in [*arguments, *keywords.values()] if isinstance(a, np.ndarray)]
+    before = [a.tobytes() for a in arrays]
+    monkeypatch.setattr(_lapack, "_call", no_call)
+    with pytest.raises(ValueError) as raised:
+        getattr(_lapack, name)(*arguments, lower=1, **keywords)
+    assert str(raised.value) == f"expected an array of shape {expected}, got {got}"
+    assert [a.tobytes() for a in arrays] == before

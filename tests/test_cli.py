@@ -623,6 +623,23 @@ class TestRejections:
         argv = ["train", "--train-csv", workspace["train"], "--model", out, "--seed", -3]
         self.assert_rejected(argv, out, capsys, "seed")
 
+    @pytest.mark.parametrize("flag, value, match", [
+        ("--seed", -1, "seed must be non-negative"),
+        ("--max-train", 1, "max_train must be at least 2"),
+        ("--restarts", 0, "restarts must be at least 1"),
+    ], ids=["seed", "max-train", "restarts"])
+    def test_train_checks_its_flags_before_reading_rows(
+        self, workspace, tmp_path, capsys, monkeypatch, flag, value, match
+    ):
+        def no_read(path):
+            raise AssertionError(f"train read {path} before checking {flag}")
+
+        monkeypatch.setattr(data, "load_feature_csv", no_read)
+        out = tmp_path / "m.model"
+        argv = ["train", "--train-csv", workspace["train"], "--model", out, flag, value]
+        self.assert_rejected(argv, out, capsys, match)
+        assert list(tmp_path.iterdir()) == []
+
     def test_id_with_comma(self, workspace, tmp_path, capsys):
         lines = workspace["test"].read_text().splitlines(keepends=True)
         test_csv = tmp_path / "test.csv"
@@ -794,6 +811,28 @@ class TestRejections:
         assert err.startswith("error: ") and err.count("\n") == 1 and blocked in err
         assert [path.name for path in tmp_path.iterdir()] == [blocked]
         assert list((tmp_path / blocked).iterdir()) == []
+
+    def test_evaluate_removes_its_report_when_the_box_stats_fail(
+        self, workspace, tmp_path, capsys, monkeypatch
+    ):
+        """The box stats cannot be renamed into place (a full disk) after the report was: exit
+        1, and neither file nor a temp file is left."""
+        replace, listed = data.os.replace, []
+
+        def box_stats_fail(src, dst):
+            if not Path(dst).name.endswith(".boxstats.txt"):
+                return replace(src, dst)
+            listed.extend(path.name for path in tmp_path.iterdir())
+            raise OSError(errno.ENOSPC, "No space left on device", str(dst))
+
+        monkeypatch.setattr(data.os, "replace", box_stats_fail)
+        argv = ["evaluate", "--test-csv", workspace["test"], "--model", workspace["model"]]
+        argv += ["--out", tmp_path / "r.json"]
+        assert run(argv) == 1
+        box = tmp_path / "r.boxstats.txt"
+        assert capsys.readouterr().err == f"error: cannot write {box}: No space left on device\n"
+        assert "r.json" in listed  # the report was in place when the box stats failed
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "value, match", [(",", "at least one value"), ("0.5,high", "bad --std-thresholds")]

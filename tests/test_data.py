@@ -1,5 +1,6 @@
 """Ingestion, normalization, synthesis, and model-archive tests."""
 
+import errno
 import hashlib
 import io
 import json
@@ -7,6 +8,7 @@ import math
 import struct
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -418,12 +420,33 @@ class TestAtomicWrite:
             write_feature_csv(["a"], np.zeros((1, 2)), [0], out)
         assert list(tmp_path.iterdir()) == []
 
-    def test_failed_rename_removes_the_temp_file(self, tmp_path):
+    def test_directory_target_is_rejected_before_a_temp_file(self, tmp_path):
         out = tmp_path / "adir"
         out.mkdir()
-        with pytest.raises(InputError, match="adir"):
+        with pytest.raises(InputError, match="adir: Is a directory"):
             write_feature_csv(["a"], np.zeros((1, 2)), [0], out)
         assert list(tmp_path.iterdir()) == [out]
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_failed_rename_removes_the_temp_file(self, tmp_path, monkeypatch, existing):
+        """The rename fails after the temp file is written (a full disk): InputError, no temp
+        file left, and an existing target keeps its old bytes."""
+        out = tmp_path / "x.csv"
+        if existing:
+            out.write_bytes(b"old")
+        written = []
+
+        def no_space(src, dst):
+            written.append(Path(src).read_text())
+            raise OSError(errno.ENOSPC, "No space left on device", str(dst))
+
+        monkeypatch.setattr(gpgrade.data.os, "replace", no_space)
+        with pytest.raises(InputError) as raised:
+            write_feature_csv(["a"], np.zeros((1, 2)), [0], out)
+        assert str(raised.value) == f"cannot write {out}: No space left on device"
+        assert written and written[0].startswith("id,grade,")
+        assert list(tmp_path.iterdir()) == ([out] if existing else [])
+        assert not existing or out.read_bytes() == b"old"
 
 
 class TestNormalizer:

@@ -297,6 +297,13 @@ class TestLogMarginalLikelihood:
         with pytest.raises(InputError):
             log_marginal_likelihood(np.zeros((1, 2)), np.zeros(1), hp_of())
 
+    def test_failed_inverse_is_a_numerical_error(self, monkeypatch):
+        """dpotri reports a failure by info; the gradient's evidence terms say so."""
+        monkeypatch.setattr(gp_module._lapack, "dpotri", lambda c, **kwargs: (c, 3))
+        X = np.random.default_rng(13).normal(size=(6, 2))
+        with pytest.raises(NumericalError, match=r"\(dpotri info 3\)"):
+            log_marginal_likelihood(X, np.arange(6.0), hp_of())
+
 
 def overflowing_rows(value):
     """Four finite training rows; the squared norm of rows 1 and 3 is not finite."""
