@@ -496,7 +496,7 @@ def load_model(path) -> gp.GPModel:
         raise ModelFormatError(f"archive digests must be {sorted(recomputed)}")
     for key, got in recomputed.items():
         saved = header["digests"][key]
-        if type(saved) not in _NUMBER or not math.isclose(
+        if type(saved) is not float or not math.isclose(
             got, saved, rel_tol=_DIGEST_RTOL, abs_tol=_DIGEST_RTOL
         ):
             raise ModelFormatError(

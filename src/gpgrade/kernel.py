@@ -49,9 +49,9 @@ class Hyperparams:
             ("log_noise_variance", 1),
         ):
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise InputError(f"{name} must be finite, got {value!r}")
-            try:
+            try:  # an int past the float range overflows in isfinite and exp alike
+                if not math.isfinite(value):
+                    raise InputError(f"{name} must be finite, got {value!r}")
                 scale = math.exp(value) ** power
             except OverflowError:
                 raise InputError(f"{name} {value!r} is too large: it overflows") from None

@@ -12,7 +12,8 @@ import pytest
 
 import gpgrade
 from gpgrade import cli
-from test_blas_calls import barred_scipy
+
+from conftest import barred_scipy
 
 PUBLIC_NAMES = [
     "BoxStats",

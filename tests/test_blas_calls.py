@@ -25,6 +25,8 @@ import pytest
 import gpgrade
 from gpgrade import _lapack, cli, fit, predict
 
+from conftest import barred_scipy
+
 SOURCES = sorted(Path(gpgrade.__file__).parent.glob("*.py"))
 
 
@@ -137,14 +139,6 @@ def run_probe(code: str, *args: str) -> dict:
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     return json.loads(proc.stdout.splitlines()[-1])
-
-
-def barred_scipy(modules, fallback: bool) -> list[str]:
-    """The scipy modules among ``modules`` that a process may not load: any of them where
-    numpy's OpenBLAS is bound, and on the ``scipy.linalg`` fallback scipy.stats and
-    scipy.optimize (``fallback`` is ``_lapack._call is None`` for this process)."""
-    heavy = ("scipy.stats", "scipy.optimize") if fallback else ("scipy",)
-    return [m for m in modules if m.split(".")[0] == "scipy" and m.startswith(heavy)]
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,6 @@
 """Ingestion, normalization, synthesis, and model-archive tests."""
 
 import errno
-import hashlib
 import io
 import json
 import math
@@ -32,7 +31,7 @@ from gpgrade.errors import ModelFormatError, ParseError
 from gpgrade.gp import cholesky_with_jitter
 from gpgrade.kernel import Hyperparams, kernel_matrix, pairwise_sq_dists
 
-from test_gp import duplicated_dyadic_rows
+from conftest import duplicated_dyadic_rows, reseal, rewrite_header
 
 
 def write_csv(path, rows, dim=4):
@@ -760,32 +759,6 @@ class TestModelDigests:
             load_model(tmp_path / "m.model")
 
 
-def reseal(path, edit):
-    """Replace an archive's payload with ``edit(payload)`` and re-seal the checksum."""
-    blob = path.read_bytes()
-    prefix = len(MODEL_MAGIC) + 4
-    payload = edit(blob[prefix + 32 + 8 :])
-    path.write_bytes(
-        blob[:prefix]
-        + hashlib.sha256(payload).digest()
-        + struct.pack("<Q", len(payload))
-        + payload
-    )
-
-
-def rewrite_header(path, edit):
-    """Apply ``edit`` to an archive's JSON header and re-seal the checksum."""
-
-    def edit_payload(payload):
-        (header_len,) = struct.unpack_from("<Q", payload, 0)
-        header = json.loads(payload[8 : 8 + header_len])
-        edit(header)
-        header_bytes = json.dumps(header).encode("utf-8")
-        return struct.pack("<Q", len(header_bytes)) + header_bytes + payload[8 + header_len :]
-
-    reseal(path, edit_payload)
-
-
 def rewrite_array(path, name, edit):
     """Apply ``edit`` in place to the archive array ``name`` and re-seal the checksum."""
 
@@ -849,6 +822,15 @@ BAD_HEADERS = {
     "noise variance overflows": lambda h: h.update(log_noise_variance=1000.0),
     "diagonal sum overflows": lambda h: h.update(log_signal_variance=709.0),
     "diagonal sum overflows near the float limit": lambda h: h.update(log_signal_variance=709.7),
+    # Integers that no float holds: float conversion raises OverflowError, not a rejection.
+    **{
+        f"{field.name.removeprefix('log_').replace('_', ' ')} {text}": (
+            lambda h, key=field.name, value=sign * 10**400: h.update({key: value})
+        )
+        for field in fields(Hyperparams)
+        for sign, text in ((1, "10**400"), (-1, "-10**400"))
+    },
+    "digest 10**400": lambda h: h["digests"].update(alpha_l2=10**400),
 }
 
 

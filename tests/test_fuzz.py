@@ -35,6 +35,8 @@ from gpgrade.data import _feature_runs
 from gpgrade.errors import ParseError
 from gpgrade.metrics import roc_auc
 
+from conftest import reseal
+
 # Any id the loader accepts: no NUL, comma, quote, CR or LF, and encodable as UTF-8.
 ids = st.text(st.characters(blacklist_characters='\0,"\r\n', blacklist_categories=("Cs",)))
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -247,7 +249,6 @@ def test_corrupted_archive_raises_only_format_or_input_errors(tmp_path_factory, 
 @given(data=st.data())
 def test_resealed_archive_is_rejected_or_predicts_finite_values(tmp_path_factory, data):
     """One payload byte flipped, then the checksum recomputed to match."""
-    from test_data import reseal
 
     def flip(payload):
         payload = bytearray(payload)

@@ -2,14 +2,12 @@
 
 import copy
 import math
-import mmap
 import pickle
 import sys
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,31 +33,7 @@ from gpgrade.data import (
 from gpgrade.gp import cholesky_with_jitter, log_marginal_likelihood
 from gpgrade.kernel import NOISE_VARIANCE_FLOOR, kernel_matrix, pairwise_sq_dists
 
-
-def huge_pages_always() -> bool:
-    """Whether transparent huge pages back every anonymous mapping, touched or not."""
-    path = Path("/sys/kernel/mm/transparent_hugepage/enabled")
-    return path.exists() and "[always]" in path.read_text()
-
-
-def written_bytes(array) -> int:
-    """Bytes of the pages under array that this process alone maps (/proc/self/pagemap, bit
-    56): the pages it has written. Untouched pages, and read ones that map the shared zero
-    page, are not counted, nor is a neighbouring mapping the kernel merged into the same VMA."""
-    first = array.ctypes.data // mmap.PAGESIZE
-    stop = -(-(array.ctypes.data + array.nbytes) // mmap.PAGESIZE)  # rounded up
-    with open("/proc/self/pagemap", "rb") as fh:  # one 8-byte entry per page
-        fh.seek(8 * first)
-        entries = np.frombuffer(fh.read(8 * (stop - first)), dtype="<u8")
-    return int(np.count_nonzero(entries & np.uint64(1 << 56))) * mmap.PAGESIZE
-
-
-def benchmark_rows():
-    """The benchmark's shape: 2,000 synthesized rows of 64 features, normalized as train
-    normalizes them, their grades as targets, and the normalizer."""
-    _, X, grades = synthesize_dataset([400] * 5, 64, 6.0, 1.0, 0)
-    stats = fit_normalizer(X)
-    return apply_normalizer(stats, X), grades.astype(float), stats
+from conftest import duplicated_dyadic_rows, huge_pages_always, written_bytes
 
 
 def hp_of(length_scale=1.0, signal_variance=1.0, noise_variance=1.0):
@@ -170,16 +144,6 @@ class TestCholeskyWithJitter:
     def test_rejects_non_finite_input(self, K, noise):
         with pytest.raises(InputError, match="must be finite"):
             cholesky_with_jitter(np.array(K), noise)
-
-
-def duplicated_dyadic_rows():
-    """200 rows on a dyadic grid, every 40th duplicated, hyperparameters at s2 = 2**30 and
-    the noise floor, which the factorization cannot take without jitter (see
-    test_jitter_escalation), and the generator that drew the rows."""
-    rng = np.random.default_rng(34)
-    X = 0.25 * rng.integers(-8, 9, size=(200, 6))
-    X[1::40] = X[0::40]
-    return X, Hyperparams(0.0, 30.0 * math.log(2.0), math.log(NOISE_VARIANCE_FLOOR)), rng
 
 
 class TestFactorInPlace:
@@ -796,20 +760,17 @@ class TestFit:
         assert model.L_inv.tobytes() == build_model(X, y, model.hp).L_inv.tobytes()
 
     @pytest.mark.parametrize("shape", ["n=600", "benchmark"])
-    def test_fit_holds_one_n_by_n_array(self, shape):
+    def test_fit_holds_one_n_by_n_array(self, request, shape):
         """The distances, in whose buffer every kernel is built, factored and inverted: the
         median partitions one copy of their strict lower triangle, gathered row by row with
-        no mask or index array, in place. At the benchmark's shape the default fit ranks the
-        grid and runs one search."""
+        no mask or index array, in place. At the benchmark's shape, the whole default-flag
+        train of the shared archive: it parses, ranks the grid, runs one search and saves."""
         if shape == "benchmark":
-            X, y, _ = benchmark_rows()
-            options = {}
+            n, peak = 2000, request.getfixturevalue("benchmark_archive")["peak"]
         else:
             rng = np.random.default_rng(38)
-            X, y = rng.normal(size=(600, 8)), rng.normal(size=600)
-            options = {"restarts": 1, "seed": 38}
-        n = X.shape[0]
-        _, peak = traced_peak(lambda: fit(X, y, **options))
+            n, X, y = 600, rng.normal(size=(600, 8)), rng.normal(size=600)
+            _, peak = traced_peak(lambda: fit(X, y, restarts=1, seed=38))
         assert peak < 1.6 * n * n * 8
 
     @pytest.mark.parametrize(
@@ -1422,13 +1383,14 @@ class TestPredict:
         reason="needs Linux, with transparent huge pages not always on",
     )
     @pytest.mark.parametrize("shape, bound", [("n=1,536", 0.70), ("benchmark", 0.75)])
-    def test_model_inverse_leaves_its_other_triangle_off_the_resident_set(self, shape, bound):
+    def test_model_inverse_leaves_its_other_triangle_off_the_resident_set(
+        self, request, shape, bound
+    ):
         """L^-1 lives in a mapping of 4 KiB pages of which only its triangle is written, so
-        about half of its pages are written, huge-page advice or not; also at the benchmark's
-        shape, at the hyperparameters its archive is built at."""
+        about half of its pages are written, huge-page advice or not; also as the shared
+        benchmark-shape archive loads."""
         if shape == "benchmark":
-            X, y, stats = benchmark_rows()
-            model = build_model(X, y, Hyperparams(2.7, 0.4, -1.45), normalizer=stats)
+            model = load_model(request.getfixturevalue("benchmark_archive")["model"])
         else:
             rng = np.random.default_rng(37)
             X, y = rng.normal(size=(1536, 3)), rng.normal(size=1536)

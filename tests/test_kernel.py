@@ -66,11 +66,14 @@ class TestHyperparams:
             ((-400.0, 0.0, 0.0), "log_length_scale"),
             ((0.0, 1000.0, 0.0), "log_signal_variance"),
             ((0.0, 0.0, 1000.0), "log_noise_variance"),
+            ((10**400, 0.0, 0.0), "log_length_scale"),
+            ((0.0, 0.0, -(10**400)), "log_noise_variance"),
         ],
-        ids=["l-squared-overflows", "l-overflows", "l-squared-is-0", "s2-overflows", "noise-overflows"],
+        ids=["l-squared-overflows", "l-overflows", "l-squared-is-0", "s2-overflows", "noise-overflows",
+             "l-int-past-floats", "noise-int-past-floats"],
     )
     def test_rejects_values_the_kernel_cannot_use(self, logs, name):
-        """l**2 that overflows or is 0, or a variance that overflows."""
+        """l**2 that overflows or is 0, a variance that overflows, or an int no float holds."""
         with pytest.raises(InputError, match=name):
             Hyperparams(*logs)
 
