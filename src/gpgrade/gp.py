@@ -167,7 +167,7 @@ def _kernel_from_lower(B: np.ndarray, hp: Hyperparams, X=None) -> None:
     other one with the diagonal, by ``rbf_from_sq_dists`` on each strip's two parts. With rows
     X, ``kernel._sq_dists`` first writes their distances into that other triangle (read there
     in place, as B.T's lower one) and the strips' diagonal tiles, which are then cleared to 0."""
-    D = B if X is None else _sq_dists(X, out=B).T  # its strict lower triangle holds the distances
+    D = B if X is None else _sq_dists(X, out=B, triangle=True).T  # strict lower: the distances
     for i in range(0, B.shape[0], _STRIP):
         rows = slice(i, i + _STRIP)
         tile = D[rows, rows].copy()  # put back below B's diagonal at the end (0 with rows X)
@@ -328,7 +328,8 @@ def fit(
 
     The evidence at r = 0.1 ranks the length-scales ``_START_GRID`` times the median
     pairwise distance, ties to the earlier, and one search runs from each of the top
-    ``restarts`` computable ones (default 2 below ``_ONE_SEARCH_MIN_N`` rows, else 1).
+    ``restarts`` computable ones (default 2 below ``_ONE_SEARCH_MIN_N`` rows, else 1). The
+    median partitions the distances' own buffer, which is rebuilt in place: one n x n array.
     Each search (``minimize``, which backs off from a point whose evidence is not computable)
     reports the best point it evaluates, or else its start; the best record wins.
     """
@@ -343,12 +344,12 @@ def fit(
     if restarts is None:
         restarts = 2 if n < _ONE_SEARCH_MIN_N else 1
 
-    lower = np.concatenate([S[i, :i] for i in range(n)])  # the strict lower triangle, by rows
-    half = lower.size // 2  # np.median's bits from a partition in place, without numpy.ma
-    lower.partition([half - 1, half])  # an even count averages two floats, inf if they overflow
-    median = lower[half] if lower.size % 2 else (lower[half - 1].item() + lower[half].item()) / 2
+    pairs = n * (n - 1) // 2  # S holds n zeros and each pair's distance twice: sorted, entries
+    k = n + 2 * (pairs // 2)  # k - 1 and k are the pairs' middle two (k alone for an odd count)
+    S.reshape(-1).partition(k)  # in place, without numpy.ma: entry k - 1 is the largest below k
+    median = S.flat[k] if pairs % 2 else (S.reshape(-1)[:k].max().item() + S.flat[k].item()) / 2
     median_dist = math.sqrt(median) if 0.0 < median < math.inf else 1.0
-    del lower  # freed before the first evidence evaluation
+    pairwise_sq_dists(X, out=S)  # rebuilt in S's buffer: a new n x n one would stay on the heap
 
     def negative_evidence(theta, gradient=True):
         """(-lml, -gradient, record (lml, theta, Hyperparams)) of ``_profiled_evidence`` at

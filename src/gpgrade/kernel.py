@@ -91,48 +91,47 @@ def row_sq_norms(A, name: str, first: int = 0) -> tuple[np.ndarray, np.ndarray]:
     return A, sq_norms
 
 
-def pairwise_sq_dists(A: np.ndarray, B: np.ndarray | None = None) -> np.ndarray:
+def pairwise_sq_dists(A: np.ndarray, B=None, out: np.ndarray | None = None) -> np.ndarray:
     """Pairwise squared Euclidean distances via the dot-product expansion.
 
     Uses ||a||^2 + ||b||^2 - 2 a.b with a clamp at zero to kill negative
     round-off. When ``B`` is omitted (or is the same array object as
     ``A``) the result is exactly symmetric with an exactly zero diagonal:
     numpy's ``A @ A.T`` copies its one ``dsyrk`` triangle, and the diagonal is set to 0.
+    The self result is built in the C-ordered n x n ``out`` if given, with the same bits.
 
     The expansion is summed at a quarter of its scale and scaled back, both
     exact in binary, so rows whose squared norms ``row_sq_norms`` accepts
     cannot overflow it; a distance beyond the float range is capped at the
     float maximum, so the kernel value there is 0 and K * S stays finite.
     """
-    S = _sq_dists(A, B)
+    S = _sq_dists(A, B, out)
     if B is None or B is A:
         np.fill_diagonal(S, 0.0)
     return S
 
 
-def _sq_dists(A, B=None, out: np.ndarray | None = None) -> np.ndarray:
-    """``pairwise_sq_dists`` before the zero diagonal; on the self path, into the C-ordered
-    n x n out if given, of which only the upper triangle and the strips' diagonal tiles are written.
+def _sq_dists(A, B=None, out: np.ndarray | None = None, triangle: bool = False) -> np.ndarray:
+    """``pairwise_sq_dists`` before the zero diagonal; on the self path, into the C-ordered n x n
+    out if given: both triangles, or with ``triangle`` only the upper one and the strips' tiles.
 
     The products run on numpy's OpenBLAS, the one the factorizations use: the self one by
-    ``A @ A.T`` (numpy's own ``dsyrk``, both triangles), or with out by ``_lapack.dsyrk`` on A's
-    transpose view into one triangle, so a model's mapping keeps the other off its resident set;
-    the cross one by ``@``. Each takes the exact factor -1/2 and writes the result's buffer: the
-    norm sum is added into it (the same sum, so the same bits, as the product added into the
-    norm sum), clipped and scaled in strips of _STRIP rows; with out over its upper triangle.
+    ``A @ A.T`` (numpy's own ``dsyrk``, both triangles, in out if given), or with out and
+    triangle by ``_lapack.dsyrk`` on A's transpose view into one triangle, so a model's mapping
+    keeps the other off its resident set; the cross one by ``@``. Each takes the exact factor
+    -1/2 and writes the result's buffer: the norm sum is added into it (the same sum, so the
+    same bits, as the product added into the norm sum), clipped and scaled in strips of _STRIP
+    rows; with triangle over its upper triangle.
     """
     self_gram = B is None or B is A
     A, a_norms = row_sq_norms(A, "A")
-    if self_gram:
-        b_norms = a_norms
-    else:
-        B, b_norms = row_sq_norms(B, "B")
-        if A.shape[1] != B.shape[1]:
-            raise InputError(f"feature dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
-    if out is not None:  # its Fortran lower triangle (out.T) is out's upper one
+    B, b_norms = (A, a_norms) if self_gram else row_sq_norms(B, "B")
+    if A.shape[1] != B.shape[1]:
+        raise InputError(f"feature dimension mismatch: {A.shape[1]} vs {B.shape[1]}")
+    if triangle:  # its Fortran lower triangle (out.T) is out's upper one
         S = _lapack.dsyrk(-0.5, A.T, trans=1, lower=1, c=out.T, overwrite_c=1).T
     elif self_gram:
-        S = A @ A.T
+        S = np.matmul(A, A.T, out=out)
         S *= -0.5
     else:
         S = (-0.5 * A) @ B.T
@@ -140,7 +139,7 @@ def _sq_dists(A, B=None, out: np.ndarray | None = None) -> np.ndarray:
     with np.errstate(over="ignore"):
         for i in range(0, S.shape[0], _STRIP):
             rows = slice(i, i + _STRIP)
-            cols = slice(0 if out is None else i, None)
+            cols = slice(i if triangle else 0, None)
             part = S[rows, cols]
             part += np.add.outer(a_quarter[rows], b_quarter[cols])
             np.clip(part, 0.0, _QUARTER_MAX, out=part)

@@ -1,39 +1,89 @@
 """Fixtures and helpers that more than one test module uses: the benchmark-shape archive,
-trained once a session, and helpers that edit archives, draw rows and read the process's
-pages."""
+trained once a session, and helpers that run code in a fresh interpreter, edit archives,
+draw rows and read the process's pages."""
 
+import ctypes
 import hashlib
 import json
 import math
 import mmap
+import os
 import struct
-import tracemalloc
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
+import gpgrade
 from gpgrade import cli
 from gpgrade.data import MODEL_MAGIC
 from gpgrade.kernel import NOISE_VARIANCE_FLOOR, Hyperparams
+
+# Runs ``gpgrade`` on its arguments under tracemalloc and prints, as its last line, the exit
+# status, tracemalloc's peak, and the bytes of VmRSS just before the run and of VmHWM after it.
+TRACED_CLI = """
+import json, sys, tracemalloc
+from gpgrade import cli
+
+def status(key):  # None where there is no such line, or no /proc
+    try:
+        with open("/proc/self/status", encoding="ascii") as fh:
+            return next((int(line.split()[1]) * 1024 for line in fh if line.startswith(key)), None)
+    except OSError:
+        return None
+
+tracemalloc.start()
+rss = status("VmRSS:")
+code = cli.main(sys.argv[1:])
+print(json.dumps({"status": code, "peak": tracemalloc.get_traced_memory()[1],
+                  "rss": rss, "hwm": status("VmHWM:")}))
+"""
+
+
+def run_probe(code: str, *args, env: dict | None = None) -> dict:
+    """The JSON that ``code`` prints last, run in a fresh interpreter on this package, in
+    ``env`` (this process's environment if None)."""
+    env = dict(os.environ if env is None else env)
+    src = str(Path(gpgrade.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def blas_threads() -> str:
+    """The thread count of numpy's OpenBLAS in this process, where the library reports it,
+    else the CPU count: a child run at this count computes this process's bits."""
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads"):
+        get = getattr(lib, name, None)
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            return str(get())
+    return str(os.cpu_count())
 
 
 @pytest.fixture(scope="session")
 def benchmark_archive(tmp_path_factory):
     """The benchmark's shape, trained once: ``gpgrade synth --seed 0 --n-per-grade 400 --dim
-    64`` writes 2,000 rows of 64 features, and ``gpgrade train`` with default flags, run in
-    process, archives them. ``peak`` is the memory tracemalloc traced while train ran."""
+    64`` writes 2,000 rows of 64 features, and ``gpgrade train`` with default flags archives
+    them in a fresh process (``TRACED_CLI``), at this process's OpenBLAS thread count and with
+    no malloc settings in its environment. ``peak``, ``rss`` and ``hwm`` are the child's
+    (``TRACED_CLI``; the last two None where /proc/self/status lacks them)."""
     root = tmp_path_factory.mktemp("benchmark")
     train, model = root / "train.csv", root / "train.model"
     synth = ["synth", "--out", train, "--seed", 0, "--n-per-grade", 400, "--dim", 64]
     assert cli.main([str(arg) for arg in synth]) == 0
-    tracemalloc.start()
-    try:
-        assert cli.main(["train", "--train-csv", str(train), "--model", str(model)]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return {"root": root, "train": train, "model": model, "peak": peak}
+    env = {k: v for k, v in os.environ.items() if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))}
+    env["OPENBLAS_NUM_THREADS"] = blas_threads()
+    report = run_probe(TRACED_CLI, "train", "--train-csv", train, "--model", model, env=env)
+    assert report.pop("status") == 0
+    return {"root": root, "train": train, "model": model, **report}
 
 
 def huge_pages_always() -> bool:

@@ -1,10 +1,8 @@
 """The public surface: a name joins or leaves ``gpgrade.__all__`` only on purpose."""
 
 import json
-import os
 import re
 import shlex
-import subprocess
 import sys
 from pathlib import Path
 
@@ -13,7 +11,7 @@ import pytest
 import gpgrade
 from gpgrade import cli
 
-from conftest import barred_scipy
+from conftest import barred_scipy, run_probe
 
 PUBLIC_NAMES = [
     "BoxStats",
@@ -107,8 +105,6 @@ def test_cli_import_and_command_skip_scipy_stats_and_optimize(tmp_path, command)
     csv, model, out = tmp_path / "d.csv", tmp_path / "m.model", tmp_path / "p.csv"
     assert cli.main(["synth", "--out", str(csv), "--n-per-grade", "4", "--dim", "3"]) == 0
     assert cli.main(["train", "--train-csv", str(csv), "--model", str(model), "--restarts", "1"]) == 0
-    src = str(Path(gpgrade.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     args = {
         "train": ["train", "--train-csv", str(csv), "--model", str(out)],
         "predict": ["predict", "--test-csv", str(csv), "--model", str(model), "--out", str(out)],
@@ -116,11 +112,7 @@ def test_cli_import_and_command_skip_scipy_stats_and_optimize(tmp_path, command)
         "sweep": ["sweep", "--test-csv", str(csv), "--model", str(model), "--out", str(out),
                   "--std-thresholds", "0.5,1"],
     }[command]
-    proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, *args],
-        capture_output=True, text=True, env=env, timeout=120, check=True,
-    )
-    report = json.loads(proc.stdout.splitlines()[-1])
+    report = run_probe(_IMPORT_PROBE, *args)
     assert report["status"] == 0
     fallback = gpgrade._lapack._call is None
     assert barred_scipy(report["after_import"], fallback) == []

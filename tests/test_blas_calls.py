@@ -14,8 +14,6 @@ package's own two-variable search.
 
 import ast
 import json
-import os
-import subprocess
 import sys
 from pathlib import Path
 
@@ -25,7 +23,7 @@ import pytest
 import gpgrade
 from gpgrade import _lapack, cli, fit, predict
 
-from conftest import barred_scipy
+from conftest import barred_scipy, run_probe
 
 SOURCES = sorted(Path(gpgrade.__file__).parent.glob("*.py"))
 
@@ -128,17 +126,6 @@ def test_guard_finds_heavy_scipy_imports(snippet):
 
 def test_guard_finds_optimize_inside_a_function():
     assert heavy_scipy_imports("def f():\n    from scipy.optimize import minimize") != []
-
-
-def run_probe(code: str, *args: str) -> dict:
-    """The JSON that ``code`` prints last, run in a fresh interpreter on this package."""
-    src = str(Path(gpgrade.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-c", code, *args],
-        capture_output=True, text=True, env=env, timeout=120, check=True,
-    )
-    return json.loads(proc.stdout.splitlines()[-1])
 
 
 @pytest.mark.parametrize(

@@ -26,7 +26,14 @@ from gpgrade import (
     synthesize_dataset,
     write_feature_csv,
 )
-from gpgrade.data import MODEL_MAGIC, STD_FLOOR, NormStats, _feature_runs, _normalize_in_place
+from gpgrade.data import (
+    MODEL_MAGIC,
+    STD_FLOOR,
+    NormStats,
+    _fast_rows,
+    _feature_runs,
+    _normalize_in_place,
+)
 from gpgrade.errors import ModelFormatError, ParseError
 from gpgrade.gp import cholesky_with_jitter
 from gpgrade.kernel import Hyperparams, kernel_matrix, pairwise_sq_dists
@@ -318,6 +325,18 @@ class TestWhereNpLoadtxtReadsOtherwise:
     def test_file_separators_are_not_blanks(self, tmp_path, blank):
         """np.loadtxt strips them from a number as blanks; float does not."""
         self.rejected(tmp_path, f"r5,0,{blank}0.5,1.5,2.5,3.5{blank}", "non-numeric feature value")
+
+    def test_a_blank_feature_text_among_other_records(self, tmp_path, monkeypatch):
+        """np.loadtxt skips the blank feature text of ``r5,0,``, so its chunk converts one row
+        short, and _fast_rows declines it unchanged; the file then reads as the row loop alone
+        reads it (``_fast_rows`` declining every chunk)."""
+        X, ids, grades = np.zeros((2, 4)), [], []
+        assert not _fast_rows(["r5,0,\n", row(6, 1) + "\n"], X, ids, grades)
+        assert (ids, grades, X.any()) == ([], [], False)
+        outcome = self.runs(tmp_path, "r5,0,")
+        assert outcome[1] == "line 7: expected 6 fields, got 3"
+        monkeypatch.setattr(gpgrade.data, "_fast_rows", lambda *run: False)
+        assert self.runs(tmp_path, "r5,0,") == outcome
 
     @pytest.mark.filterwarnings("error")
     def test_a_record_with_no_feature_text_warns_of_nothing(self, tmp_path):

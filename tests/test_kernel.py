@@ -179,12 +179,13 @@ class TestPairwiseSqDists:
 
     def test_self_distances_allocate_little_beyond_their_buffer(self):
         """The product is written into the result's buffer and the strips add one strip's norm
-        sums at a time: no n x n temporaries."""
+        sums at a time: no n x n temporaries, also when the distances are rebuilt in it."""
         n = 600
         A = np.random.default_rng(3).normal(size=(n, 64))
         tracemalloc.start()
         try:
             S = pairwise_sq_dists(A)
+            assert pairwise_sq_dists(A, out=S) is S
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -232,6 +233,8 @@ class TestAssemblyBits:
         B = rng.normal(size=(n + 5, D))
         S = pairwise_sq_dists(A)
         assert S.tobytes() == out_of_place_sq_dists(A).tobytes()
+        into = np.full((n, n), np.nan)  # rebuilt in a used buffer: the same bits
+        assert pairwise_sq_dists(A, out=into) is into and into.tobytes() == S.tobytes()
         assert np.array_equal(S, S.T)
         assert not np.diag(S).any()
         assert pairwise_sq_dists(A, B).tobytes() == out_of_place_sq_dists(A, B).tobytes()
